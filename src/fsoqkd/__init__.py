@@ -30,9 +30,8 @@ from .planner import (
     scan,
     total_rate,
 )
-from .qkd import ModeLoad, QkdSystemParams, decoy_bb84_rate, mode_rate
+from .qkd import QkdSystemParams
 from .turbulence import (
-    HgSecondMoment,
     QuadSpec,
     StructureFunctionKind,
     fb_turb_eta,
@@ -46,9 +45,7 @@ from .turbulence import (
 from .vacuum import (
     CouplingMatrix,
     FBPixel,
-    HGMode,
     LGMode,
-    fb_vacuum_eta,
     fb_vacuum_matrix,
     lg_vacuum_capacity,
     lg_vacuum_eta,
@@ -80,11 +77,7 @@ __all__ = [
     "orbit_classes",
     "scan",
     "total_rate",
-    "ModeLoad",
     "QkdSystemParams",
-    "decoy_bb84_rate",
-    "mode_rate",
-    "HgSecondMoment",
     "QuadSpec",
     "StructureFunctionKind",
     "fb_turb_eta",
@@ -96,9 +89,7 @@ __all__ = [
     "structure_fn",
     "CouplingMatrix",
     "FBPixel",
-    "HGMode",
     "LGMode",
-    "fb_vacuum_eta",
     "fb_vacuum_matrix",
     "lg_vacuum_capacity",
     "lg_vacuum_eta",

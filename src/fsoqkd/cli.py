@@ -17,7 +17,6 @@ validate
 
 All real CSV cells use 12-significant-digit scientific notation with LF
 line endings, so identical configurations yield byte-identical files.
-The --seed flag is reserved: every computation here is deterministic.
 """
 
 from __future__ import annotations
@@ -371,6 +370,7 @@ def _rates_point(args) -> ScanRow:
         family,
         qkd_params,
         opts,
+        quad,
         n_max,
         q_max,
     ) = args
@@ -378,7 +378,7 @@ def _rates_point(args) -> ScanRow:
         wavelength=wavelength, gauss_radius=radius, square_side=side
     )
     rows = scan(
-        [(path_length, cn2)], [family], geometry, qkd_params, n_max, q_max, opts
+        [(path_length, cn2)], [family], geometry, qkd_params, n_max, q_max, opts, quad
     )
     return rows[0]
 
@@ -451,6 +451,7 @@ def cmd_rates(config: RunConfig, jobs: int = 1) -> Tuple[str, bool]:
             family,
             config.qkd,
             config.optimizer,
+            config.quad,
             config.n_max,
             config.q_max,
         )
@@ -530,14 +531,8 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--jobs",
         type=int,
-        default=os.cpu_count() or 1,
+        default=len(os.sched_getaffinity(0)),
         help="worker processes (default: available parallelism)",
-    )
-    parser.add_argument(
-        "--seed",
-        type=int,
-        default=None,
-        help="reserved; all computations are deterministic",
     )
     parser.add_argument(
         "command", choices=("transmissivity", "rates", "validate"), help="subcommand"

@@ -1,4 +1,4 @@
-"""Shared numerical kernels: orthogonal polynomials, quadrature, basis change.
+"""Shared numerical kernels: Hermite-Gauss samples, quadrature, basis change.
 
 The quadrature entry points are deliberately small wrappers with explicit
 failure modes: callers state a tolerance and get either a value that met it
@@ -10,18 +10,15 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence, Tuple
+from typing import Callable, Tuple
 
 import numpy as np
 import scipy.integrate
 
 __all__ = [
     "QuadratureError",
-    "laguerre",
-    "hermite",
     "hg_sample",
     "integrate_1d",
-    "integrate_4d",
     "BasisChangeMatrix",
     "lg_hg_unitary",
 ]
@@ -29,44 +26,6 @@ __all__ = [
 
 class QuadratureError(RuntimeError):
     """A quadrature routine could not meet its tolerance within budget."""
-
-
-def laguerre(p: int, alpha: float, x):
-    """Generalized Laguerre polynomial L_p^alpha(x).
-
-    Evaluated with the stable three-term recurrence
-
-        (k+1) L_{k+1} = (2k + 1 + alpha - x) L_k - (k + alpha) L_{k-1}.
-
-    Accepts scalar or ndarray ``x`` and broadcasts elementwise.
-    """
-    if p < 0:
-        raise ValueError(f"degree must be >= 0, got {p}")
-    xa = np.asarray(x, dtype=float)
-    prev = np.zeros_like(xa)
-    cur = np.ones_like(xa)
-    for k in range(p):
-        prev, cur = cur, ((2 * k + 1 + alpha - xa) * cur - (k + alpha) * prev) / (k + 1)
-    if np.isscalar(x) or getattr(x, "ndim", None) == 0:
-        return float(cur)
-    return cur
-
-
-def hermite(n: int, x):
-    """Physicists' Hermite polynomial H_n(x) via the three-term recurrence.
-
-    H_{k+1} = 2 x H_k - 2 k H_{k-1}, H_0 = 1, H_1 = 2x.
-    """
-    if n < 0:
-        raise ValueError(f"degree must be >= 0, got {n}")
-    xa = np.asarray(x, dtype=float)
-    prev = np.zeros_like(xa)
-    cur = np.ones_like(xa)
-    for k in range(n):
-        prev, cur = cur, 2.0 * xa * cur - 2.0 * k * prev
-    if np.isscalar(x) or getattr(x, "ndim", None) == 0:
-        return float(cur)
-    return cur
 
 
 def hg_sample(n: int, x):
@@ -134,53 +93,6 @@ def gauss_legendre(a: float, b: float, order: int) -> Tuple[np.ndarray, np.ndarr
     nodes, weights = _gauss_legendre(order)
     half = 0.5 * (b - a)
     return a + half * (nodes + 1.0), half * weights
-
-
-def _tensor_gl_4d(f, box, order: int) -> complex:
-    axes = [gauss_legendre(a, b, order) for (a, b) in box]
-    x1, w1 = axes[0]
-    x2, w2 = axes[1]
-    x3, w3 = axes[2]
-    x4, w4 = axes[3]
-    # Slab over the first axis so the working set stays at order^3 points.
-    g2, g3, g4 = np.meshgrid(x2, x3, x4, indexing="ij")
-    w234 = w2[:, None, None] * w3[None, :, None] * w4[None, None, :]
-    total = 0.0 + 0.0j
-    for i in range(order):
-        vals = np.asarray(f(np.full_like(g2, x1[i]), g2, g3, g4))
-        total += w1[i] * np.sum(vals * w234)
-    return complex(total)
-
-
-def integrate_4d(
-    f,
-    box: Sequence[Tuple[float, float]],
-    order: int = 24,
-    rel_tol: float = 1e-6,
-    abs_floor: float = 0.0,
-    max_doublings: int = 2,
-) -> complex:
-    """Tensor-product Gauss-Legendre cubature over a 4-D box.
-
-    ``f`` must accept four equal-shape ndarrays and evaluate elementwise.
-    The rule is applied at ``order`` points per axis and again at twice
-    that; the result is accepted once doubling changes it by less than
-    ``rel_tol`` relative (with ``abs_floor`` as a scale floor for
-    near-zero integrals).  Raises :class:`QuadratureError` otherwise.
-    """
-    if len(box) != 4:
-        raise ValueError("box must contain exactly four (lo, hi) intervals")
-    coarse = _tensor_gl_4d(f, box, order)
-    for _ in range(max_doublings):
-        order *= 2
-        fine = _tensor_gl_4d(f, box, order)
-        scale = max(abs(fine), abs_floor)
-        if abs(fine - coarse) <= rel_tol * scale:
-            return fine
-        coarse = fine
-    raise QuadratureError(
-        f"integrate_4d did not converge to rel_tol={rel_tol} by order {order}"
-    )
 
 
 @dataclass(frozen=True)

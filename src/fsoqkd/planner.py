@@ -452,6 +452,7 @@ def scan(
     n_max: int = 8,
     q_max: int = 8,
     opts: Optional[OptimizerOptions] = None,
+    quad: Optional[QuadSpec] = None,
 ) -> Tuple[ScanRow, ...]:
     """Optimize every (L, cn2) x family combination.
 
@@ -459,8 +460,10 @@ def scan(
     channel capacity bound C = -nu * sum_q log2(1 - eta_q) evaluated on
     the vacuum LG transmissivities: turbulence with a passive receiver
     cannot beat the pure-loss bound, so the vacuum figure is the binding
-    one at every cn2.  Per-point failures are recorded in the row and the
-    scan continues.
+    one at every cn2.  ``quad`` sets the LG second-moment quadrature.
+    Per-point failures (a :class:`RuntimeError` such as non-converged
+    quadrature, or a :class:`ValueError`) are recorded in the row and the
+    scan continues; any other exception propagates.
     """
     if not points:
         raise ValueError("empty scan")
@@ -492,7 +495,7 @@ def scan(
                             pupil=SoftGaussian(radius=geometry.gauss_radius),
                         )
                     )
-                    point = lg_envelope(ch, params, q_max, opts)
+                    point = lg_envelope(ch, params, q_max, opts, quad)
                 else:
                     ch = derive(
                         ChannelConfig(
@@ -503,7 +506,7 @@ def scan(
                         )
                     )
                     point = fb_envelope(ch, params, range(1, n_max + 1), opts)
-            except Exception as exc:  # noqa: BLE001 - recorded per row
+            except (RuntimeError, ValueError) as exc:
                 error = f"{type(exc).__name__}: {exc}"
                 point = None
             rows.append(

@@ -11,25 +11,20 @@ The asymptotic decoy-state rate uses the standard single-photon bound
 
     rate/pulse = sift * max(0, Q_1 [1 - H2(e_1)] - f_ec Q_mu H2(E_mu)).
 
-All inputs are per-pulse quantities except the powers P_T and P_C, which
-are photons per second and are divided by the pulse rate at the boundary.
+All inputs are per-pulse quantities: callers holding powers in photons
+per second divide them by the pulse rate first.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
     "QkdSystemParams",
-    "ModeLoad",
     "binary_entropy",
-    "effective_dark_count",
     "rate_per_pulse",
-    "decoy_bb84_rate",
-    "mode_rate",
 ]
 
 
@@ -74,27 +69,6 @@ class QkdSystemParams:
             )
 
 
-@dataclass(frozen=True)
-class ModeLoad:
-    """Operating point of a single mode.
-
-    eta is the mode's own power transmissivity; transmit_power is the
-    signal launched into the mode and crosstalk_power the aggregate power
-    leaking into its detection window from all other modes, both in
-    photons per second at the stated pulse rate.
-    """
-
-    eta: float
-    transmit_power: float
-    crosstalk_power: float
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.eta <= 1.0:
-            raise ValueError(f"transmissivity must be in [0, 1], got {self.eta}")
-        if self.transmit_power < 0 or self.crosstalk_power < 0:
-            raise ValueError("powers must be >= 0")
-
-
 def binary_entropy(x):
     """Binary entropy H2(x) in bits, elementwise, with H2(0) = H2(1) = 0."""
     xa = np.asarray(x, dtype=float)
@@ -104,19 +78,6 @@ def binary_entropy(x):
     outer = np.clip(1.0 - xa, 1e-300, 1.0)
     val = -xa * np.log2(inner) - (1.0 - xa) * np.log2(outer)
     if np.isscalar(x) or getattr(x, "ndim", None) == 0:
-        return float(val)
-    return val
-
-
-def effective_dark_count(p_dc: float, crosstalk_power, pulse_rate: float):
-    """Per-pulse background click probability including Poisson cross-talk."""
-    if pulse_rate <= 0:
-        raise ValueError(f"pulse rate must be > 0, got {pulse_rate}")
-    mu_c = np.asarray(crosstalk_power, dtype=float) / pulse_rate
-    if np.any(mu_c < 0):
-        raise ValueError("crosstalk power must be >= 0")
-    val = p_dc + 1.0 - np.exp(-mu_c)
-    if np.isscalar(crosstalk_power) or getattr(crosstalk_power, "ndim", None) == 0:
         return float(val)
     return val
 
@@ -152,15 +113,3 @@ def rate_per_pulse(eta, mu, mu_c, params: QkdSystemParams):
         params.error_correction_factor * q_mu * binary_entropy(np.clip(e_mu, 0.0, 1.0))
     )
     return params.sifting_factor * np.maximum(raw, 0.0)
-
-
-def decoy_bb84_rate(load: ModeLoad, params: QkdSystemParams) -> float:
-    """Asymptotic decoy-state BB84 rate of one mode, bits per pulse."""
-    mu = load.transmit_power / params.pulse_rate
-    mu_c = load.crosstalk_power / params.pulse_rate
-    return float(rate_per_pulse(load.eta, mu, mu_c, params))
-
-
-def mode_rate(load: ModeLoad, params: QkdSystemParams) -> float:
-    """Secret-key rate of one mode in bits per second."""
-    return params.pulse_rate * decoy_bb84_rate(load, params)

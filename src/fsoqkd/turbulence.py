@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import enum
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
@@ -40,15 +41,15 @@ from .numerics import (
 from .vacuum import (
     CouplingMatrix,
     FBPixel,
-    fb_pixel_grid,
+    fb_coupling_matrix,
     lg_mode_scale,
     lg_modes_up_to,
+    lg_vacuum_eta,
 )
 
 __all__ = [
     "StructureFunctionKind",
     "QuadSpec",
-    "HgSecondMoment",
     "structure_fn",
     "gaussian_pib_turb",
     "gaussian_pib_53",
@@ -87,17 +88,6 @@ class QuadSpec:
             raise ValueError("tolerances must be positive")
         if self.max_doublings < 1:
             raise ValueError("need at least one doubling for the convergence check")
-
-
-@dataclass(frozen=True)
-class HgSecondMoment:
-    """Per-axis second moment M(a_in, b_in; a_out, b_out) of the channel."""
-
-    a_in: int
-    b_in: int
-    a_out: int
-    b_out: int
-    value: complex
 
 
 def structure_fn(
@@ -139,11 +129,6 @@ def structure_fn(
 # --------------------------------------------------------------------------
 
 
-def _eta0_vacuum(ch: DerivedChannel) -> float:
-    df = ch.fresnel_product
-    return 2.0 * df / (1.0 + 2.0 * df + math.sqrt(1.0 + 4.0 * df))
-
-
 def gaussian_pib_turb(ch: DerivedChannel) -> float:
     """Average captured power of the focused fundamental Gaussian beam.
 
@@ -156,7 +141,7 @@ def gaussian_pib_turb(ch: DerivedChannel) -> float:
     """
     if not isinstance(ch.pupil, SoftGaussian):
         raise ValueError("Gaussian power-in-bucket requires soft Gaussian pupils")
-    eta0 = _eta0_vacuum(ch)
+    eta0 = lg_vacuum_eta(1, ch.fresnel_product)
     if ch.cn2 == 0.0:
         return eta0
     df = ch.fresnel_product
@@ -352,7 +337,7 @@ def hg_second_moment(
     b_out: int,
     ch: DerivedChannel,
     quad: Optional[QuadSpec] = None,
-) -> HgSecondMoment:
+) -> complex:
     """Per-axis HG second moment under the square-law turbulence model.
 
     M(a_in, b_in; a_out, b_out) is the four-point average coupling one
@@ -361,14 +346,7 @@ def hg_second_moment(
     In vacuum M is diagonal: M(a, b; a, b) = s_a s_b* with per-axis
     singular values |s_n| = base^{(2n+1)/4}.
     """
-    eng = _engine(ch, quad or QuadSpec())
-    return HgSecondMoment(
-        a_in=a_in,
-        b_in=b_in,
-        a_out=a_out,
-        b_out=b_out,
-        value=eng.moment(a_in, b_in, a_out, b_out),
-    )
+    return _engine(ch, quad or QuadSpec()).moment(a_in, b_in, a_out, b_out)
 
 
 def lg_turb_matrix(
@@ -398,30 +376,23 @@ def lg_turb_matrix(
         raise ValueError(f"q_max {q_max} exceeds the configured cap {q_cap}")
     eng = _engine(ch, quad or QuadSpec())
     modes = lg_modes_up_to(q_max)
-    rows_by_order = {order: lg_hg_unitary(order).matrix for order in range(q_max)}
+    span = range(q_max)
+    # Every per-axis moment with indices below q_max, M(a, b; c, d) = mom[a, b, c, d].
+    mom = np.reshape(
+        [eng.moment(*abcd) for abcd in itertools.product(span, repeat=4)], (q_max,) * 4
+    )
+    rows = [slice(n * (n + 1) // 2, (n + 1) * (n + 2) // 2) for n in span]
+    unitaries = [lg_hg_unitary(n).matrix for n in span]
 
     eta = np.zeros((len(modes), len(modes)))
-    offsets = {}
-    pos = 0
-    for order in range(q_max):
-        offsets[order] = pos
-        pos += order + 1
-
     worst_imag = 0.0
-    for n_in in range(q_max):
-        u_in = rows_by_order[n_in]
-        for n_out in range(q_max):
-            u_out = rows_by_order[n_out]
-            k_tensor = np.empty(
-                (n_in + 1, n_in + 1, n_out + 1, n_out + 1), dtype=complex
+    for n_in, u_in in enumerate(unitaries):
+        for n_out, u_out in enumerate(unitaries):
+            # K[a, b, c, d] = M(a, b; c, d) M(N-a, N-b; N'-c, N'-d).
+            k_tensor = (
+                mom[: n_in + 1, : n_in + 1, : n_out + 1, : n_out + 1]
+                * mom[n_in::-1, n_in::-1, n_out::-1, n_out::-1]
             )
-            for a in range(n_in + 1):
-                for b in range(n_in + 1):
-                    for c in range(n_out + 1):
-                        for d in range(n_out + 1):
-                            k_tensor[a, b, c, d] = eng.moment(a, b, c, d) * eng.moment(
-                                n_in - a, n_in - b, n_out - c, n_out - d
-                            )
             block = np.einsum(
                 "ia,ib,jc,jd,abcd->ij",
                 u_in,
@@ -432,10 +403,7 @@ def lg_turb_matrix(
                 optimize=True,
             )
             worst_imag = max(worst_imag, float(np.max(np.abs(block.imag))))
-            eta[
-                offsets[n_in] : offsets[n_in] + n_in + 1,
-                offsets[n_out] : offsets[n_out] + n_out + 1,
-            ] = block.real
+            eta[rows[n_in], rows[n_out]] = block.real
 
     if worst_imag > imag_tol:
         raise QuadratureError(
@@ -491,11 +459,5 @@ def fb_turb_matrix(n_grid: int, ch: DerivedChannel) -> CouplingMatrix:
     """Average coupling matrix over the N x N focused-beam set."""
     if not isinstance(ch.pupil, HardSquare):
         raise ValueError("focused-beam modes require hard square pupils")
-    modes = fb_pixel_grid(n_grid)
     axis = np.array([_fb_axis_turb(d, n_grid, ch) for d in range(n_grid)])
-    eta = np.empty((len(modes), len(modes)))
-    for i, a in enumerate(modes):
-        for j, b in enumerate(modes):
-            eta[i, j] = axis[abs(a.n - b.n)] * axis[abs(a.m - b.m)]
-    provenance = "vacuum" if ch.cn2 == 0.0 else "square-law"
-    return CouplingMatrix(modes=modes, eta=eta, provenance=provenance)
+    return fb_coupling_matrix(axis, "vacuum" if ch.cn2 == 0.0 else "square-law")

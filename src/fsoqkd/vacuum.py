@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, List, Sequence, Tuple, Union
+from typing import Iterable, List, Tuple, Union
 
 import numpy as np
 
@@ -25,7 +25,6 @@ from .numerics import integrate_1d
 
 __all__ = [
     "LGMode",
-    "HGMode",
     "FBPixel",
     "ModeId",
     "CouplingMatrix",
@@ -36,7 +35,7 @@ __all__ = [
     "lg_mode_scale",
     "lg_vacuum_matrix",
     "fb_pixel_grid",
-    "fb_vacuum_eta",
+    "fb_coupling_matrix",
     "fb_vacuum_matrix",
     "qkd_capacity",
     "lg_vacuum_capacity",
@@ -61,22 +60,6 @@ class LGMode:
 
 
 @dataclass(frozen=True)
-class HGMode:
-    """Hermite-Gauss mode with x index n >= 0 and y index m >= 0."""
-
-    n: int
-    m: int
-
-    def __post_init__(self) -> None:
-        if self.n < 0 or self.m < 0:
-            raise ValueError(f"HG indices must be >= 0, got ({self.n}, {self.m})")
-
-    @property
-    def order(self) -> int:
-        return self.n + self.m + 1
-
-
-@dataclass(frozen=True)
 class FBPixel:
     """Focused beam aimed at pixel (n, m) of an N x N receiver grid, 1-based."""
 
@@ -93,14 +76,12 @@ class FBPixel:
             )
 
 
-ModeId = Union[LGMode, HGMode, FBPixel]
+ModeId = Union[LGMode, FBPixel]
 
 
 def mode_label(mode: ModeId) -> str:
     if isinstance(mode, LGMode):
         return f"lg(p={mode.p},l={mode.l:+d})"
-    if isinstance(mode, HGMode):
-        return f"hg(n={mode.n},m={mode.m})"
     if isinstance(mode, FBPixel):
         return f"fb(n={mode.n},m={mode.m};N={mode.grid})"
     raise TypeError(f"not a mode id: {mode!r}")
@@ -248,10 +229,21 @@ def fb_pixel_grid(n_grid: int) -> Tuple[FBPixel, ...]:
     )
 
 
-def _require_square(ch: DerivedChannel) -> HardSquare:
-    if not isinstance(ch.pupil, HardSquare):
-        raise ValueError("focused-beam modes require hard square pupils")
-    return ch.pupil
+def fb_coupling_matrix(axis: np.ndarray, provenance: str) -> CouplingMatrix:
+    """Coupling matrix of the N x N focused-beam set from its per-axis factors.
+
+    ``axis[d]`` is the per-axis coupling for pixel-index difference d = 0..N-1.
+    The 2-D coupling is the product of the x and y factors, so over the
+    row-major pixel list the matrix is the Kronecker square of the
+    symmetric Toeplitz matrix T[i, j] = axis[|i - j|].
+    """
+    idx = np.arange(len(axis))
+    toeplitz = axis[np.abs(idx[:, None] - idx[None, :])]
+    return CouplingMatrix(
+        modes=fb_pixel_grid(len(axis)),
+        eta=np.kron(toeplitz, toeplitz),
+        provenance=provenance,
+    )
 
 
 def _fb_axis_vacuum(d: int, n_grid: int, ch: DerivedChannel) -> float:
@@ -267,29 +259,12 @@ def _fb_axis_vacuum(d: int, n_grid: int, ch: DerivedChannel) -> float:
     return c * val
 
 
-def fb_vacuum_eta(pixel_from: FBPixel, pixel_to: FBPixel, ch: DerivedChannel) -> float:
-    """Vacuum power coupling from one focused beam into one receiver pixel."""
-    _require_square(ch)
-    if pixel_from.grid != pixel_to.grid:
-        raise ValueError("pixels belong to different grids")
-    n_grid = pixel_from.grid
-    return _fb_axis_vacuum(pixel_from.n - pixel_to.n, n_grid, ch) * _fb_axis_vacuum(
-        pixel_from.m - pixel_to.m, n_grid, ch
-    )
-
-
 def fb_vacuum_matrix(n_grid: int, ch: DerivedChannel) -> CouplingMatrix:
     """Vacuum coupling matrix over the full N x N focused-beam set."""
-    _require_square(ch)
-    modes = fb_pixel_grid(n_grid)
-    axis = np.array(
-        [_fb_axis_vacuum(d, n_grid, ch) for d in range(n_grid)]
-    )
-    eta = np.empty((len(modes), len(modes)))
-    for i, a in enumerate(modes):
-        for j, b in enumerate(modes):
-            eta[i, j] = axis[abs(a.n - b.n)] * axis[abs(a.m - b.m)]
-    return CouplingMatrix(modes=modes, eta=eta, provenance="vacuum")
+    if not isinstance(ch.pupil, HardSquare):
+        raise ValueError("focused-beam modes require hard square pupils")
+    axis = np.array([_fb_axis_vacuum(d, n_grid, ch) for d in range(n_grid)])
+    return fb_coupling_matrix(axis, "vacuum")
 
 
 # --------------------------------------------------------------------------

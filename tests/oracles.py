@@ -2,8 +2,9 @@
 
 Everything here is deliberately written through a different route than the
 library code: scipy special functions instead of the in-package recurrences,
-direct grid sums instead of analytic coefficient formulas, and FFT beam
-propagation instead of the reduced per-axis overlap integrals.
+direct grid sums instead of analytic coefficient formulas, FFT beam
+propagation instead of the reduced per-axis overlap integrals, and a plain
+4-D tensor-product cubature instead of the factorized moment contraction.
 """
 
 import math
@@ -64,6 +65,26 @@ def lg_hg_overlap_matrix(order: int, grid: int = 512, half: float = 8.0) -> np.n
         out[row] = np.sum(lg[None, :, :] * np.conj(hgs), axis=(1, 2)) * dx * dx
         row += 1
     return out
+
+
+def tensor_gl_4d(f, box, order: int) -> complex:
+    """Tensor-product Gauss-Legendre rule over a 4-D box, summed point by point.
+
+    ``f`` takes four equal-shape arrays and evaluates elementwise; ``box``
+    holds four (lo, hi) intervals.  The sum runs in slabs over the first
+    axis so the working set stays at order^3 points.
+    """
+    nodes, weights = np.polynomial.legendre.leggauss(order)
+    (x1, w1), (x2, w2), (x3, w3), (x4, w4) = (
+        (lo + 0.5 * (hi - lo) * (nodes + 1.0), 0.5 * (hi - lo) * weights)
+        for lo, hi in box
+    )
+    g2, g3, g4 = np.meshgrid(x2, x3, x4, indexing="ij")
+    w234 = w2[:, None, None] * w3[None, :, None] * w4[None, None, :]
+    total = 0.0 + 0.0j
+    for x, w in zip(x1, w1):
+        total += w * np.sum(np.asarray(f(np.full_like(g2, x), g2, g3, g4)) * w234)
+    return complex(total)
 
 
 def fb_axis_fft(

@@ -1,5 +1,6 @@
 """Config parsing, CSV emission, determinism, and exit codes."""
 
+import os
 import re
 
 import pytest
@@ -8,6 +9,7 @@ import fsoqkd.planner as planner
 from fsoqkd.channel import matched_square_side
 from fsoqkd.cli import (
     ConfigError,
+    _build_parser,
     _parse_length,
     cmd_rates,
     cmd_transmissivity,
@@ -210,6 +212,26 @@ def test_cmd_rates_records_failures(monkeypatch, caplog):
     assert fb_cells[2] == "fb" and float(fb_cells[4]) > 0.0
 
 
+def test_cmd_rates_uses_configured_quadrature(tmp_path, monkeypatch):
+    path = tmp_path / "run.ini"
+    path.write_text(
+        "[channel]\npath_lengths = 10 km\n[turbulence]\ncn2_values = 1e-14\n"
+        "[planner]\nn_max = 1\nq_max = 1\nquad_base_order = 40\nquad_rel_tol = 1e-7\n"
+    )
+    cfg = load_config(str(path))
+    seen = []
+    real = planner.lg_turb_matrix
+
+    def spy(q_max, ch, quad=None, **kwargs):
+        seen.append(quad)
+        return real(q_max, ch, quad, **kwargs)
+
+    monkeypatch.setattr(planner, "lg_turb_matrix", spy)
+    _, clean = cmd_rates(cfg)
+    assert clean
+    assert [(q.base_order, q.rel_tol) for q in seen] == [(40, 1e-7)]
+
+
 def test_cmd_validate_small_grid():
     cfg = small_config(path_lengths=(10e3,), cn2_values=(0.0, 1e-14))
     text, all_pass = cmd_validate(cfg)
@@ -229,13 +251,18 @@ def test_jobs_parallel_matches_serial():
     assert cmd_transmissivity(cfg, jobs=2) == cmd_transmissivity(cfg, jobs=1)
 
 
+def test_jobs_default_follows_cpu_affinity():
+    args = _build_parser().parse_args(["rates"])
+    assert args.jobs == len(os.sched_getaffinity(0))
+
+
 def test_main_exit_codes_and_output(tmp_path, capsys):
     ini = tmp_path / "run.ini"
     ini.write_text(
         "[channel]\npath_lengths = 1 km\n[turbulence]\ncn2_values = 0\n"
     )
     out = tmp_path / "t.csv"
-    rc = main(["--config", str(ini), "--out", str(out), "--seed", "7", "transmissivity"])
+    rc = main(["--config", str(ini), "--out", str(out), "transmissivity"])
     assert rc == 0
     assert out.read_text().startswith("L_m,cn2,")
 

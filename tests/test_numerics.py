@@ -1,4 +1,4 @@
-"""Polynomial recurrences, quadrature wrappers, and the LG-HG basis change."""
+"""Hermite-Gauss samples, quadrature wrappers, and the LG-HG basis change."""
 
 import math
 
@@ -9,33 +9,13 @@ import scipy.special
 from fsoqkd.numerics import (
     QuadratureError,
     gauss_legendre,
-    hermite,
     hg_sample,
     integrate_1d,
-    integrate_4d,
-    laguerre,
     lg_hg_unitary,
     lg_modes_of_order,
 )
 
 import oracles
-
-
-@pytest.mark.parametrize("alpha", [0.0, 1.0, 3.5])
-def test_laguerre_matches_scipy(alpha):
-    x = np.linspace(0.0, 12.0, 41)
-    for p in range(13):
-        expected = scipy.special.eval_genlaguerre(p, alpha, x)
-        got = laguerre(p, alpha, x)
-        np.testing.assert_allclose(got, expected, rtol=1e-11, atol=1e-11)
-
-
-def test_hermite_matches_scipy():
-    x = np.linspace(-4.0, 4.0, 33)
-    for n in range(16):
-        expected = scipy.special.eval_hermite(n, x)
-        got = hermite(n, x)
-        np.testing.assert_allclose(got, expected, rtol=1e-10, atol=1e-8)
 
 
 def test_hg_sample_matches_explicit_normalization():
@@ -86,29 +66,22 @@ def test_gauss_legendre_polynomial_exactness():
     assert float(np.sum(wts * poly(pts))) == pytest.approx(exact, rel=1e-13)
 
 
-def test_integrate_4d_gaussian_product():
+def test_oracle_4d_cubature_gaussian_product():
     box = ((-7.0, 7.0),) * 4
     f = lambda a, b, c, d: np.exp(-(a * a + 2 * b * b + 3 * c * c + 0.5 * d * d))
-    got = integrate_4d(f, box, order=32, rel_tol=1e-8)
+    got = oracles.tensor_gl_4d(f, box, order=64)
     exact = math.pi ** 2 / math.sqrt(1.0 * 2.0 * 3.0 * 0.5)
     assert got.real == pytest.approx(exact, rel=1e-8)
     assert got.imag == pytest.approx(0.0, abs=1e-12)
 
 
-def test_integrate_4d_complex_integrand():
+def test_oracle_4d_cubature_complex_integrand():
     box = ((-1.0, 1.0),) * 4
     f = lambda a, b, c, d: np.exp(1j * (a + b + c + d))
-    got = integrate_4d(f, box, order=12, rel_tol=1e-10)
+    got = oracles.tensor_gl_4d(f, box, order=12)
     exact = (2.0 * math.sin(1.0)) ** 4
     assert got.real == pytest.approx(exact, rel=1e-12)
     assert got.imag == pytest.approx(0.0, abs=1e-12)
-
-
-def test_integrate_4d_raises_when_not_converged():
-    box = ((-1.0, 1.0),) * 4
-    f = lambda a, b, c, d: np.cos(200.0 * a * b) * np.cos(150.0 * c * d)
-    with pytest.raises(QuadratureError):
-        integrate_4d(f, box, order=4, rel_tol=1e-10, max_doublings=0)
 
 
 def test_lg_modes_of_order():

@@ -21,7 +21,6 @@ from fsoqkd.qkd import QkdSystemParams, rate_per_pulse
 from fsoqkd.vacuum import (
     CouplingMatrix,
     FBPixel,
-    HGMode,
     LGMode,
     fb_pixel_grid,
     fb_vacuum_matrix,
@@ -65,7 +64,7 @@ def test_lg_orbit_classes():
 
 def test_orbit_classes_rejects_unknown_modes():
     with pytest.raises(TypeError):
-        orbit_classes((HGMode(0, 0),))
+        orbit_classes(((0, 0),))
 
 
 # ------------------------------------------------------------------
@@ -275,6 +274,15 @@ def test_scan_records_errors_and_continues(monkeypatch):
     assert lg_row.point is not None
     assert fb_row.point is None
     assert fb_row.error == "RuntimeError: boom"
+
+
+def test_scan_propagates_programming_errors(monkeypatch):
+    def broken(n_grid, ch):
+        raise TypeError("broken")
+
+    monkeypatch.setattr(planner, "fb_turb_matrix", broken)
+    with pytest.raises(TypeError, match="broken"):
+        scan([(10e3, 1e-14)], ("fb",), scan_geometry(), QkdSystemParams(), n_max=2)
 
 
 def test_scan_validation():

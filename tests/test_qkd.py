@@ -5,15 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from fsoqkd.qkd import (
-    ModeLoad,
-    QkdSystemParams,
-    binary_entropy,
-    decoy_bb84_rate,
-    effective_dark_count,
-    mode_rate,
-    rate_per_pulse,
-)
+from fsoqkd.qkd import QkdSystemParams, binary_entropy, rate_per_pulse
 
 import oracles
 
@@ -30,13 +22,6 @@ def test_binary_entropy_symmetry_and_vectorization():
     x = np.linspace(0.0, 1.0, 101)
     np.testing.assert_allclose(binary_entropy(x), binary_entropy(1.0 - x), atol=1e-14)
     assert np.all(binary_entropy(x) <= 1.0 + 1e-15)
-
-
-def test_effective_dark_count_frozen_value():
-    # mu_c = 1e-3 crosstalk photons per pulse on top of 1e-6 dark counts.
-    got = effective_dark_count(1e-6, 1e7, 1e10)
-    assert got == pytest.approx(0.0010005001666248958, rel=1e-13)
-    assert effective_dark_count(1e-6, 0.0, 1e10) == pytest.approx(1e-6, rel=1e-9)
 
 
 def test_ideal_collapse_rate():
@@ -101,6 +86,11 @@ def test_rate_zero_when_signal_buried():
     assert float(rate_per_pulse(0.0, 0.5, 0.0, QkdSystemParams())) == 0.0
 
 
+def test_mode_rate_zero_power_is_zero():
+    # No signal photons and no cross-talk: nothing to distill.
+    assert float(rate_per_pulse(0.5, 0.0, 0.0, QkdSystemParams())) == 0.0
+
+
 def test_rate_dominated_by_channel_capacity():
     # Per-pulse key yield cannot beat -log2(1 - eta) for any mu, mu_c.
     rng = np.random.default_rng(7)
@@ -111,30 +101,6 @@ def test_rate_dominated_by_channel_capacity():
         mu_c = float(rng.uniform(0.0, 0.05))
         got = float(rate_per_pulse(eta, mu, mu_c, params))
         assert got <= -math.log2(1.0 - eta) + 1e-12
-
-
-def test_decoy_bb84_rate_and_mode_rate_scale_with_pulse_rate():
-    base = QkdSystemParams(pulse_rate=1e9)
-    double = QkdSystemParams(pulse_rate=2e9)
-    load_base = ModeLoad(eta=0.3, transmit_power=0.4 * 1e9, crosstalk_power=1e-4 * 1e9)
-    load_double = ModeLoad(eta=0.3, transmit_power=0.4 * 2e9, crosstalk_power=1e-4 * 2e9)
-    r1 = mode_rate(load_base, base)
-    r2 = mode_rate(load_double, double)
-    assert r1 > 0.0
-    assert r2 == pytest.approx(2.0 * r1, rel=1e-12)
-    # Equal per-pulse yields at equal (eta, mu, mu_c) operating points.
-    assert decoy_bb84_rate(load_double, double) == pytest.approx(
-        decoy_bb84_rate(load_base, base), rel=1e-14
-    )
-    assert mode_rate(load_base, base) == pytest.approx(
-        base.pulse_rate * decoy_bb84_rate(load_base, base), rel=1e-14
-    )
-
-
-def test_mode_rate_zero_power_is_zero():
-    params = QkdSystemParams()
-    load = ModeLoad(eta=0.5, transmit_power=0.0, crosstalk_power=0.0)
-    assert mode_rate(load, params) == 0.0
 
 
 def test_param_validation():
@@ -148,7 +114,3 @@ def test_param_validation():
         QkdSystemParams(error_correction_factor=0.9)
     with pytest.raises(ValueError):
         QkdSystemParams(sifting_factor=0.0)
-    with pytest.raises(ValueError):
-        ModeLoad(eta=1.5, transmit_power=1.0, crosstalk_power=0.0)
-    with pytest.raises(ValueError):
-        ModeLoad(eta=0.5, transmit_power=-1.0, crosstalk_power=0.0)

@@ -5,9 +5,11 @@ import math
 import numpy as np
 import pytest
 import scipy.special
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fsoqkd.channel import cn2_for_coherence_length
-from fsoqkd.numerics import _tensor_gl_4d
+from fsoqkd.numerics import lg_hg_unitary
 from fsoqkd.turbulence import (
     QuadSpec,
     StructureFunctionKind,
@@ -22,11 +24,12 @@ from fsoqkd.turbulence import (
 )
 from fsoqkd.vacuum import (
     FBPixel,
-    fb_vacuum_eta,
+    fb_vacuum_matrix,
     lg_vacuum_eta,
     lg_vacuum_matrix,
 )
 
+import oracles
 from conftest import WAVELENGTH, gauss_channel, square_channel
 
 
@@ -88,21 +91,21 @@ def test_engine_vacuum_moments_factorize():
     x = lg_vacuum_eta(1, ch.fresnel_product)
     for a in range(5):
         for b in range(5):
-            got = hg_second_moment(a, b, a, b, ch).value
+            got = hg_second_moment(a, b, a, b, ch)
             expected = x ** (0.5 * (a + b + 1)) * (-1j) ** (a - b)
             assert got == pytest.approx(expected, abs=1e-9 * abs(expected) + 1e-12)
 
 
 def test_engine_vacuum_cross_moments_vanish():
     ch = gauss_channel(10e3, 0.0)
-    assert abs(hg_second_moment(2, 0, 0, 2, ch).value) <= 1e-8
-    assert abs(hg_second_moment(0, 0, 2, 0, ch).value) <= 1e-8
+    assert abs(hg_second_moment(2, 0, 0, 2, ch)) <= 1e-8
+    assert abs(hg_second_moment(0, 0, 2, 0, ch)) <= 1e-8
 
 
 def test_moment_parity_exact_zero():
     ch = gauss_channel(10e3, 1e-14)
-    assert hg_second_moment(0, 0, 1, 0, ch).value == 0.0
-    assert hg_second_moment(1, 0, 0, 0, ch).value == 0.0
+    assert hg_second_moment(0, 0, 1, 0, ch) == 0.0
+    assert hg_second_moment(1, 0, 0, 0, ch) == 0.0
 
 
 def test_moment_conjugation_symmetry_raw():
@@ -116,8 +119,8 @@ def test_moment_conjugation_symmetry_raw():
 
 def test_moment_conjugation_symmetry_public():
     ch = gauss_channel(10e3, 1e-14)
-    lhs = hg_second_moment(2, 1, 1, 0, ch).value
-    rhs = hg_second_moment(1, 2, 0, 1, ch).value
+    lhs = hg_second_moment(2, 1, 1, 0, ch)
+    rhs = hg_second_moment(1, 2, 0, 1, ch)
     assert lhs == np.conj(rhs)
 
 
@@ -125,7 +128,7 @@ def test_moment_diagonals_real_unit_interval():
     ch = gauss_channel(10e3, 1e-14)
     for a in range(3):
         for c in range(3):
-            val = hg_second_moment(a, a, c, c, ch).value
+            val = hg_second_moment(a, a, c, c, ch)
             assert abs(val.imag) <= 1e-10
             assert -1e-10 <= val.real <= 1.0 + 1e-9
 
@@ -169,14 +172,14 @@ def test_contraction_matches_direct_4d_quadrature():
             return g1 * g2 * turb * phase * pref
 
         box = ((-hs_in, hs_in), (-hd_in, hd_in), (-hs_out, hs_out), (-hd_out, hd_out))
-        ref = _tensor_gl_4d(f, box, order)
+        ref = oracles.tensor_gl_4d(f, box, order)
         got = engine._evaluate(a, b, c, d, order)
         assert got == pytest.approx(ref, abs=1e-11 * max(abs(ref), 1e-6))
 
 
 def test_completeness_weak_turbulence():
     ch = gauss_channel(10e3, 1e-15)
-    axis_total = sum(hg_second_moment(0, 0, c, c, ch).value.real for c in range(25))
+    axis_total = sum(hg_second_moment(0, 0, c, c, ch).real for c in range(25))
     assert axis_total == pytest.approx(math.sqrt(gaussian_pib_turb(ch)), rel=1e-6)
 
 
@@ -185,7 +188,7 @@ def test_completeness_moderate_turbulence():
     # axis sum recovers the closed-form bucket power once enough orders
     # are included.
     ch = gauss_channel(10e3, 1e-14)
-    axis_total = sum(hg_second_moment(0, 0, c, c, ch).value.real for c in range(121))
+    axis_total = sum(hg_second_moment(0, 0, c, c, ch).real for c in range(121))
     assert axis_total == pytest.approx(math.sqrt(gaussian_pib_turb(ch)), rel=1e-3)
 
 
@@ -227,6 +230,26 @@ def test_lg_turb_matrix_invariants():
             assert mat.eta[i, j] == pytest.approx(mat.eta[fi, fj], abs=1e-8)
 
 
+def test_lg_turb_matrix_matches_elementwise_sum():
+    # Reference: the docstring's sum over a, b, c, d, one moment pair per term.
+    ch = gauss_channel(10e3, 1e-14)
+    q_max = 3
+    mat = lg_turb_matrix(q_max, ch)
+    rows = [(n, u) for n in range(q_max) for u in lg_hg_unitary(n).matrix]
+    for i, (n, u) in enumerate(rows):
+        for j, (n2, w) in enumerate(rows):
+            ref = sum(
+                u[a] * u[b].conjugate() * w[c].conjugate() * w[d]
+                * hg_second_moment(a, b, c, d, ch)
+                * hg_second_moment(n - a, n - b, n2 - c, n2 - d, ch)
+                for a in range(n + 1)
+                for b in range(n + 1)
+                for c in range(n2 + 1)
+                for d in range(n2 + 1)
+            )
+            assert mat.eta[i, j] == pytest.approx(ref.real, rel=1e-12, abs=1e-14)
+
+
 def test_lg_turb_diag_monotone_in_cn2():
     for path_length, q_max in ((1e3, 1), (100e3, 2)):
         diags = [
@@ -252,30 +275,46 @@ def test_lg_turb_matrix_rejects_bad_sizes():
 
 def test_fb_turb_vacuum_identity():
     ch = square_channel(10e3, 0.0)
+    vac = fb_vacuum_matrix(3, ch)
     for a, b in (
         (FBPixel(1, 1, 3), FBPixel(1, 1, 3)),
         (FBPixel(1, 1, 3), FBPixel(2, 3, 3)),
         (FBPixel(2, 2, 3), FBPixel(3, 1, 3)),
     ):
-        assert fb_turb_eta(a, b, ch) == pytest.approx(
-            fb_vacuum_eta(a, b, ch), rel=1e-10
-        )
+        assert fb_turb_eta(a, b, ch) == pytest.approx(vac.entry(a, b), rel=1e-10)
 
 
-def test_fb_turb_matrix_invariants():
-    ch = square_channel(10e3, 1e-14)
-    mat = fb_turb_matrix(3, ch)
-    assert mat.provenance == "square-law"
-    assert len(mat) == 9
+def _log_uniform(lo, hi):
+    return st.floats(math.log10(lo), math.log10(hi)).map(lambda e: 10.0 ** e)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    path_length=_log_uniform(1e3, 100e3),
+    cn2=st.one_of(st.just(0.0), _log_uniform(1e-16, 1e-13)),
+    n_grid=st.integers(1, 8),
+)
+def test_fb_turb_matrix_invariants(path_length, cn2, n_grid):
+    ch = square_channel(path_length, cn2)
+    mat = fb_turb_matrix(n_grid, ch)
+    assert mat.provenance == ("vacuum" if cn2 == 0.0 else "square-law")
+    assert len(mat) == n_grid * n_grid
     assert np.all(mat.row_sums() <= 1.0 + 1e-6)
     np.testing.assert_allclose(mat.eta, mat.eta.T, rtol=0, atol=1e-12)
+    # Entries depend only on the axis displacements |dn| and |dm|.
     for i, mi in enumerate(mat.modes):
         for j, mj in enumerate(mat.modes):
             ref = mat.entry(
-                FBPixel(1, 1, 3),
-                FBPixel(1 + abs(mi.n - mj.n), 1 + abs(mi.m - mj.m), 3),
+                FBPixel(1, 1, n_grid),
+                FBPixel(1 + abs(mi.n - mj.n), 1 + abs(mi.m - mj.m), n_grid),
             )
             assert mat.eta[i, j] == pytest.approx(ref, rel=1e-12)
+    # The first row covers every displacement; it matches the per-pixel path.
+    for j, mj in enumerate(mat.modes):
+        assert mat.eta[0, j] == fb_turb_eta(mat.modes[0], mj, ch)
+    if cn2 == 0.0:
+        vac = fb_vacuum_matrix(n_grid, ch)
+        np.testing.assert_allclose(mat.eta, vac.eta, rtol=1e-10, atol=0)
 
 
 def test_fb_turb_diag_monotone_far_field():

@@ -12,7 +12,6 @@ from fsoqkd.vacuum import (
     LGMode,
     _fb_axis_vacuum,
     fb_pixel_grid,
-    fb_vacuum_eta,
     fb_vacuum_matrix,
     lg_mode_count,
     lg_modes_up_to,
@@ -109,7 +108,7 @@ def test_fb_vacuum_eta_factorizes_over_axes():
     a = FBPixel(1, 2, 3)
     b = FBPixel(3, 3, 3)
     expected = _fb_axis_vacuum(2.0, 3, ch) * _fb_axis_vacuum(1.0, 3, ch)
-    assert fb_vacuum_eta(a, b, ch) == pytest.approx(expected, rel=1e-12)
+    assert fb_vacuum_matrix(3, ch).entry(a, b) == pytest.approx(expected, rel=1e-12)
 
 
 def test_fb_vacuum_matrix_invariants():
