@@ -32,13 +32,12 @@ from .planner import (
 )
 from .qkd import QkdSystemParams
 from .turbulence import (
-    QuadSpec,
     StructureFunctionKind,
     fb_turb_eta,
     fb_turb_matrix,
     gaussian_pib_53,
     gaussian_pib_turb,
-    hg_second_moment,
+    hg_second_moments,
     lg_turb_matrix,
     structure_fn,
 )
@@ -78,13 +77,12 @@ __all__ = [
     "scan",
     "total_rate",
     "QkdSystemParams",
-    "QuadSpec",
     "StructureFunctionKind",
     "fb_turb_eta",
     "fb_turb_matrix",
     "gaussian_pib_53",
     "gaussian_pib_turb",
-    "hg_second_moment",
+    "hg_second_moments",
     "lg_turb_matrix",
     "structure_fn",
     "CouplingMatrix",

@@ -88,8 +88,8 @@ class ChannelConfig:
             raise ValueError(f"wavelength must be > 0, got {self.wavelength!r}")
         if not self.path_length > 0:
             raise ValueError(f"path length must be > 0, got {self.path_length!r}")
-        if self.cn2 < 0:
-            raise ValueError(f"cn2 must be >= 0, got {self.cn2!r}")
+        if not math.isfinite(self.cn2) or self.cn2 < 0:
+            raise ValueError(f"cn2 must be finite and >= 0, got {self.cn2!r}")
         if not isinstance(self.pupil, (SoftGaussian, HardSquare)):
             raise ValueError(f"unsupported pupil spec: {self.pupil!r}")
 

@@ -25,6 +25,7 @@ import argparse
 import concurrent.futures
 import configparser
 import logging
+import math
 import os
 import re
 import sys
@@ -42,7 +43,7 @@ from .channel import (
 )
 from .planner import OptimizerOptions, ScanGeometry, ScanRow, scan
 from .qkd import QkdSystemParams
-from .turbulence import QuadSpec, fb_turb_eta, gaussian_pib_53, gaussian_pib_turb
+from .turbulence import fb_turb_eta, gaussian_pib_53, gaussian_pib_turb
 from .vacuum import fb_pixel_grid
 
 __all__ = ["RunConfig", "load_config", "cmd_transmissivity", "cmd_rates", "cmd_validate", "main"]
@@ -84,7 +85,6 @@ _ALLOWED_KEYS = {
         "mu_max",
         "rel_tol",
         "max_sweeps",
-        "quad_base_order",
         "quad_rel_tol",
     },
     "output": {"path"},
@@ -106,7 +106,7 @@ class RunConfig:
     cn2_values: Optional[Tuple[float, ...]] = None
     qkd: QkdSystemParams = field(default_factory=QkdSystemParams)
     optimizer: OptimizerOptions = field(default_factory=OptimizerOptions)
-    quad: QuadSpec = field(default_factory=QuadSpec)
+    quad_rel_tol: float = 1e-6
     n_max: int = 8
     q_max: int = 8
     output_path: Optional[str] = None
@@ -143,14 +143,19 @@ def _parse_length(text: str, where: str) -> float:
         value = float(match.group(1))
     except ValueError as exc:
         raise ConfigError(f"{where}: cannot parse length {text!r}") from exc
+    if not math.isfinite(value):
+        raise ConfigError(f"{where}: length {text!r} is not finite")
     return value * _LENGTH_UNITS[match.group(2) or "m"]
 
 
 def _parse_float(text: str, where: str) -> float:
     try:
-        return float(text)
+        value = float(text)
     except ValueError as exc:
         raise ConfigError(f"{where}: cannot parse number {text!r}") from exc
+    if not math.isfinite(value):
+        raise ConfigError(f"{where}: number {text!r} is not finite")
+    return value
 
 
 def _parse_int(text: str, where: str) -> int:
@@ -292,18 +297,11 @@ def load_config(path: Optional[str]) -> RunConfig:
         except ValueError as exc:
             raise ConfigError(f"{path}: [planner] {exc}") from exc
 
-    quad_kwargs = {}
-    value = get("planner", "quad_base_order")
-    if value is not None:
-        quad_kwargs["base_order"] = _parse_int(value, f"{path}: planner.quad_base_order")
     value = get("planner", "quad_rel_tol")
     if value is not None:
-        quad_kwargs["rel_tol"] = _parse_float(value, f"{path}: planner.quad_rel_tol")
-    if quad_kwargs:
-        try:
-            cfg.quad = QuadSpec(**{**_dataclass_dict(cfg.quad), **quad_kwargs})
-        except ValueError as exc:
-            raise ConfigError(f"{path}: [planner] {exc}") from exc
+        cfg.quad_rel_tol = _parse_float(value, f"{path}: planner.quad_rel_tol")
+        if cfg.quad_rel_tol <= 0:
+            raise ConfigError(f"{path}: planner.quad_rel_tol must be > 0")
 
     value = get("planner", "n_max")
     if value is not None:
@@ -370,21 +368,18 @@ def _rates_point(args) -> ScanRow:
         family,
         qkd_params,
         opts,
-        quad,
         n_max,
         q_max,
     ) = args
     geometry = ScanGeometry(
         wavelength=wavelength, gauss_radius=radius, square_side=side
     )
-    rows = scan(
-        [(path_length, cn2)], [family], geometry, qkd_params, n_max, q_max, opts, quad
-    )
+    rows = scan([(path_length, cn2)], [family], geometry, qkd_params, n_max, q_max, opts)
     return rows[0]
 
 
 def _validate_point(args):
-    wavelength, radius, path_length, cn2, quad = args
+    wavelength, radius, path_length, cn2, quad_rel_tol = args
     ch = derive(
         ChannelConfig(
             wavelength=wavelength,
@@ -402,7 +397,7 @@ def _validate_point(args):
         )
     )
     eta_sq = gaussian_pib_turb(ch)
-    eta_53 = gaussian_pib_53(ch, quad)
+    eta_53 = gaussian_pib_53(ch, quad_rel_tol)
     eta_vac = gaussian_pib_turb(vacuum)
     return path_length, cn2, eta_sq, eta_53, eta_vac
 
@@ -451,7 +446,6 @@ def cmd_rates(config: RunConfig, jobs: int = 1) -> Tuple[str, bool]:
             family,
             config.qkd,
             config.optimizer,
-            config.quad,
             config.n_max,
             config.q_max,
         )
@@ -494,7 +488,7 @@ def cmd_validate(config: RunConfig, jobs: int = 1) -> Tuple[str, bool]:
     else:
         path_lengths = (10e3, 30e3, 100e3)
     tasks = [
-        (config.wavelength, config.gauss_radius, path_length, cn2, config.quad)
+        (config.wavelength, config.gauss_radius, path_length, cn2, config.quad_rel_tol)
         for path_length in path_lengths
         for cn2 in config.resolved_cn2(include_vacuum=True)
     ]

@@ -7,7 +7,6 @@ or a :class:`QuadratureError`.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Tuple
@@ -78,21 +77,6 @@ def integrate_1d(
     if len(out) > 3:
         raise QuadratureError(f"integrate_1d failed on [{a}, {b}]: {out[3]}")
     return out[0]
-
-
-@functools.lru_cache(maxsize=64)
-def _gauss_legendre(order: int) -> Tuple[np.ndarray, np.ndarray]:
-    nodes, weights = np.polynomial.legendre.leggauss(order)
-    return nodes, weights
-
-
-def gauss_legendre(a: float, b: float, order: int) -> Tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre nodes and weights mapped to [a, b]."""
-    if order < 1:
-        raise ValueError(f"order must be >= 1, got {order}")
-    nodes, weights = _gauss_legendre(order)
-    half = 0.5 * (b - a)
-    return a + half * (nodes + 1.0), half * weights
 
 
 @dataclass(frozen=True)

@@ -28,7 +28,7 @@ from .channel import (
     derive,
 )
 from .qkd import QkdSystemParams, rate_per_pulse
-from .turbulence import QuadSpec, fb_turb_matrix, gaussian_pib_turb, lg_turb_matrix
+from .turbulence import fb_turb_matrix, gaussian_pib_turb, lg_turb_matrix
 from .vacuum import (
     CouplingMatrix,
     FBPixel,
@@ -402,7 +402,6 @@ def lg_envelope(
     params: QkdSystemParams,
     q_max: int = 8,
     opts: Optional[OptimizerOptions] = None,
-    quad: Optional[QuadSpec] = None,
 ) -> RatePoint:
     """Best LG operating point: mode-sorted order caps Q <= q_max, or the
     single-beam power-in-bucket fallback when mode sorting only adds
@@ -414,7 +413,7 @@ def lg_envelope(
     if ch.cn2 == 0.0:
         full = lg_vacuum_matrix(q_max, ch)
     else:
-        full = lg_turb_matrix(q_max, ch, quad, q_cap=max(q_max, 8))
+        full = lg_turb_matrix(q_max, ch, q_cap=max(q_max, 8))
     best: Optional[RatePoint] = None
     for q in range(1, q_max + 1):
         k = q * (q + 1) // 2
@@ -452,7 +451,6 @@ def scan(
     n_max: int = 8,
     q_max: int = 8,
     opts: Optional[OptimizerOptions] = None,
-    quad: Optional[QuadSpec] = None,
 ) -> Tuple[ScanRow, ...]:
     """Optimize every (L, cn2) x family combination.
 
@@ -460,10 +458,9 @@ def scan(
     channel capacity bound C = -nu * sum_q log2(1 - eta_q) evaluated on
     the vacuum LG transmissivities: turbulence with a passive receiver
     cannot beat the pure-loss bound, so the vacuum figure is the binding
-    one at every cn2.  ``quad`` sets the LG second-moment quadrature.
-    Per-point failures (a :class:`RuntimeError` such as non-converged
-    quadrature, or a :class:`ValueError`) are recorded in the row and the
-    scan continues; any other exception propagates.
+    one at every cn2.  Per-point failures (a :class:`RuntimeError` such
+    as a :class:`QuadratureError`, or a :class:`ValueError`) are recorded
+    in the row and the scan continues; any other exception propagates.
     """
     if not points:
         raise ValueError("empty scan")
@@ -495,7 +492,7 @@ def scan(
                             pupil=SoftGaussian(radius=geometry.gauss_radius),
                         )
                     )
-                    point = lg_envelope(ch, params, q_max, opts, quad)
+                    point = lg_envelope(ch, params, q_max, opts)
                 else:
                     ch = derive(
                         ChannelConfig(

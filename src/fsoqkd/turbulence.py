@@ -13,31 +13,51 @@ function.  Two structure-function models are supported:
 
 With the square-law model every average transmissivity between LG modes
 reduces to sums of products of two 4-D integrals, one per transverse
-axis.  Rotating each axis to sum/difference coordinates makes the
-integrand a product of pairwise factors, so the tensor-product
-Gauss-Legendre rule can be evaluated by matrix contractions instead of
-enumerating the full 4-D grid; the summation is identical, only cheaper.
+axis.  On one axis, with transmitter points x1, x2, receiver points y1, y2
+and sigma the LG mode scale, the scaled variables
+u = (x1, x2, y1, y2) / sigma turn the integrand into four orthonormal HG
+samples psi_a(u1) psi_b(u2) psi_c(u3) psi_d(u4) times a complex Gaussian.
+Together with the samples' own envelopes the exponent is -u.P u / 2 with
+the complex symmetric 4 x 4 matrix
+
+    P = 2 alpha sigma^2 I + (sigma^2 / rho_0^2) (w w^T + v v^T + (w v^T + v w^T) / 2)
+        + i (k sigma^2 / L) (E_02 + E_20 - E_13 - E_31),
+
+where alpha = 1/R^2 + 1/(2 sigma^2), w = (1, -1, 0, 0), v = (0, 0, 1, -1)
+and E_ij is the matrix with a single one at (i, j).  The rho_0 term is
+the square-law structure function of the differences x1 - x2 and y1 - y2;
+the imaginary term is the cross-plane phase of the focused vacuum kernel.
+The HG generating function
+
+    sum_n psi_n(u) t^n / sqrt(n!) = pi^(-1/4) exp(-u^2/2 + sqrt(2) t u - t^2/2)
+
+turns the integral into a Gaussian one, so
+
+    sum_k M[k] t^k / sqrt(k!) = M[0, 0, 0, 0] exp(t.Q t / 2),  Q = 2 P^-1 - I,
+    M[0, 0, 0, 0] = 4 pi sigma^2 / (lam L sqrt(det P)),
+
+with sqrt(det P) the product of the principal roots of P's eigenvalues
+(all have positive real parts).  Differentiating the generating function
+gives the recurrence
+
+    sqrt(k_i) M[k] = sum_j Q_ij sqrt(k_j - delta_ij) M[k - e_i - e_j],
+
+which fills the whole moment tensor without quadrature; odd total orders
+vanish exactly.
 """
 
 from __future__ import annotations
 
 import enum
-import functools
-import itertools
 import math
-from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
 from .channel import DerivedChannel, HardSquare, SoftGaussian
-from .numerics import (
-    QuadratureError,
-    gauss_legendre,
-    hg_sample,
-    integrate_1d,
-    lg_hg_unitary,
-)
+from .numerics import QuadratureError, integrate_1d, lg_hg_unitary
+# Unused here; the benchmark tracer wraps fsoqkd.turbulence.hg_sample by name.
+from .numerics import hg_sample  # noqa: F401
 from .vacuum import (
     CouplingMatrix,
     FBPixel,
@@ -49,11 +69,10 @@ from .vacuum import (
 
 __all__ = [
     "StructureFunctionKind",
-    "QuadSpec",
     "structure_fn",
     "gaussian_pib_turb",
     "gaussian_pib_53",
-    "hg_second_moment",
+    "hg_second_moments",
     "lg_turb_matrix",
     "fb_turb_eta",
     "fb_turb_matrix",
@@ -63,31 +82,6 @@ __all__ = [
 class StructureFunctionKind(enum.Enum):
     FIVE_THIRDS = "five-thirds"
     SQUARE_LAW = "square-law"
-
-
-@dataclass(frozen=True)
-class QuadSpec:
-    """Convergence policy for the 4-D second-moment quadrature.
-
-    The tensor Gauss-Legendre rule starts at ``base_order`` points per
-    axis and is accepted once doubling the order moves the result by less
-    than ``rel_tol * |value| + abs_floor``.  The additive floor matters
-    for couplings that vanish by orthogonality, where only roundoff-level
-    absolute agreement is attainable.
-    """
-
-    base_order: int = 48
-    rel_tol: float = 1e-6
-    abs_floor: float = 1e-13
-    max_doublings: int = 3
-
-    def __post_init__(self) -> None:
-        if self.base_order < 4:
-            raise ValueError(f"base order too small: {self.base_order}")
-        if self.rel_tol <= 0 or self.abs_floor < 0:
-            raise ValueError("tolerances must be positive")
-        if self.max_doublings < 1:
-            raise ValueError("need at least one doubling for the convergence check")
 
 
 def structure_fn(
@@ -150,7 +144,7 @@ def gaussian_pib_turb(ch: DerivedChannel) -> float:
     return eta0 * tee / (tee + ratio2)
 
 
-def gaussian_pib_53(ch: DerivedChannel, quad: Optional[QuadSpec] = None) -> float:
+def gaussian_pib_53(ch: DerivedChannel, rel_tol: float = 1e-6) -> float:
     """Average captured power of the focused Gaussian under the 5/3 law.
 
     Because both receiver-plane field points of the power integral
@@ -164,10 +158,12 @@ def gaussian_pib_53(ch: DerivedChannel, quad: Optional[QuadSpec] = None) -> floa
 
     With the square-law model in place of the 5/3 law this reduction
     reproduces the closed form of :func:`gaussian_pib_turb` exactly.
+    ``rel_tol`` is the accepted relative error of the result; the radial
+    integral runs a hundred times tighter.
     """
     if not isinstance(ch.pupil, SoftGaussian):
         raise ValueError("Gaussian power-in-bucket requires soft Gaussian pupils")
-    rel = (quad or QuadSpec()).rel_tol * 1e-2
+    rel = rel_tol * 1e-2
     lam, big_l = ch.wavelength, ch.path_length
     r_pupil = ch.pupil.radius
     k = ch.wave_number
@@ -200,159 +196,80 @@ def gaussian_pib_53(ch: DerivedChannel, quad: Optional[QuadSpec] = None) -> floa
 # --------------------------------------------------------------------------
 
 
-class _MomentEngine:
-    """Evaluates and caches per-axis HG second moments for one channel.
+def _gaussian_hermite_tensor(q: np.ndarray, shape: Tuple[int, ...], m0: complex) -> np.ndarray:
+    """Coefficients M[k] of m0 * exp(t.Q t / 2) = sum_k M[k] t^k / sqrt(k!).
 
-    In sum/difference coordinates (S, d) at the transmitter and (S', d')
-    at the receiver the integrand factorizes as
+    Fills the slabs of the leading index with the recurrence
 
-        G1(S, d) G2(S', d') T(d, d') exp(-i k S d'/L) exp(-i k S' d/L) / (lam L),
+        sqrt(k_0) M[k] = sum_j Q_0j sqrt(k_j - delta_0j) M[k - e_0 - e_j],
 
-    where G1 and G2 collect the Hermite polynomials and Gaussian
-    envelopes of one plane and T is the square-law turbulence coupling
-    exp(-(d^2 + d d' + d'^2) / (2 rho_0^2)).  The tensor Gauss-Legendre
-    sum then contracts in O(order^3) operations.
+    starting from the k_0 = 0 slab, which is the same problem over the
+    remaining indices.
     """
-
-    def __init__(self, ch: DerivedChannel, quad: QuadSpec):
-        if not isinstance(ch.pupil, SoftGaussian):
-            raise ValueError("HG second moments require soft Gaussian pupils")
-        self.ch = ch
-        self.quad = quad
-        self.sigma = lg_mode_scale(ch)
-        radius = ch.pupil.radius
-        self.alpha = 1.0 / radius ** 2 + 1.0 / (2.0 * self.sigma ** 2)
-        self.k_over_l = ch.wave_number / ch.path_length
-        rho0 = ch.coherence_length
-        self.inv_rho2 = 0.0 if math.isinf(rho0) else 1.0 / rho0 ** 2
-        self.prefactor = 1.0 / (ch.wavelength * ch.path_length)
-        self._cache: Dict[Tuple[int, int, int, int], complex] = {}
-
-    # -- geometry -----------------------------------------------------
-    def _sum_halfwidth(self, n_max: int) -> float:
-        gauss = 1.0 / (2.0 * math.sqrt(self.alpha))
-        return gauss * (6.0 + math.sqrt(2.0 * n_max + 1.0))
-
-    def _diff_halfwidth(self, n_max: int) -> float:
-        gauss = 1.0 / math.sqrt(self.alpha + self.inv_rho2)
-        return gauss * (6.0 + math.sqrt(2.0 * n_max + 1.0))
-
-    def _plane_factor(
-        self, idx_hi: int, idx_lo: int, s_nodes: np.ndarray, d_nodes: np.ndarray
-    ) -> np.ndarray:
-        """G(S, d) = c_a c_b H_a((S+d/2)/sig) H_b((S-d/2)/sig) e^{-alpha(2S^2+d^2/2)}.
-
-        Written through orthonormal HG samples so high orders stay finite:
-        with u± = (S ± d/2)/sigma, 2S^2 + d^2/2 = sigma^2 (u+^2 + u-^2), so
-        the envelope splits into the samples' own Gaussians times the
-        residual soft-pupil weight exp(-(alpha sigma^2 - 1/2)(u+^2 + u-^2)).
-        """
-        uplus = (s_nodes[:, None] + 0.5 * d_nodes[None, :]) / self.sigma
-        uminus = (s_nodes[:, None] - 0.5 * d_nodes[None, :]) / self.sigma
-        soft = self.alpha * self.sigma ** 2 - 0.5
-        env = np.exp(-soft * (uplus * uplus + uminus * uminus))
-        return hg_sample(idx_hi, uplus) * hg_sample(idx_lo, uminus) * env / self.sigma
-
-    def _evaluate(self, a: int, b: int, c: int, d: int, order: int) -> complex:
-        n_in = max(a, b)
-        n_out = max(c, d)
-        s_in, w_s_in = gauss_legendre(
-            -self._sum_halfwidth(n_in), self._sum_halfwidth(n_in), order
-        )
-        d_in, w_d_in = gauss_legendre(
-            -self._diff_halfwidth(n_in), self._diff_halfwidth(n_in), order
-        )
-        s_out, w_s_out = gauss_legendre(
-            -self._sum_halfwidth(n_out), self._sum_halfwidth(n_out), order
-        )
-        d_out, w_d_out = gauss_legendre(
-            -self._diff_halfwidth(n_out), self._diff_halfwidth(n_out), order
-        )
-
-        g_in = self._plane_factor(a, b, s_in, d_in)
-        g_out = self._plane_factor(c, d, s_out, d_out)
-        phase_in = np.exp(-1j * self.k_over_l * np.outer(s_in, d_out))
-        phase_out = np.exp(-1j * self.k_over_l * np.outer(s_out, d_in))
-
-        # A(d, d') = sum_S w_S G1(S, d) e^{-i k S d'/L}, and
-        # B(d, d') = sum_S' w_S' G2(S', d') e^{-i k S' d/L}.
-        a_fac = (g_in * w_s_in[:, None]).T @ phase_in
-        b_fac = (phase_out * w_s_out[:, None]).T @ g_out
-
-        turb = np.exp(
-            -(
-                d_in[:, None] ** 2
-                + np.outer(d_in, d_out)
-                + d_out[None, :] ** 2
-            )
-            * (0.5 * self.inv_rho2)
-        )
-        inner = turb * a_fac * b_fac
-        return self.prefactor * complex(w_d_in @ inner @ w_d_out)
-
-    def moment(self, a: int, b: int, c: int, d: int) -> complex:
-        for idx in (a, b, c, d):
-            if idx < 0:
-                raise ValueError("HG indices must be >= 0")
-        if (a + b + c + d) % 2:
-            return 0.0 + 0.0j
-        # Conjugation and transmit/receive-exchange symmetries of the kernel.
-        variants = [
-            ((a, b, c, d), False),
-            ((b, a, d, c), True),
-            ((c, d, a, b), False),
-            ((d, c, b, a), True),
-        ]
-        key, conjugate = min(variants, key=lambda kv: kv[0])
-        if key not in self._cache:
-            self._cache[key] = self._converged(*key)
-        val = self._cache[key]
-        return val.conjugate() if conjugate else val
-
-    def _converged(self, a: int, b: int, c: int, d: int) -> complex:
-        # High-index HG samples oscillate with ~sqrt(2n+1) periods across
-        # their support, so the starting order grows with the indices.
-        order = self.quad.base_order + 3 * (max(a, b) + max(c, d))
-        coarse = self._evaluate(a, b, c, d, order)
-        for _ in range(self.quad.max_doublings):
-            order *= 2
-            fine = self._evaluate(a, b, c, d, order)
-            if abs(fine - coarse) <= self.quad.rel_tol * abs(fine) + self.quad.abs_floor:
-                return fine
-            coarse = fine
-        raise QuadratureError(
-            f"second moment ({a},{b};{c},{d}) did not converge by order {order}"
-        )
+    if not shape:
+        return np.asarray(m0, dtype=complex)
+    out = np.zeros(shape, dtype=complex)
+    out[0] = _gaussian_hermite_tensor(q[1:, 1:], shape[1:], m0)
+    for k in range(1, shape[0]):
+        acc = np.zeros(shape[1:], dtype=complex)
+        if k >= 2:
+            acc += q[0, 0] * math.sqrt(k - 1) * out[k - 2]
+        # Term j shifts the previous slab up by one along index j.
+        for j, n in enumerate(shape[1:]):
+            lead = (slice(None),) * j
+            root = np.sqrt(np.arange(1, n)).reshape((-1,) + (1,) * (len(shape) - 2 - j))
+            shifted = out[k - 1][lead + (slice(None, -1),)]
+            acc[lead + (slice(1, None),)] += q[0, j + 1] * root * shifted
+        out[k] = acc / math.sqrt(k)
+    return out
 
 
-@functools.lru_cache(maxsize=8)
-def _engine(ch: DerivedChannel, quad: QuadSpec) -> _MomentEngine:
-    return _MomentEngine(ch, quad)
+def hg_second_moments(ch: DerivedChannel, shape: Tuple[int, int, int, int]) -> np.ndarray:
+    """Per-axis HG second moments M[a, b, c, d] for all indices below ``shape``.
 
-
-def hg_second_moment(
-    a_in: int,
-    b_in: int,
-    a_out: int,
-    b_out: int,
-    ch: DerivedChannel,
-    quad: Optional[QuadSpec] = None,
-) -> complex:
-    """Per-axis HG second moment under the square-law turbulence model.
-
-    M(a_in, b_in; a_out, b_out) is the four-point average coupling one
-    transverse axis contributes; the 2-D mode-to-mode average power
-    coupling of HG modes is M_x * M_y with the respective index pairs.
-    In vacuum M is diagonal: M(a, b; a, b) = s_a s_b* with per-axis
-    singular values |s_n| = base^{(2n+1)/4}.
+    M[a, b, c, d] = M(a_in, b_in; a_out, b_out) is the four-point average
+    coupling one transverse axis contributes; the 2-D mode-to-mode average
+    power coupling of HG modes is M_x * M_y with the respective index
+    pairs.  In vacuum M is diagonal: M[a, b, a, b] = s_a s_b* with per-axis
+    singular values |s_n| = base^{(2n+1)/4}.  The tensor is evaluated in
+    closed form (module docstring); odd total orders are exactly zero and
+    M[a, b, c, d] == conj(M[b, a, d, c]) holds exactly.
     """
-    return _engine(ch, quad or QuadSpec()).moment(a_in, b_in, a_out, b_out)
+    if not isinstance(ch.pupil, SoftGaussian):
+        raise ValueError("HG second moments require soft Gaussian pupils")
+    if len(shape) != 4 or min(shape) < 1:
+        raise ValueError(f"moment shape must be four sizes >= 1, got {shape!r}")
+    sigma2 = lg_mode_scale(ch) ** 2
+    alpha = 1.0 / ch.pupil.radius ** 2 + 1.0 / (2.0 * sigma2)
+    rho0 = ch.coherence_length
+    turb = 0.0 if math.isinf(rho0) else sigma2 / rho0 ** 2
+    w_in = np.array([1.0, -1.0, 0.0, 0.0])
+    w_out = np.array([0.0, 0.0, 1.0, -1.0])
+    p = (2.0 * alpha * sigma2) * np.eye(4, dtype=complex) + turb * (
+        np.outer(w_in, w_in)
+        + np.outer(w_out, w_out)
+        + 0.5 * (np.outer(w_in, w_out) + np.outer(w_out, w_in))
+    )
+    phase = ch.wave_number * sigma2 / ch.path_length
+    p[[0, 2], [2, 0]] += 1j * phase
+    p[[1, 3], [3, 1]] -= 1j * phase
+    q = 2.0 * np.linalg.inv(p) - np.eye(4)
+    # Every eigenvalue of P has a positive real part, so the product of
+    # principal roots is the branch the Gaussian integral takes.
+    sqrt_det = np.prod(np.sqrt(np.linalg.eigvals(p)))
+    m0 = 4.0 * math.pi * sigma2 / (ch.wavelength * ch.path_length * sqrt_det)
+    # The symmetrization below swaps a <-> b and c <-> d, so fill a tensor
+    # with equal sizes within each plane and slice it afterwards.
+    n_in, n_out = max(shape[:2]), max(shape[2:])
+    mom = _gaussian_hermite_tensor(q, (n_in, n_in, n_out, n_out), m0)
+    # Conjugation symmetry M[a, b, c, d] = conj(M[b, a, d, c]), exact by construction.
+    mom = 0.5 * (mom + mom.transpose(1, 0, 3, 2).conj())
+    return mom[: shape[0], : shape[1], : shape[2], : shape[3]]
 
 
 def lg_turb_matrix(
     q_max: int,
     ch: DerivedChannel,
-    quad: Optional[QuadSpec] = None,
     q_cap: int = 8,
     imag_tol: float = 1e-8,
 ) -> CouplingMatrix:
@@ -367,20 +284,16 @@ def lg_turb_matrix(
 
     with N, N' the total orders and U, W the coefficient rows of the two
     modes.  Entries are clamped to [0, 1]; imaginary residues beyond
-    ``imag_tol`` raise.  ``q_cap`` bounds the quadrature cost: the number
-    of distinct 4-D integrals grows as the fourth power of the order.
+    ``imag_tol`` raise.  ``q_cap`` bounds the moment count: the per-axis
+    moment tensor holds q_max^4 entries.
     """
     if q_max < 1:
         raise ValueError(f"q_max must be >= 1, got {q_max}")
     if q_max > q_cap:
         raise ValueError(f"q_max {q_max} exceeds the configured cap {q_cap}")
-    eng = _engine(ch, quad or QuadSpec())
     modes = lg_modes_up_to(q_max)
     span = range(q_max)
-    # Every per-axis moment with indices below q_max, M(a, b; c, d) = mom[a, b, c, d].
-    mom = np.reshape(
-        [eng.moment(*abcd) for abcd in itertools.product(span, repeat=4)], (q_max,) * 4
-    )
+    mom = hg_second_moments(ch, (q_max,) * 4)
     rows = [slice(n * (n + 1) // 2, (n + 1) * (n + 2) // 2) for n in span]
     unitaries = [lg_hg_unitary(n).matrix for n in span]
 

@@ -100,6 +100,9 @@ def test_config_validation():
         derive(ChannelConfig(wavelength=WAVELENGTH, path_length=-1.0, cn2=0.0, pupil=pupil))
     with pytest.raises(ValueError):
         derive(ChannelConfig(wavelength=WAVELENGTH, path_length=1e3, cn2=-1e-16, pupil=pupil))
+    for cn2 in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="cn2"):
+            ChannelConfig(wavelength=WAVELENGTH, path_length=1e3, cn2=cn2, pupil=pupil)
     with pytest.raises(ValueError):
         SoftGaussian(radius=-0.1)
     with pytest.raises(ValueError):

@@ -5,6 +5,7 @@ import re
 
 import pytest
 
+import fsoqkd.cli as cli
 import fsoqkd.planner as planner
 from fsoqkd.channel import matched_square_side
 from fsoqkd.cli import (
@@ -85,7 +86,7 @@ def test_config_file_roundtrip(tmp_path):
         "n_max = 3\n"
         "q_max = 2\n"
         "mu_max = 1.2\n"
-        "quad_base_order = 40\n"
+        "quad_rel_tol = 1e-7\n"
         "[output]\n"
         "path = out.csv\n"
     )
@@ -99,7 +100,7 @@ def test_config_file_roundtrip(tmp_path):
     assert cfg.qkd.pulse_rate == 5e9
     assert cfg.n_max == 3 and cfg.q_max == 2
     assert cfg.optimizer.mu_max == 1.2
-    assert cfg.quad.base_order == 40
+    assert cfg.quad_rel_tol == 1e-7
     assert cfg.output_path == "out.csv"
 
 
@@ -156,6 +157,34 @@ def test_invalid_values_rejected(tmp_path):
     path.write_text("[planner]\nq_max = 0\n")
     with pytest.raises(ConfigError, match="q_max"):
         load_config(str(path))
+    path.write_text("[planner]\nquad_rel_tol = 0\n")
+    with pytest.raises(ConfigError, match="quad_rel_tol"):
+        load_config(str(path))
+
+
+def test_quad_base_order_is_unknown_key(tmp_path, capsys):
+    path = tmp_path / "old.ini"
+    path.write_text("[planner]\nq_max = 2\nquad_base_order = 40\n")
+    assert main(["--config", str(path), "rates"]) == 2
+    assert f"{path}:3: unknown key 'quad_base_order'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "section,key,value,command",
+    [
+        ("turbulence", "cn2_values", "nan", "transmissivity"),
+        ("turbulence", "cn2_values", "1e-14, nan", "validate"),
+        ("qkd", "pulse_rate", "inf", "rates"),
+        ("channel", "path_lengths", "1 km, 1e400 km", "transmissivity"),
+        ("planner", "quad_rel_tol", "nan", "validate"),
+    ],
+)
+def test_non_finite_numbers_exit_2(tmp_path, capsys, section, key, value, command):
+    path = tmp_path / "bad.ini"
+    path.write_text(f"[{section}]\n{key} = {value}\n")
+    assert main(["--config", str(path), command]) == 2
+    err = capsys.readouterr().err
+    assert f"{section}.{key}" in err and "not finite" in err
 
 
 def test_cmd_transmissivity_layout_and_golden_cells():
@@ -212,24 +241,24 @@ def test_cmd_rates_records_failures(monkeypatch, caplog):
     assert fb_cells[2] == "fb" and float(fb_cells[4]) > 0.0
 
 
-def test_cmd_rates_uses_configured_quadrature(tmp_path, monkeypatch):
+def test_cmd_validate_uses_configured_quad_rel_tol(tmp_path, monkeypatch):
     path = tmp_path / "run.ini"
     path.write_text(
         "[channel]\npath_lengths = 10 km\n[turbulence]\ncn2_values = 1e-14\n"
-        "[planner]\nn_max = 1\nq_max = 1\nquad_base_order = 40\nquad_rel_tol = 1e-7\n"
+        "[planner]\nquad_rel_tol = 1e-7\n"
     )
     cfg = load_config(str(path))
     seen = []
-    real = planner.lg_turb_matrix
+    real = cli.gaussian_pib_53
 
-    def spy(q_max, ch, quad=None, **kwargs):
-        seen.append(quad)
-        return real(q_max, ch, quad, **kwargs)
+    def spy(ch, rel_tol=1e-6):
+        seen.append(rel_tol)
+        return real(ch, rel_tol)
 
-    monkeypatch.setattr(planner, "lg_turb_matrix", spy)
-    _, clean = cmd_rates(cfg)
-    assert clean
-    assert [(q.base_order, q.rel_tol) for q in seen] == [(40, 1e-7)]
+    monkeypatch.setattr(cli, "gaussian_pib_53", spy)
+    _, all_pass = cmd_validate(cfg)
+    assert all_pass
+    assert seen == [1e-7]
 
 
 def test_cmd_validate_small_grid():

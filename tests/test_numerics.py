@@ -8,7 +8,6 @@ import scipy.special
 
 from fsoqkd.numerics import (
     QuadratureError,
-    gauss_legendre,
     hg_sample,
     integrate_1d,
     lg_hg_unitary,
@@ -56,14 +55,6 @@ def test_integrate_1d_known_values():
 def test_integrate_1d_raises_on_budget_exhaustion():
     with pytest.raises(QuadratureError):
         integrate_1d(lambda x: np.cos(5000.0 * x), 0.0, 1000.0, budget=2)
-
-
-def test_gauss_legendre_polynomial_exactness():
-    pts, wts = gauss_legendre(-1.0, 3.0, 6)
-    # Degree 11 is exact for a 6-point rule.
-    poly = lambda x: 2.0 * x ** 11 - x ** 4 + 3.0
-    exact = (2.0 / 12.0) * (3.0 ** 12 - 1.0) - (3.0 ** 5 + 1.0) / 5.0 + 3.0 * 4.0
-    assert float(np.sum(wts * poly(pts))) == pytest.approx(exact, rel=1e-13)
 
 
 def test_oracle_4d_cubature_gaussian_product():

@@ -11,26 +11,26 @@ from hypothesis import strategies as st
 from fsoqkd.channel import cn2_for_coherence_length
 from fsoqkd.numerics import lg_hg_unitary
 from fsoqkd.turbulence import (
-    QuadSpec,
     StructureFunctionKind,
-    _engine,
     fb_turb_eta,
     fb_turb_matrix,
     gaussian_pib_53,
     gaussian_pib_turb,
-    hg_second_moment,
+    hg_second_moments,
     lg_turb_matrix,
     structure_fn,
 )
 from fsoqkd.vacuum import (
     FBPixel,
+    LGMode,
     fb_vacuum_matrix,
+    lg_mode_scale,
     lg_vacuum_eta,
     lg_vacuum_matrix,
 )
 
 import oracles
-from conftest import WAVELENGTH, gauss_channel, square_channel
+from conftest import RADIUS, WAVELENGTH, gauss_channel, square_channel
 
 
 # ------------------------------------------------------------------
@@ -89,76 +89,91 @@ def test_structure_fn_vacuum_is_zero():
 def test_engine_vacuum_moments_factorize():
     ch = gauss_channel(10e3, 0.0)
     x = lg_vacuum_eta(1, ch.fresnel_product)
+    mom = hg_second_moments(ch, (5, 5, 5, 5))
     for a in range(5):
         for b in range(5):
-            got = hg_second_moment(a, b, a, b, ch)
+            got = mom[a, b, a, b]
             expected = x ** (0.5 * (a + b + 1)) * (-1j) ** (a - b)
             assert got == pytest.approx(expected, abs=1e-9 * abs(expected) + 1e-12)
 
 
 def test_engine_vacuum_cross_moments_vanish():
     ch = gauss_channel(10e3, 0.0)
-    assert abs(hg_second_moment(2, 0, 0, 2, ch)) <= 1e-8
-    assert abs(hg_second_moment(0, 0, 2, 0, ch)) <= 1e-8
+    mom = hg_second_moments(ch, (3, 3, 3, 3))
+    assert abs(mom[2, 0, 0, 2]) <= 1e-8
+    assert abs(mom[0, 0, 2, 0]) <= 1e-8
 
 
 def test_moment_parity_exact_zero():
     ch = gauss_channel(10e3, 1e-14)
-    assert hg_second_moment(0, 0, 1, 0, ch) == 0.0
-    assert hg_second_moment(1, 0, 0, 0, ch) == 0.0
+    mom = hg_second_moments(ch, (4, 4, 4, 4))
+    assert mom[0, 0, 1, 0] == 0.0
+    assert mom[1, 0, 0, 0] == 0.0
+    total_order = np.indices(mom.shape).sum(axis=0)
+    assert np.all(mom[total_order % 2 == 1] == 0.0)
 
 
-def test_moment_conjugation_symmetry_raw():
+def test_moment_exchange_symmetry():
+    # Swapping the transmitter and receiver planes leaves the kernel
+    # unchanged; the recurrence does not enforce this, so it is a check.
     ch = gauss_channel(10e3, 1e-14)
-    engine = _engine(ch, QuadSpec())
-    for a, b, c, d in ((1, 0, 2, 1), (2, 1, 1, 0), (2, 0, 1, 1)):
-        lhs = engine._evaluate(a, b, c, d, 60)
-        rhs = engine._evaluate(b, a, d, c, 60)
-        assert lhs == pytest.approx(np.conj(rhs), abs=1e-12 * max(abs(lhs), 1e-6))
+    mom = hg_second_moments(ch, (6, 6, 6, 6))
+    scale = np.max(np.abs(mom))
+    np.testing.assert_allclose(mom, mom.transpose(2, 3, 0, 1), rtol=0, atol=1e-13 * scale)
 
 
 def test_moment_conjugation_symmetry_public():
     ch = gauss_channel(10e3, 1e-14)
-    lhs = hg_second_moment(2, 1, 1, 0, ch)
-    rhs = hg_second_moment(1, 2, 0, 1, ch)
-    assert lhs == np.conj(rhs)
+    mom = hg_second_moments(ch, (3, 3, 3, 3))
+    assert mom[2, 1, 1, 0] == np.conj(mom[1, 2, 0, 1])
+    assert np.array_equal(mom, mom.transpose(1, 0, 3, 2).conj())
 
 
 def test_moment_diagonals_real_unit_interval():
     ch = gauss_channel(10e3, 1e-14)
+    mom = hg_second_moments(ch, (3, 3, 3, 3))
     for a in range(3):
         for c in range(3):
-            val = hg_second_moment(a, a, c, c, ch)
+            val = mom[a, a, c, c]
             assert abs(val.imag) <= 1e-10
             assert -1e-10 <= val.real <= 1.0 + 1e-9
 
 
 def test_moment_rejects_negative_indices():
     ch = gauss_channel(10e3, 1e-14)
+    for shape in ((-1, 1, 1, 1), (1, 1, 0, 1), (1, 1, 1), ()):
+        with pytest.raises(ValueError):
+            hg_second_moments(ch, shape)
+
+
+def test_moments_require_gaussian_pupil():
     with pytest.raises(ValueError):
-        hg_second_moment(-1, 0, 0, 0, ch)
+        hg_second_moments(square_channel(10e3, 1e-14), (1, 1, 1, 1))
 
 
-def test_contraction_matches_direct_4d_quadrature():
+def test_moments_match_direct_4d_quadrature():
+    # Independent cubature of the moment integral in sum/difference
+    # coordinates, with HG polynomials from scipy.
     ch = gauss_channel(10e3, 1e-14)
-    engine = _engine(ch, QuadSpec())
-    sigma, alpha = engine.sigma, engine.alpha
+    sigma = lg_mode_scale(ch)
+    alpha = 1.0 / RADIUS ** 2 + 1.0 / (2.0 * sigma ** 2)
     soft = alpha * sigma ** 2 - 0.5
-    inv_rho2 = engine.inv_rho2
-    k_over_l = engine.k_over_l
-    pref = engine.prefactor
+    inv_rho2 = 1.0 / ch.coherence_length ** 2
+    k_over_l = ch.wave_number / ch.path_length
+    pref = 1.0 / (ch.wavelength * ch.path_length)
+    mom = hg_second_moments(ch, (3, 3, 3, 3))
 
     def hg_exp(n, u):
         norm = 1.0 / math.sqrt(2.0 ** n * math.factorial(n) * math.sqrt(math.pi))
         return norm * scipy.special.eval_hermite(n, u) * np.exp(-0.5 * u * u)
 
+    def halfwidths(n):
+        spread = 1.5 * (6.0 + math.sqrt(2.0 * n + 1.0))
+        return spread / (2.0 * math.sqrt(alpha)), spread / math.sqrt(alpha + inv_rho2)
+
     for a, b, c, d in ((0, 0, 0, 0), (1, 0, 1, 0), (1, 1, 2, 0)):
-        order = 36
-        n_in, n_out = max(a, b), max(c, d)
-        hs_in = engine._sum_halfwidth(n_in)
-        hd_in = engine._diff_halfwidth(n_in)
-        hs_out = engine._sum_halfwidth(n_out)
-        hd_out = engine._diff_halfwidth(n_out)
+        hs_in, hd_in = halfwidths(max(a, b))
+        hs_out, hd_out = halfwidths(max(c, d))
 
         def f(s_in, d_in, s_out, d_out):
             u1p = (s_in + 0.5 * d_in) / sigma
@@ -172,14 +187,14 @@ def test_contraction_matches_direct_4d_quadrature():
             return g1 * g2 * turb * phase * pref
 
         box = ((-hs_in, hs_in), (-hd_in, hd_in), (-hs_out, hs_out), (-hd_out, hd_out))
-        ref = oracles.tensor_gl_4d(f, box, order)
-        got = engine._evaluate(a, b, c, d, order)
-        assert got == pytest.approx(ref, abs=1e-11 * max(abs(ref), 1e-6))
+        ref = oracles.tensor_gl_4d(f, box, 48)
+        assert mom[a, b, c, d] == pytest.approx(ref, rel=1e-9)
 
 
 def test_completeness_weak_turbulence():
     ch = gauss_channel(10e3, 1e-15)
-    axis_total = sum(hg_second_moment(0, 0, c, c, ch).real for c in range(25))
+    mom = hg_second_moments(ch, (1, 1, 121, 121))
+    axis_total = sum(mom[0, 0, c, c].real for c in range(25))
     assert axis_total == pytest.approx(math.sqrt(gaussian_pib_turb(ch)), rel=1e-6)
 
 
@@ -188,17 +203,9 @@ def test_completeness_moderate_turbulence():
     # axis sum recovers the closed-form bucket power once enough orders
     # are included.
     ch = gauss_channel(10e3, 1e-14)
-    axis_total = sum(hg_second_moment(0, 0, c, c, ch).real for c in range(121))
+    mom = hg_second_moments(ch, (1, 1, 121, 121))
+    axis_total = sum(mom[0, 0, c, c].real for c in range(121))
     assert axis_total == pytest.approx(math.sqrt(gaussian_pib_turb(ch)), rel=1e-3)
-
-
-def test_quadspec_validation():
-    with pytest.raises(ValueError):
-        QuadSpec(base_order=0)
-    with pytest.raises(ValueError):
-        QuadSpec(rel_tol=-1.0)
-    with pytest.raises(ValueError):
-        QuadSpec(max_doublings=-1)
 
 
 # ------------------------------------------------------------------
@@ -235,13 +242,14 @@ def test_lg_turb_matrix_matches_elementwise_sum():
     ch = gauss_channel(10e3, 1e-14)
     q_max = 3
     mat = lg_turb_matrix(q_max, ch)
+    mom = hg_second_moments(ch, (q_max,) * 4)
     rows = [(n, u) for n in range(q_max) for u in lg_hg_unitary(n).matrix]
     for i, (n, u) in enumerate(rows):
         for j, (n2, w) in enumerate(rows):
             ref = sum(
                 u[a] * u[b].conjugate() * w[c].conjugate() * w[d]
-                * hg_second_moment(a, b, c, d, ch)
-                * hg_second_moment(n - a, n - b, n2 - c, n2 - d, ch)
+                * mom[a, b, c, d]
+                * mom[n - a, n - b, n2 - c, n2 - d]
                 for a in range(n + 1)
                 for b in range(n + 1)
                 for c in range(n2 + 1)
@@ -268,6 +276,29 @@ def test_lg_turb_matrix_rejects_bad_sizes():
         lg_turb_matrix(9, ch)
 
 
+def _log_uniform(lo, hi):
+    return st.floats(math.log10(lo), math.log10(hi)).map(lambda e: 10.0 ** e)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    path_length=_log_uniform(1e3, 100e3),
+    cn2=st.one_of(st.just(0.0), _log_uniform(1e-16, 1e-13)),
+    q_max=st.integers(1, 8),
+)
+def test_lg_turb_matrix_random_invariants(path_length, cn2, q_max):
+    ch = gauss_channel(path_length, cn2)
+    mat = lg_turb_matrix(q_max, ch)
+    assert len(mat) == q_max * (q_max + 1) // 2
+    np.testing.assert_allclose(mat.eta, mat.eta.T, rtol=0, atol=1e-12)
+    assert np.all(mat.row_sums() <= 1.0 + 1e-6)
+    flip = [mat.index(LGMode(m.p, -m.l)) for m in mat.modes]
+    np.testing.assert_allclose(mat.eta[np.ix_(flip, flip)], mat.eta, rtol=0, atol=1e-12)
+    if cn2 == 0.0:
+        vac = lg_vacuum_matrix(q_max, ch)
+        np.testing.assert_allclose(mat.eta, vac.eta, rtol=0, atol=1e-12)
+
+
 # ------------------------------------------------------------------
 # Focused-beam coupling under turbulence
 # ------------------------------------------------------------------
@@ -282,10 +313,6 @@ def test_fb_turb_vacuum_identity():
         (FBPixel(2, 2, 3), FBPixel(3, 1, 3)),
     ):
         assert fb_turb_eta(a, b, ch) == pytest.approx(vac.entry(a, b), rel=1e-10)
-
-
-def _log_uniform(lo, hi):
-    return st.floats(math.log10(lo), math.log10(hi)).map(lambda e: 10.0 ** e)
 
 
 @settings(max_examples=40, deadline=None)
