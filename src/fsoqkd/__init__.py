@@ -22,7 +22,6 @@ from .planner import (
     RatePoint,
     ScanGeometry,
     ScanRow,
-    crosstalk_power,
     fb_envelope,
     lg_envelope,
     optimize_allocation,
@@ -69,7 +68,6 @@ __all__ = [
     "RatePoint",
     "ScanGeometry",
     "ScanRow",
-    "crosstalk_power",
     "fb_envelope",
     "lg_envelope",
     "optimize_allocation",

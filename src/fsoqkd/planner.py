@@ -14,6 +14,7 @@ against the single-beam power-in-bucket fallback.
 
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
@@ -39,6 +40,8 @@ from .vacuum import (
     lg_vacuum_matrix,
 )
 
+log = logging.getLogger(__name__)
+
 __all__ = [
     "OptimizerOptions",
     "PowerAllocation",
@@ -46,7 +49,6 @@ __all__ = [
     "ScanGeometry",
     "ScanRow",
     "orbit_classes",
-    "crosstalk_power",
     "total_rate",
     "optimize_allocation",
     "fb_envelope",
@@ -73,6 +75,9 @@ class OptimizerOptions:
     line_tol: float = 1e-9
 
     def __post_init__(self) -> None:
+        for name in ("mu_min", "mu_max", "rel_tol", "line_tol"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if not 0.0 < self.mu_min < self.mu_max:
             raise ValueError("need 0 < mu_min < mu_max")
         if self.rel_tol <= 0.0 or self.line_tol <= 0.0:
@@ -194,25 +199,15 @@ def orbit_classes(modes: Sequence[ModeId]) -> Tuple[Tuple[int, ...], ...]:
 # --------------------------------------------------------------------------
 
 
-def crosstalk_power(
-    alloc: PowerAllocation, matrix: CouplingMatrix, mode: ModeId
-) -> float:
-    """Cross-talk power P_C leaking into ``mode``, photons/s.
-
-    P_C(q) = sum over q' != q of P_T(q') * eta(q' -> q).
-    """
-    if alloc.modes != matrix.modes:
-        raise ValueError("allocation and matrix cover different mode lists")
-    i = matrix.index(mode)
-    power = alloc.transmit_power()
-    return float(power @ matrix.eta[:, i] - power[i] * matrix.eta[i, i])
-
-
 def _rates_per_mode(
     mu: np.ndarray, matrix: CouplingMatrix, params: QkdSystemParams
 ) -> np.ndarray:
+    """Per-mode key rates, bits/s, of allocations ``mu`` of shape (..., n)."""
     eta_diag = np.diag(matrix.eta)
-    mu_cross = mu @ matrix.eta - mu * eta_diag
+    # Each allocation is multiplied as its own (1, n) matrix: a stacked
+    # (S, n) GEMM may sum in another order, and a row's cross-talk must not
+    # depend on how many rows share the call.
+    mu_cross = (mu[..., None, :] @ matrix.eta)[..., 0, :] - mu * eta_diag
     return params.pulse_rate * rate_per_pulse(eta_diag, mu, mu_cross, params)
 
 
@@ -231,34 +226,45 @@ def total_rate(
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
+_START_NAMES = ("uniform 0.05", "uniform 0.5", "single-mode optima", "best corner")
+
 
 def _golden_max(
-    f: Callable[[float], float], lo: float, hi: float, tol: float
-) -> Tuple[float, float]:
-    """Golden-section maximizer of a scalar function on [lo, hi]."""
-    a, b = lo, hi
+    f: Callable[[np.ndarray], np.ndarray], lo: np.ndarray, hi: np.ndarray, tol: float
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Golden-section maximizers of S scalar functions, run in lockstep.
+
+    Row s searches [lo[s], hi[s]]; ``f`` maps one (S,) vector of
+    candidates, one per row, to their (S,) values.  Each row takes exactly
+    the steps a scalar golden-section search takes on its own function and
+    stops changing once its bracket is <= ``tol``.  Returns the (S,)
+    bracket midpoints and their values.
+    """
+    a = np.array(lo, dtype=float)
+    b = np.array(hi, dtype=float)
     c = b - _INVPHI * (b - a)
     d = a + _INVPHI * (b - a)
     fc, fd = f(c), f(d)
-    while b - a > tol:
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - _INVPHI * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _INVPHI * (b - a)
-            fd = f(d)
+    live = b - a > tol
+    while live.any():
+        keep_left = fc >= fd
+        left = live & keep_left
+        right = live & ~keep_left
+        a, b, c, d, fc, fd = (
+            np.where(right, c, a),
+            np.where(left, d, b),
+            np.where(right, d, c),
+            np.where(left, c, d),
+            np.where(right, fd, fc),
+            np.where(left, fc, fd),
+        )
+        probe = np.where(left, b - _INVPHI * (b - a), a + _INVPHI * (b - a))
+        value = f(probe)
+        c, fc = np.where(left, probe, c), np.where(left, value, fc)
+        d, fd = np.where(right, probe, d), np.where(right, value, fd)
+        live = b - a > tol
     x = 0.5 * (a + b)
     return x, f(x)
-
-
-def _single_mode_best(eta: float, params: QkdSystemParams, opts: OptimizerOptions) -> float:
-    def f(mu: float) -> float:
-        return float(rate_per_pulse(eta, mu, 0.0, params))
-
-    x, _ = _golden_max(f, opts.mu_min, opts.mu_max, opts.line_tol)
-    return x
 
 
 def optimize_allocation(
@@ -275,68 +281,88 @@ def optimize_allocation(
     mu = 0.05, uniform mu = 0.5, every class at its own single-mode
     optimum (cross-talk ignored), and the best single-active corner (one
     class lit, the rest floored), so heavy cross-talk cases where
-    shutting modes down is optimal are always reachable.  The problem is
-    nonconvex, so this is a heuristic; it is validated against small
+    shutting modes down is optimal are always reachable.  Ties go to the
+    earliest start in that order.  The starts run in lockstep as the rows
+    of one array, each taking the steps it would take alone.  The problem
+    is nonconvex, so this is a heuristic; it is validated against small
     brute-force grids.
+
+    A start that uses all ``max_sweeps`` without meeting ``rel_tol`` is
+    logged as a warning on the ``fsoqkd.planner`` logger.
     """
     opts = opts or OptimizerOptions()
     orbits = orbit_classes(matrix.modes)
+    n_classes = len(orbits)
     eta_diag = np.diag(matrix.eta)
+    cls = np.empty(len(matrix.modes), dtype=int)
+    for k, orbit in enumerate(orbits):
+        cls[list(orbit)] = k
 
-    single = np.empty(len(matrix.modes))
-    for orbit in orbits:
-        single[list(orbit)] = _single_mode_best(float(eta_diag[orbit[0]]), params, opts)
+    def bracket(rows: int) -> Tuple[np.ndarray, np.ndarray]:
+        return np.full(rows, opts.mu_min), np.full(rows, opts.mu_max)
+
+    def total(mu: np.ndarray) -> np.ndarray:
+        return np.sum(_rates_per_mode(mu, matrix, params), axis=-1)
+
+    lead_eta = eta_diag[[orbit[0] for orbit in orbits]]
+    single_k, _ = _golden_max(
+        lambda v: rate_per_pulse(lead_eta, v, 0.0, params),
+        *bracket(n_classes),
+        opts.line_tol,
+    )
+    single = single_k[cls]
     starts = [
         np.full(len(matrix.modes), 0.05),
         np.full(len(matrix.modes), 0.5),
         single,
     ]
+    if n_classes > 1:
+        corners = np.where(cls == np.arange(n_classes)[:, None], single, opts.mu_min)
+        starts.append(corners[np.argmax(total(corners))])
 
-    def total(mu: np.ndarray) -> float:
-        return float(np.sum(_rates_per_mode(mu, matrix, params)))
-
-    if len(orbits) > 1:
-        best_corner: Optional[np.ndarray] = None
-        best_corner_val = -math.inf
+    mu = np.clip(np.array(starts), opts.mu_min, opts.mu_max)
+    current = total(mu)
+    sweeps = np.zeros(len(mu), dtype=int)
+    before = current.copy()
+    active = np.ones(len(mu), dtype=bool)
+    for _ in range(opts.max_sweeps):
+        rows = np.flatnonzero(active)
+        before[rows] = current[rows]
         for orbit in orbits:
-            corner = np.full(len(matrix.modes), opts.mu_min)
-            corner[list(orbit)] = single[orbit[0]]
-            corner_val = total(corner)
-            if corner_val > best_corner_val:
-                best_corner_val = corner_val
-                best_corner = corner
-        assert best_corner is not None
-        starts.append(best_corner)
+            idx = list(orbit)
+            trial = mu[rows]
 
-    best_mu: Optional[np.ndarray] = None
-    best_val = -math.inf
-    for start in starts:
-        mu = np.clip(start, opts.mu_min, opts.mu_max)
-        current = total(mu)
-        for _ in range(opts.max_sweeps):
-            before = current
-            for orbit in orbits:
-                idx = list(orbit)
+            def line(v: np.ndarray) -> np.ndarray:
+                trial[:, idx] = v[:, None]
+                return total(trial)
 
-                def line(v: float) -> float:
-                    trial = mu.copy()
-                    trial[idx] = v
-                    return total(trial)
-
-                v_star, val = _golden_max(line, opts.mu_min, opts.mu_max, opts.line_tol)
-                if val >= current:
-                    mu[idx] = v_star
-                    current = val
-            if current - before <= opts.rel_tol * max(abs(before), 1e-300):
-                break
-        if current > best_val:
-            best_val = current
-            best_mu = mu
-    assert best_mu is not None
-    alloc = PowerAllocation(
-        modes=matrix.modes, mu=best_mu, orbits=orbits, pulse_rate=params.pulse_rate
+            v_star, val = _golden_max(line, *bracket(len(rows)), opts.line_tol)
+            better = val >= current[rows]
+            mu[np.ix_(rows[better], idx)] = v_star[better, None]
+            current[rows[better]] = val[better]
+        sweeps[rows] += 1
+        gain = current[rows] - before[rows]
+        active[rows[gain <= opts.rel_tol * np.maximum(np.abs(before[rows]), 1e-300)]] = False
+        if not active.any():
+            break
+    for s in np.flatnonzero(active):
+        base = float(before[s])
+        log.warning(
+            "optimize_allocation: start %r used all %d sweeps on %d modes "
+            "without meeting rel_tol %g (last relative gain %.3g)",
+            _START_NAMES[s], sweeps[s], len(matrix.modes), opts.rel_tol,
+            (float(current[s]) - base) / max(abs(base), 1e-300),
+        )
+    best = int(np.argmax(current))
+    log.debug(
+        "optimize_allocation: %d modes in %d classes, sweeps per start %s, "
+        "winning start %r",
+        len(matrix.modes), n_classes, sweeps.tolist(), _START_NAMES[best],
     )
-    return alloc, best_val
+    alloc = PowerAllocation(
+        modes=matrix.modes, mu=mu[best], orbits=orbits, pulse_rate=params.pulse_rate
+    )
+    return alloc, float(current[best])
 
 
 # --------------------------------------------------------------------------

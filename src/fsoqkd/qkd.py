@@ -74,12 +74,17 @@ def binary_entropy(x):
     xa = np.asarray(x, dtype=float)
     if np.any((xa < 0) | (xa > 1)):
         raise ValueError("binary entropy argument outside [0, 1]")
-    inner = np.clip(xa, 1e-300, 1.0)
-    outer = np.clip(1.0 - xa, 1e-300, 1.0)
-    val = -xa * np.log2(inner) - (1.0 - xa) * np.log2(outer)
+    val = _entropy(xa)
     if np.isscalar(x) or getattr(x, "ndim", None) == 0:
         return float(val)
     return val
+
+
+def _entropy(x: np.ndarray) -> np.ndarray:
+    """H2 of an array already in [0, 1]; the 1e-300 floor keeps 0 log 0 = 0."""
+    return -x * np.log2(np.maximum(x, 1e-300)) - (1.0 - x) * np.log2(
+        np.maximum(1.0 - x, 1e-300)
+    )
 
 
 def rate_per_pulse(eta, mu, mu_c, params: QkdSystemParams):
@@ -97,11 +102,12 @@ def rate_per_pulse(eta, mu, mu_c, params: QkdSystemParams):
     e_det = 0.5 * (1.0 - params.visibility)
     e0 = 0.5
 
-    q_mu = y0 + 1.0 - np.exp(-eta * mu)
+    decay = np.exp(-eta * mu)
+    q_mu = y0 + 1.0 - decay
     with np.errstate(invalid="ignore", divide="ignore"):
         e_mu = np.where(
             q_mu > 0.0,
-            (e0 * y0 + e_det * (1.0 - np.exp(-eta * mu))) / np.where(q_mu > 0, q_mu, 1.0),
+            (e0 * y0 + e_det * (1.0 - decay)) / np.where(q_mu > 0, q_mu, 1.0),
             0.0,
         )
         y1 = y0 + eta - y0 * eta
@@ -109,7 +115,7 @@ def rate_per_pulse(eta, mu, mu_c, params: QkdSystemParams):
         e1 = np.where(
             y1 > 0.0, (e0 * y0 + e_det * eta) / np.where(y1 > 0, y1, 1.0), 0.0
         )
-    raw = q1 * (1.0 - binary_entropy(np.clip(e1, 0.0, 1.0))) - (
-        params.error_correction_factor * q_mu * binary_entropy(np.clip(e_mu, 0.0, 1.0))
+    raw = q1 * (1.0 - _entropy(np.clip(e1, 0.0, 1.0))) - (
+        params.error_correction_factor * q_mu * _entropy(np.clip(e_mu, 0.0, 1.0))
     )
     return params.sifting_factor * np.maximum(raw, 0.0)

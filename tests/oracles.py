@@ -3,8 +3,10 @@
 Everything here is deliberately written through a different route than the
 library code: scipy special functions instead of the in-package recurrences,
 direct grid sums instead of analytic coefficient formulas, FFT beam
-propagation instead of the reduced per-axis overlap integrals, and a plain
-4-D tensor-product cubature instead of the factorized moment contraction.
+propagation instead of the reduced per-axis overlap integrals, a plain
+4-D tensor-product cubature instead of the factorized moment contraction,
+and a one-start-at-a-time coordinate ascent with a scalar golden-section
+search instead of the lockstep array search.
 """
 
 import math
@@ -151,3 +153,90 @@ def decoy_rate_reference(
     e1 = 0.0 if y1 == 0.0 else (0.5 * y0 + e_det * eta) / y1
     raw = q1 * (1.0 - h2(min(e1, 1.0))) - f_ec * q_mu * h2(min(e_mu, 1.0))
     return sift * max(0.0, raw)
+
+
+_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
+
+
+def scalar_golden_max(f, lo: float, hi: float, tol: float):
+    """Golden-section maximizer of a scalar function on [lo, hi]."""
+    a, b = lo, hi
+    c = b - _INVPHI * (b - a)
+    d = a + _INVPHI * (b - a)
+    fc, fd = f(c), f(d)
+    while b - a > tol:
+        if fc >= fd:
+            b, d, fd = d, c, fc
+            c = b - _INVPHI * (b - a)
+            fc = f(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + _INVPHI * (b - a)
+            fd = f(d)
+    x = 0.5 * (a + b)
+    return x, f(x)
+
+
+def scalar_coordinate_ascent(matrix, params, opts):
+    """The power optimizer run one start after another with scalar searches.
+
+    Same starts, sweep rule and tie rule as ``planner.optimize_allocation``
+    (strict ``>`` keeps the earliest best start); the objective is the
+    package's per-mode rate on one allocation at a time.  Returns
+    ``(mu, total rate)``.
+    """
+    from fsoqkd.planner import _rates_per_mode, orbit_classes
+    from fsoqkd.qkd import rate_per_pulse
+
+    orbits = orbit_classes(matrix.modes)
+    eta_diag = np.diag(matrix.eta)
+    n = len(matrix.modes)
+
+    def total(mu):
+        return float(np.sum(_rates_per_mode(mu, matrix, params)))
+
+    single = np.empty(n)
+    for orbit in orbits:
+        eta = float(eta_diag[orbit[0]])
+        single[list(orbit)], _ = scalar_golden_max(
+            lambda mu: float(rate_per_pulse(eta, mu, 0.0, params)),
+            opts.mu_min,
+            opts.mu_max,
+            opts.line_tol,
+        )
+    starts = [np.full(n, 0.05), np.full(n, 0.5), single]
+    if len(orbits) > 1:
+        best_corner, best_corner_val = None, -math.inf
+        for orbit in orbits:
+            corner = np.full(n, opts.mu_min)
+            corner[list(orbit)] = single[orbit[0]]
+            val = total(corner)
+            if val > best_corner_val:
+                best_corner, best_corner_val = corner, val
+        starts.append(best_corner)
+
+    best_mu, best_val = None, -math.inf
+    for start in starts:
+        mu = np.clip(start, opts.mu_min, opts.mu_max)
+        current = total(mu)
+        for _ in range(opts.max_sweeps):
+            before = current
+            for orbit in orbits:
+                idx = list(orbit)
+
+                def line(v):
+                    trial = mu.copy()
+                    trial[idx] = v
+                    return total(trial)
+
+                v_star, val = scalar_golden_max(
+                    line, opts.mu_min, opts.mu_max, opts.line_tol
+                )
+                if val >= current:
+                    mu[idx] = v_star
+                    current = val
+            if current - before <= opts.rel_tol * max(abs(before), 1e-300):
+                break
+        if current > best_val:
+            best_mu, best_val = mu, current
+    return best_mu, best_val

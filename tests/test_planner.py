@@ -1,7 +1,12 @@
 """Power allocation, symmetry classes, envelopes, and scans."""
 
+import logging
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import fsoqkd.planner as planner
 from fsoqkd.planner import (
@@ -9,7 +14,7 @@ from fsoqkd.planner import (
     PowerAllocation,
     RatePoint,
     ScanGeometry,
-    crosstalk_power,
+    _golden_max,
     fb_envelope,
     lg_envelope,
     optimize_allocation,
@@ -24,9 +29,12 @@ from fsoqkd.vacuum import (
     LGMode,
     fb_pixel_grid,
     fb_vacuum_matrix,
+    lg_modes_up_to,
+    lg_vacuum_capacity,
     lg_vacuum_matrix,
 )
 
+import oracles
 from conftest import WAVELENGTH, RADIUS, gauss_channel, square_channel
 
 
@@ -92,17 +100,25 @@ def test_power_allocation_validation():
 
 
 def test_crosstalk_power_examples():
-    mat = two_mode_matrix()
-    alloc = allocation_for(mat, [0.2, 0.5])
-    # Only the other mode's power leaks in, weighted by its coupling.
-    assert crosstalk_power(alloc, mat, LGMode(0, 0)) == pytest.approx(0.5e9 * 0.1, rel=1e-12)
-    assert crosstalk_power(alloc, mat, LGMode(1, 0)) == pytest.approx(0.2e9 * 0.1, rel=1e-12)
+    # Only the other mode's power leaks in, weighted by its coupling:
+    # 0.5e9 * 0.1 photons/s into mode 0, 0.2e9 * 0.1 into mode 1, and none
+    # through a diagonal matrix.  A zero diagonal entry silences a mode's
+    # own rate, so each total isolates one mode's cross-talk.
+    params = QkdSystemParams(pulse_rate=1e9)
+
+    def rate(eta, mu, crosstalk_photons_per_s):
+        return 1e9 * float(rate_per_pulse(eta, mu, crosstalk_photons_per_s / 1e9, params))
+
+    only_0 = two_mode_matrix([[0.5, 0.1], [0.1, 0.0]])
+    got = total_rate(allocation_for(only_0, [0.2, 0.5]), only_0, params)
+    assert got == pytest.approx(rate(0.5, 0.2, 0.5e9 * 0.1), rel=1e-12)
+    only_1 = two_mode_matrix([[0.0, 0.1], [0.1, 0.25]])
+    got = total_rate(allocation_for(only_1, [0.2, 0.5]), only_1, params)
+    assert got == pytest.approx(rate(0.25, 0.5, 0.2e9 * 0.1), rel=1e-12)
     diag = two_mode_matrix(np.diag([0.5, 0.25]))
-    alloc_d = allocation_for(diag, [0.2, 0.5])
-    assert crosstalk_power(alloc_d, diag, LGMode(0, 0)) == 0.0
-    other = CouplingMatrix(modes=(LGMode(0, 0),), eta=np.array([[0.5]]), provenance="vacuum")
-    with pytest.raises(ValueError):
-        crosstalk_power(alloc, other, LGMode(0, 0))
+    got = total_rate(allocation_for(diag, [0.2, 0.5]), diag, params)
+    assert got == pytest.approx(rate(0.5, 0.2, 0.0) + rate(0.25, 0.5, 0.0), rel=1e-12)
+    assert rate(0.5, 0.2, 0.5e9 * 0.1) < rate(0.5, 0.2, 0.0)
 
 
 def test_total_rate_matches_manual_sum():
@@ -132,6 +148,13 @@ def test_optimizer_options_validation():
         OptimizerOptions(rel_tol=0.0)
     with pytest.raises(ValueError):
         OptimizerOptions(max_sweeps=0)
+
+
+@pytest.mark.parametrize("field", ["mu_min", "mu_max", "rel_tol", "line_tol"])
+def test_optimizer_options_reject_non_finite(field):
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match=field):
+            OptimizerOptions(**{field: bad})
 
 
 def test_optimizer_single_mode_matches_grid():
@@ -171,6 +194,95 @@ def test_optimizer_near_brute_force_with_strong_crosstalk():
     single_active = float(np.max(totals[:, 0]))
     assert val >= single_active * (1.0 - 1e-7)
     assert val >= brute * (1.0 - 0.01)
+
+
+def test_optimizer_warns_when_sweeps_run_out(caplog):
+    # Strong cross-talk between two classes: no start settles in one sweep.
+    mat = two_mode_matrix(np.array([[0.3, 0.3], [0.3, 0.3]]))
+    params = QkdSystemParams()
+    with caplog.at_level(logging.DEBUG, logger="fsoqkd.planner"):
+        _, capped = optimize_allocation(mat, params, OptimizerOptions(max_sweeps=1))
+    warnings = [r for r in caplog.records if r.levelno == logging.WARNING]
+    assert warnings and all(r.name == "fsoqkd.planner" for r in warnings)
+    assert all("used all 1 sweeps" in r.getMessage() for r in warnings)
+    assert "'uniform 0.05'" in warnings[0].getMessage()
+    debug = [r for r in caplog.records if r.levelno == logging.DEBUG]
+    assert len(debug) == 1
+    assert "sweeps per start [1, 1, 1, 1]" in debug[0].getMessage()
+
+    caplog.clear()
+    with caplog.at_level(logging.DEBUG, logger="fsoqkd.planner"):
+        _, val = optimize_allocation(mat, params)
+    assert not [r for r in caplog.records if r.levelno >= logging.WARNING]
+    (debug,) = caplog.records
+    assert "winning start" in debug.getMessage()
+    assert val >= capped
+
+
+def test_golden_max_rows_match_scalar_searches():
+    params = QkdSystemParams()
+    functions = [
+        lambda x: -((x - 0.3) ** 2),
+        lambda x: 0.0,  # every comparison ties: the bracket keeps its left part
+        lambda x: x,  # always moves right
+        lambda x: float(rate_per_pulse(0.2, x, 1e-4, params)),
+        lambda x: -abs(x - 7.0),
+    ]
+    # Brackets of very different widths: rows finish many steps apart.
+    lo = np.array([0.0, -3.0, 1e-6, 1e-6, 5.0])
+    hi = np.array([1.0, 10.0, 1.5, 1.5, 5.5])
+
+    def f(v):
+        return np.array([g(x) for g, x in zip(functions, v)])
+
+    for tol in (1e-9, 1e-6, 0.3):
+        x, val = _golden_max(f, lo, hi, tol)
+        assert x.shape == val.shape == (len(functions),)
+        for s, g in enumerate(functions):
+            xs, vs = oracles.scalar_golden_max(g, lo[s], hi[s], tol)
+            assert (x[s], val[s]) == (xs, vs), (tol, s)
+
+
+_MODE_LISTS = [lg_modes_up_to(q) for q in range(1, 9)] + [
+    fb_pixel_grid(n) for n in range(1, 7)
+]
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    modes=st.sampled_from(_MODE_LISTS),
+    seed=st.integers(0, 2**32 - 1),
+    crosstalk_exp=st.floats(-6.0, 0.0),
+    diag_exp=st.floats(-4.0, 0.0),
+)
+def test_optimizer_matches_scalar_oracle(modes, seed, crosstalk_exp, diag_exp):
+    rng = np.random.default_rng(seed)
+    n = len(modes)
+    off = rng.random((n, n))
+    off = (off + off.T) * 10.0**crosstalk_exp
+    np.fill_diagonal(off, 0.0)
+    eta = off + np.diag(10.0 ** rng.uniform(diag_exp, 0.0, n))
+    eta /= max(1.0, float(eta.sum(axis=1).max()))
+    mat = CouplingMatrix(modes=tuple(modes), eta=eta, provenance="vacuum")
+    params = QkdSystemParams()
+    opts = OptimizerOptions()
+    alloc, val = optimize_allocation(mat, params, opts)
+    mu_ref, val_ref = oracles.scalar_coordinate_ascent(mat, params, opts)
+    assert val == pytest.approx(val_ref, rel=1e-12, abs=0.0)
+    np.testing.assert_allclose(alloc.mu, mu_ref, rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("q_max", [2, 3])
+def test_optimizer_matches_scalar_oracle_on_tied_starts(q_max):
+    # In the near-field vacuum several starts end on the same total rate
+    # with different mu; the earliest of them must win, as in the oracle.
+    mat = lg_vacuum_matrix(q_max, gauss_channel(1e3, 0.0))
+    params = QkdSystemParams()
+    opts = OptimizerOptions()
+    alloc, val = optimize_allocation(mat, params, opts)
+    mu_ref, val_ref = oracles.scalar_coordinate_ascent(mat, params, opts)
+    assert val == val_ref
+    np.testing.assert_array_equal(alloc.mu, mu_ref)
 
 
 # ------------------------------------------------------------------
@@ -217,6 +329,23 @@ def test_lg_envelope_pib_fallback_under_strong_turbulence():
     assert point.mode_set == "gaussian-pib"
     assert point.config is None
     assert point.total_rate_bps > 0.0
+
+
+def _log_uniform(lo, hi):
+    return st.floats(math.log10(lo), math.log10(hi)).map(lambda e: 10.0**e)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    path_length=_log_uniform(1e3, 100e3),
+    cn2=st.one_of(st.just(0.0), _log_uniform(1e-16, 1e-13)),
+    q_max=st.integers(1, 4),
+)
+def test_lg_envelope_within_vacuum_capacity(path_length, cn2, q_max):
+    params = QkdSystemParams()
+    point = lg_envelope(gauss_channel(path_length, cn2), params, q_max=q_max)
+    capacity = lg_vacuum_capacity(gauss_channel(path_length, 0.0), params.pulse_rate)
+    assert 0.0 <= point.total_rate_bps <= capacity
 
 
 def test_rate_point_validation():
