@@ -85,7 +85,6 @@ _ALLOWED_KEYS = {
         "mu_max",
         "rel_tol",
         "max_sweeps",
-        "quad_rel_tol",
     },
     "output": {"path"},
 }
@@ -106,7 +105,6 @@ class RunConfig:
     cn2_values: Optional[Tuple[float, ...]] = None
     qkd: QkdSystemParams = field(default_factory=QkdSystemParams)
     optimizer: OptimizerOptions = field(default_factory=OptimizerOptions)
-    quad_rel_tol: float = 1e-6
     n_max: int = 8
     q_max: int = 8
     output_path: Optional[str] = None
@@ -297,12 +295,6 @@ def load_config(path: Optional[str]) -> RunConfig:
         except ValueError as exc:
             raise ConfigError(f"{path}: [planner] {exc}") from exc
 
-    value = get("planner", "quad_rel_tol")
-    if value is not None:
-        cfg.quad_rel_tol = _parse_float(value, f"{path}: planner.quad_rel_tol")
-        if cfg.quad_rel_tol <= 0:
-            raise ConfigError(f"{path}: planner.quad_rel_tol must be > 0")
-
     value = get("planner", "n_max")
     if value is not None:
         cfg.n_max = _parse_int(value, f"{path}: planner.n_max")
@@ -379,7 +371,7 @@ def _rates_point(args) -> ScanRow:
 
 
 def _validate_point(args):
-    wavelength, radius, path_length, cn2, quad_rel_tol = args
+    wavelength, radius, path_length, cn2 = args
     ch = derive(
         ChannelConfig(
             wavelength=wavelength,
@@ -397,7 +389,7 @@ def _validate_point(args):
         )
     )
     eta_sq = gaussian_pib_turb(ch)
-    eta_53 = gaussian_pib_53(ch, quad_rel_tol)
+    eta_53 = gaussian_pib_53(ch)
     eta_vac = gaussian_pib_turb(vacuum)
     return path_length, cn2, eta_sq, eta_53, eta_vac
 
@@ -488,7 +480,7 @@ def cmd_validate(config: RunConfig, jobs: int = 1) -> Tuple[str, bool]:
     else:
         path_lengths = (10e3, 30e3, 100e3)
     tasks = [
-        (config.wavelength, config.gauss_radius, path_length, cn2, config.quad_rel_tol)
+        (config.wavelength, config.gauss_radius, path_length, cn2)
         for path_length in path_lengths
         for cn2 in config.resolved_cn2(include_vacuum=True)
     ]

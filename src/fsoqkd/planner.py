@@ -439,7 +439,7 @@ def lg_envelope(
     if ch.cn2 == 0.0:
         full = lg_vacuum_matrix(q_max, ch)
     else:
-        full = lg_turb_matrix(q_max, ch, q_cap=max(q_max, 8))
+        full = lg_turb_matrix(q_max, ch)
     best: Optional[RatePoint] = None
     for q in range(1, q_max + 1):
         k = q * (q + 1) // 2

@@ -4,8 +4,8 @@ The turbulent channel is modeled by multiplying the vacuum two-point
 kernel product by exp(-D/2), where D is the two-plane wave structure
 function.  Two structure-function models are supported:
 
-* the Kolmogorov 5/3 law, with its path integral evaluated by nested
-  quadrature, and
+* the Kolmogorov 5/3 law, whose path integral is evaluated on the
+  package's Gauss-Legendre rule (closed form for the power in the bucket), and
 * its square-law approximation D = (|dr'|^2 + dr'.dr + |dr|^2) / rho_0^2,
   which factorizes the four-dimensional coupling integrals into products
   of per-axis Hermite-Gauss second moments and is what every coupling
@@ -61,6 +61,7 @@ from .numerics import hg_sample  # noqa: F401
 from .vacuum import (
     CouplingMatrix,
     FBPixel,
+    fb_axis,
     fb_coupling_matrix,
     lg_mode_scale,
     lg_modes_up_to,
@@ -108,13 +109,21 @@ def structure_fn(
         quad_form = (ox * ox + oy * oy) + (ox * ix + oy * iy) + (ix * ix + iy * iy)
         return quad_form / ch.coherence_length ** 2
     if kind is StructureFunctionKind.FIVE_THIRDS:
-        def integrand(xi: float) -> float:
-            vx = ox * xi + ix * (1.0 - xi)
-            vy = oy * xi + iy * (1.0 - xi)
+        # The path point is d_in + (d_out - d_in) xi; splitting at its closest
+        # approach to the origin puts the kink of |.|^(5/3) on an interval end.
+        dx, dy = ox - ix, oy - iy
+        span = dx * dx + dy * dy
+        xi0 = min(max(-(ix * dx + iy * dy) / span, 0.0), 1.0) if span > 0.0 else 0.0
+
+        def integrand(xi: np.ndarray) -> np.ndarray:
+            vx = ix + dx * xi
+            vy = iy + dy * xi
             return (vx * vx + vy * vy) ** (5.0 / 6.0)
 
-        path = integrate_1d(integrand, 0.0, 1.0, rel_tol=1e-9, abs_tol=1e-30)
-        return 2.91 * ch.wave_number ** 2 * ch.cn2 * ch.path_length * path
+        path = integrate_1d(integrand, 0.0, xi0, rel_tol=1e-9) + integrate_1d(
+            integrand, xi0, 1.0, rel_tol=1e-9
+        )
+        return 2.91 * ch.wave_number ** 2 * ch.cn2 * ch.path_length * float(path)
     raise ValueError(f"unknown structure function kind: {kind!r}")
 
 
@@ -144,26 +153,25 @@ def gaussian_pib_turb(ch: DerivedChannel) -> float:
     return eta0 * tee / (tee + ratio2)
 
 
-def gaussian_pib_53(ch: DerivedChannel, rel_tol: float = 1e-6) -> float:
+def gaussian_pib_53(ch: DerivedChannel) -> float:
     """Average captured power of the focused Gaussian under the 5/3 law.
 
     Because both receiver-plane field points of the power integral
     coincide, the 8-D coupling average collapses: the sum coordinates and
     the receiver coordinate integrate in closed form (they are Gaussian),
-    leaving one radial integral over the transmitter-plane difference
-    whose integrand carries exp(-D_{5/3}(0, r)/2) with the structure
-    function's path integral evaluated by nested quadrature:
+    leaving one radial integral over the transmitter-plane difference:
 
         <eta> = C * 2 pi * integral_0^inf r exp(-beta r^2) exp(-D(0,r)/2) dr.
 
+    The structure function's path integral is closed form there,
+    integral_0^1 (r (1 - xi))^(5/3) dxi = (3/8) r^(5/3), so
+    D(0, r) = 2.91 (3/8) k^2 cn2 L r^(5/3), the spherical-wave structure
+    function.  The substitution r = s^3 makes the radial integrand smooth.
     With the square-law model in place of the 5/3 law this reduction
     reproduces the closed form of :func:`gaussian_pib_turb` exactly.
-    ``rel_tol`` is the accepted relative error of the result; the radial
-    integral runs a hundred times tighter.
     """
     if not isinstance(ch.pupil, SoftGaussian):
         raise ValueError("Gaussian power-in-bucket requires soft Gaussian pupils")
-    rel = rel_tol * 1e-2
     lam, big_l = ch.wavelength, ch.path_length
     r_pupil = ch.pupil.radius
     k = ch.wave_number
@@ -179,16 +187,16 @@ def gaussian_pib_53(ch: DerivedChannel, rel_tol: float = 1e-6) -> float:
         * (math.pi * r_pupil ** 2 / 2.0)
         * (math.pi / (2.0 / r_pupil ** 2 + 1.0 / sigma2))
     )
+    half_strength = 0.5 * 2.91 * 0.375 * k ** 2 * ch.cn2 * big_l
 
-    def integrand(r: float) -> float:
-        d_half = 0.5 * structure_fn(
-            StructureFunctionKind.FIVE_THIRDS, (0.0, 0.0), (r, 0.0), ch
-        )
-        return r * math.exp(-beta * r * r - d_half)
+    def integrand(s: np.ndarray) -> np.ndarray:
+        # r dr = 3 s^5 ds, and r^(5/3) = s^5.
+        s5 = s ** 5
+        return 3.0 * s5 * np.exp(-beta * s5 * s - half_strength * s5)
 
-    r_max = math.sqrt(60.0 / beta)
-    radial = integrate_1d(integrand, 0.0, r_max, rel_tol=rel, abs_tol=1e-30)
-    return prefactor * 2.0 * math.pi * radial
+    s_max = (60.0 / beta) ** (1.0 / 6.0)
+    radial = integrate_1d(integrand, 0.0, s_max, rel_tol=1e-12)
+    return prefactor * 2.0 * math.pi * float(radial)
 
 
 # --------------------------------------------------------------------------
@@ -267,12 +275,11 @@ def hg_second_moments(ch: DerivedChannel, shape: Tuple[int, int, int, int]) -> n
     return mom[: shape[0], : shape[1], : shape[2], : shape[3]]
 
 
-def lg_turb_matrix(
-    q_max: int,
-    ch: DerivedChannel,
-    q_cap: int = 8,
-    imag_tol: float = 1e-8,
-) -> CouplingMatrix:
+# Largest imaginary residue an assembled LG coupling entry may carry.
+_IMAG_TOL = 1e-8
+
+
+def lg_turb_matrix(q_max: int, ch: DerivedChannel) -> CouplingMatrix:
     """Average power coupling matrix of all LG modes with order <= q_max.
 
     Each LG mode is expanded over same-order HG modes with the basis
@@ -284,13 +291,10 @@ def lg_turb_matrix(
 
     with N, N' the total orders and U, W the coefficient rows of the two
     modes.  Entries are clamped to [0, 1]; imaginary residues beyond
-    ``imag_tol`` raise.  ``q_cap`` bounds the moment count: the per-axis
-    moment tensor holds q_max^4 entries.
+    ``_IMAG_TOL`` raise :class:`QuadratureError`.
     """
     if q_max < 1:
         raise ValueError(f"q_max must be >= 1, got {q_max}")
-    if q_max > q_cap:
-        raise ValueError(f"q_max {q_max} exceeds the configured cap {q_cap}")
     modes = lg_modes_up_to(q_max)
     span = range(q_max)
     mom = hg_second_moments(ch, (q_max,) * 4)
@@ -318,7 +322,7 @@ def lg_turb_matrix(
             worst_imag = max(worst_imag, float(np.max(np.abs(block.imag))))
             eta[rows[n_in], rows[n_out]] = block.real
 
-    if worst_imag > imag_tol:
+    if worst_imag > _IMAG_TOL:
         raise QuadratureError(
             f"LG coupling entries retain imaginary residue {worst_imag:.3e}"
         )
@@ -331,46 +335,29 @@ def lg_turb_matrix(
 # --------------------------------------------------------------------------
 
 
-def _fb_axis_turb(d: int, n_grid: int, ch: DerivedChannel) -> float:
-    """Per-axis average coupling factor for pixel-index difference d.
+def _fb_turb_axis(n_grid: int, ch: DerivedChannel) -> np.ndarray:
+    """Per-axis factors of the N x N focused-beam set under turbulence.
 
-    I(d) = 2c * integral_0^1 (1 - xi) sinc(pi c xi) exp(-xi^2 s^2 / 2 rho_0^2)
-           cos(2 pi c xi d) dxi,  c = sqrt(D_f) / N.
-
-    Reduces to the vacuum factor when rho_0 is infinite.
+    The square-law structure function damps the pixel autocorrelation by
+    exp(-xi^2 s^2 / 2 rho_0^2) (:func:`fb_axis`); infinite rho_0 is vacuum.
     """
-    pupil = ch.pupil
-    assert isinstance(pupil, HardSquare)
-    c = math.sqrt(ch.fresnel_product) / n_grid
+    if not isinstance(ch.pupil, HardSquare):
+        raise ValueError("focused-beam modes require hard square pupils")
     rho0 = ch.coherence_length
-    damp = 0.0 if math.isinf(rho0) else (pupil.side / rho0) ** 2 / 2.0
-
-    def integrand(xi: float) -> float:
-        return (
-            (1.0 - xi)
-            * np.sinc(c * xi)
-            * math.exp(-damp * xi * xi)
-            * math.cos(2.0 * math.pi * c * xi * d)
-        )
-
-    return 2.0 * c * integrate_1d(integrand, 0.0, 1.0, rel_tol=1e-11, abs_tol=1e-16)
+    damp = 0.0 if math.isinf(rho0) else (ch.pupil.side / rho0) ** 2 / 2.0
+    return fb_axis(n_grid, ch, damp)
 
 
 def fb_turb_eta(pixel_from: FBPixel, pixel_to: FBPixel, ch: DerivedChannel) -> float:
     """Average power coupling between focused-beam pixels under turbulence."""
-    if not isinstance(ch.pupil, HardSquare):
-        raise ValueError("focused-beam modes require hard square pupils")
     if pixel_from.grid != pixel_to.grid:
         raise ValueError("pixels belong to different grids")
-    n_grid = pixel_from.grid
-    return _fb_axis_turb(abs(pixel_from.n - pixel_to.n), n_grid, ch) * _fb_axis_turb(
-        abs(pixel_from.m - pixel_to.m), n_grid, ch
-    )
+    axis = _fb_turb_axis(pixel_from.grid, ch)
+    dn, dm = abs(pixel_from.n - pixel_to.n), abs(pixel_from.m - pixel_to.m)
+    return float(axis[dn] * axis[dm])
 
 
 def fb_turb_matrix(n_grid: int, ch: DerivedChannel) -> CouplingMatrix:
     """Average coupling matrix over the N x N focused-beam set."""
-    if not isinstance(ch.pupil, HardSquare):
-        raise ValueError("focused-beam modes require hard square pupils")
-    axis = np.array([_fb_axis_turb(d, n_grid, ch) for d in range(n_grid)])
+    axis = _fb_turb_axis(n_grid, ch)
     return fb_coupling_matrix(axis, "vacuum" if ch.cn2 == 0.0 else "square-law")

@@ -35,6 +35,7 @@ __all__ = [
     "lg_mode_scale",
     "lg_vacuum_matrix",
     "fb_pixel_grid",
+    "fb_axis",
     "fb_coupling_matrix",
     "fb_vacuum_matrix",
     "qkd_capacity",
@@ -246,25 +247,30 @@ def fb_coupling_matrix(axis: np.ndarray, provenance: str) -> CouplingMatrix:
     )
 
 
-def _fb_axis_vacuum(d: int, n_grid: int, ch: DerivedChannel) -> float:
-    """Per-axis vacuum coupling factor for pixel-index difference d.
+def fb_axis(n_grid: int, ch: DerivedChannel, damp: float = 0.0) -> np.ndarray:
+    """Per-axis focused-beam coupling factors for index differences d = 0..N-1.
 
-    I(d) = (sqrt(D_f)/N) * integral_{d-1/2}^{d+1/2} sinc^2(pi sqrt(D_f) xi / N) dxi,
-    with sinc(z) = sin(z)/z.  Even in d.
+    I(d) = 2c * integral_0^1 (1 - xi) sinc(c xi) exp(-damp xi^2) cos(2 pi c xi d) dxi,
+
+    with c = sqrt(D_f) / N and sinc(x) = sin(pi x) / (pi x): the pixel
+    autocorrelation of the far-field pattern, damped by turbulence.  With
+    ``damp`` = 0 it is the vacuum overlap of the sinc^2 pattern with pixel d.
     """
     c = math.sqrt(ch.fresnel_product) / n_grid
-    val = integrate_1d(
-        lambda xi: np.sinc(c * xi) ** 2, d - 0.5, d + 0.5, rel_tol=1e-11, abs_tol=1e-16
-    )
-    return c * val
+    d = np.arange(n_grid)[:, None]
+
+    def integrand(xi: np.ndarray) -> np.ndarray:
+        envelope = (1.0 - xi) * np.sinc(c * xi) * np.exp(-damp * xi * xi)
+        return envelope * np.cos(2.0 * np.pi * c * d * xi)
+
+    return 2.0 * c * integrate_1d(integrand, 0.0, 1.0, rel_tol=1e-12)
 
 
 def fb_vacuum_matrix(n_grid: int, ch: DerivedChannel) -> CouplingMatrix:
     """Vacuum coupling matrix over the full N x N focused-beam set."""
     if not isinstance(ch.pupil, HardSquare):
         raise ValueError("focused-beam modes require hard square pupils")
-    axis = np.array([_fb_axis_vacuum(d, n_grid, ch) for d in range(n_grid)])
-    return fb_coupling_matrix(axis, "vacuum")
+    return fb_coupling_matrix(fb_axis(n_grid, ch), "vacuum")
 
 
 # --------------------------------------------------------------------------

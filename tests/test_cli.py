@@ -2,6 +2,9 @@
 
 import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -86,7 +89,6 @@ def test_config_file_roundtrip(tmp_path):
         "n_max = 3\n"
         "q_max = 2\n"
         "mu_max = 1.2\n"
-        "quad_rel_tol = 1e-7\n"
         "[output]\n"
         "path = out.csv\n"
     )
@@ -100,7 +102,6 @@ def test_config_file_roundtrip(tmp_path):
     assert cfg.qkd.pulse_rate == 5e9
     assert cfg.n_max == 3 and cfg.q_max == 2
     assert cfg.optimizer.mu_max == 1.2
-    assert cfg.quad_rel_tol == 1e-7
     assert cfg.output_path == "out.csv"
 
 
@@ -157,9 +158,6 @@ def test_invalid_values_rejected(tmp_path):
     path.write_text("[planner]\nq_max = 0\n")
     with pytest.raises(ConfigError, match="q_max"):
         load_config(str(path))
-    path.write_text("[planner]\nquad_rel_tol = 0\n")
-    with pytest.raises(ConfigError, match="quad_rel_tol"):
-        load_config(str(path))
 
 
 def test_quad_base_order_is_unknown_key(tmp_path, capsys):
@@ -184,7 +182,11 @@ def test_non_finite_numbers_exit_2(tmp_path, capsys, section, key, value, comman
     path.write_text(f"[{section}]\n{key} = {value}\n")
     assert main(["--config", str(path), command]) == 2
     err = capsys.readouterr().err
-    assert f"{section}.{key}" in err and "not finite" in err
+    if key == "quad_rel_tol":
+        # No longer a key: refused by name before its value is parsed.
+        assert f"{path}:2: unknown key 'quad_rel_tol'" in err
+    else:
+        assert f"{section}.{key}" in err and "not finite" in err
 
 
 def test_cmd_transmissivity_layout_and_golden_cells():
@@ -241,24 +243,64 @@ def test_cmd_rates_records_failures(monkeypatch, caplog):
     assert fb_cells[2] == "fb" and float(fb_cells[4]) > 0.0
 
 
-def test_cmd_validate_uses_configured_quad_rel_tol(tmp_path, monkeypatch):
+def test_quad_rel_tol_is_unknown_key(tmp_path):
+    path = tmp_path / "old.ini"
+    path.write_text("[planner]\nq_max = 2\nquad_rel_tol = 1e-7\n")
+    with pytest.raises(ConfigError) as err:
+        load_config(str(path))
+    assert f"{path}:3: unknown key 'quad_rel_tol'" in str(err.value)
+
+
+def test_cmd_validate_uses_configured_quad_rel_tol(tmp_path, capsys, monkeypatch):
+    # The 5/3 check runs at the rule's fixed tolerance: a configured
+    # quad_rel_tol stops validate (exit 2) before any check runs.
     path = tmp_path / "run.ini"
     path.write_text(
         "[channel]\npath_lengths = 10 km\n[turbulence]\ncn2_values = 1e-14\n"
         "[planner]\nquad_rel_tol = 1e-7\n"
     )
-    cfg = load_config(str(path))
     seen = []
-    real = cli.gaussian_pib_53
+    monkeypatch.setattr(cli, "gaussian_pib_53", lambda ch: seen.append(ch))
+    out = tmp_path / "validate.csv"
+    assert main(["--config", str(path), "--out", str(out), "validate"]) == 2
+    assert f"{path}:6: unknown key 'quad_rel_tol'" in capsys.readouterr().err
+    assert seen == [] and not out.exists()
 
-    def spy(ch, rel_tol=1e-6):
-        seen.append(rel_tol)
-        return real(ch, rel_tol)
 
-    monkeypatch.setattr(cli, "gaussian_pib_53", spy)
-    _, all_pass = cmd_validate(cfg)
-    assert all_pass
-    assert seen == [1e-7]
+def test_rates_short_links_fill_every_fb_row(tmp_path):
+    # Deep near field: the flat-top axis factors are 0.95-0.998 here.
+    ini = tmp_path / "short.ini"
+    ini.write_text(
+        "[channel]\npath_lengths = 100 m, 300 m\n[turbulence]\ncn2_values = 1e-14\n"
+        "[planner]\nq_max = 2\n"
+    )
+    out = tmp_path / "rates.csv"
+    assert main(["--jobs", "1", "--config", str(ini), "--out", str(out), "rates"]) == 0
+    fb_rows = [line.split(",") for line in out.read_text().splitlines() if ",fb," in line]
+    assert len(fb_rows) == 2
+    for cells in fb_rows:
+        assert cells[3] != "" and float(cells[4]) > 0.0
+
+
+def test_readme_example_config_loads(tmp_path):
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = re.search(r"```ini\n(.*?)```", readme, re.S)
+    assert block is not None
+    path = tmp_path / "example.ini"
+    path.write_text(block.group(1))
+    cfg = load_config(str(path))
+    assert cfg.cn2_values == (1e-15, 1e-14, 1e-13)
+    assert cfg.n_max == 8 and cfg.q_max == 8
+
+
+def test_cli_import_loads_no_scipy():
+    src = Path(cli.__file__).resolve().parent.parent
+    code = "import sys, fsoqkd.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "[]"
 
 
 def test_cmd_validate_small_grid():

@@ -1,4 +1,4 @@
-"""Hermite-Gauss samples, quadrature wrappers, and the LG-HG basis change."""
+"""Hermite-Gauss samples, the Gauss-Legendre rule, and the LG-HG basis change."""
 
 import math
 
@@ -46,10 +46,13 @@ def test_integrate_1d_known_values():
     assert integrate_1d(lambda x: np.exp(-x * x), -8.0, 8.0) == pytest.approx(
         math.sqrt(math.pi), rel=1e-12
     )
-    # Integrable endpoint singularity.
-    assert integrate_1d(lambda x: 1.0 / np.sqrt(x), 0.0, 1.0) == pytest.approx(
-        2.0, rel=1e-9
-    )
+    # A vectorized integrand returns one value per leading entry.
+    got = integrate_1d(lambda x: np.cos(np.arange(3)[:, None] * x), 0.0, math.pi / 2)
+    np.testing.assert_allclose(got, [math.pi / 2, 1.0, 0.0], rtol=0, atol=1e-14)
+    # An integrable endpoint singularity defeats a fixed polynomial rule; it
+    # must raise rather than return an unconverged value.
+    with pytest.raises(QuadratureError, match=r"\[0\.0, 1\.0\].*last order 1024"):
+        integrate_1d(lambda x: 1.0 / np.sqrt(x), 0.0, 1.0)
 
 
 def test_integrate_1d_raises_on_budget_exhaustion():

@@ -285,6 +285,38 @@ def test_optimizer_matches_scalar_oracle_on_tied_starts(q_max):
     np.testing.assert_array_equal(alloc.mu, mu_ref)
 
 
+def test_optimizer_takes_first_of_tied_corners(caplog):
+    # Classes (0,) and (4,) of the order-3 LG list mirror each other: equal
+    # diagonals, strong mutual cross-talk, and every other mode dark.  The
+    # couplings are powers of two, so every mu * eta product is exact and
+    # the two corner totals tie bit for bit.  Every start that lights both
+    # classes ends on a lower rate and only the corner start reaches the
+    # best one, so the returned allocation shows which tied corner was
+    # taken: the first.
+    modes = lg_modes_up_to(3)
+    assert orbit_classes(modes) == ((0,), (1, 2), (3, 5), (4,))
+    eta = np.zeros((6, 6))
+    eta[0, 0] = eta[4, 4] = 0.25
+    eta[0, 4] = eta[4, 0] = 0.5
+    mat = CouplingMatrix(modes=modes, eta=eta, provenance="vacuum")
+    params = QkdSystemParams()
+    opts = OptimizerOptions()
+    for v in (0.2, 0.5, 0.9):
+        first = np.full(6, opts.mu_min)
+        last = first.copy()
+        first[0] = last[4] = v
+        assert total_rate(allocation_for(mat, first, params.pulse_rate), mat, params) == (
+            total_rate(allocation_for(mat, last, params.pulse_rate), mat, params)
+        )
+    with caplog.at_level(logging.DEBUG, logger="fsoqkd.planner"):
+        alloc, val = optimize_allocation(mat, params, opts)
+    assert "winning start 'best corner'" in caplog.text
+    assert alloc.mu[0] > 0.1 and alloc.mu[4] == opts.mu_min
+    mu_ref, val_ref = oracles.scalar_coordinate_ascent(mat, params, opts)
+    assert val == val_ref
+    np.testing.assert_array_equal(alloc.mu, mu_ref)
+
+
 # ------------------------------------------------------------------
 # Envelopes
 # ------------------------------------------------------------------

@@ -12,6 +12,7 @@ from fsoqkd.channel import cn2_for_coherence_length
 from fsoqkd.numerics import lg_hg_unitary
 from fsoqkd.turbulence import (
     StructureFunctionKind,
+    _fb_turb_axis,
     fb_turb_eta,
     fb_turb_matrix,
     gaussian_pib_53,
@@ -273,7 +274,7 @@ def test_lg_turb_matrix_rejects_bad_sizes():
     with pytest.raises(ValueError):
         lg_turb_matrix(0, ch)
     with pytest.raises(ValueError):
-        lg_turb_matrix(9, ch)
+        lg_turb_matrix(-1, ch)
 
 
 def _log_uniform(lo, hi):
@@ -344,6 +345,16 @@ def test_fb_turb_matrix_invariants(path_length, cn2, n_grid):
         np.testing.assert_allclose(mat.eta, vac.eta, rtol=1e-10, atol=0)
 
 
+@pytest.mark.parametrize("path_length", [1e3, 3e3, 10e3, 30e3, 100e3])
+def test_fb_axis_matches_quadpack_oracle(path_length):
+    for cn2 in (0.0, 1e-15, 1e-14, 1e-13):
+        ch = square_channel(path_length, cn2)
+        for n_grid in range(1, 9):
+            axis = _fb_turb_axis(n_grid, ch)
+            ref = [oracles.fb_axis_quadpack(d, n_grid, ch) for d in range(n_grid)]
+            np.testing.assert_allclose(axis, ref, rtol=0, atol=1e-12 * axis.max())
+
+
 def test_fb_turb_diag_monotone_far_field():
     diags = [
         fb_turb_matrix(2, square_channel(100e3, cn2)).eta[0, 0]
@@ -395,6 +406,14 @@ def test_gaussian_pib_53_vacuum_limit():
     ch = gauss_channel(10e3, 1e-22)
     vac = gaussian_pib_turb(gauss_channel(10e3, 0.0))
     assert gaussian_pib_53(ch) == pytest.approx(vac, rel=1e-4)
+
+
+@pytest.mark.parametrize("path_length", [1e3, 10e3, 100e3])
+def test_gaussian_pib_53_matches_nested_oracle(path_length):
+    for cn2 in (0.0, 1e-15, 1e-14, 1e-13):
+        ch = gauss_channel(path_length, cn2)
+        expected = oracles.gaussian_pib_53_nested(ch)
+        assert gaussian_pib_53(ch) == pytest.approx(expected, rel=1e-9)
 
 
 def test_gaussian_pib_ordering_single_point():

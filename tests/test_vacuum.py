@@ -10,7 +10,7 @@ from fsoqkd.vacuum import (
     CouplingMatrix,
     FBPixel,
     LGMode,
-    _fb_axis_vacuum,
+    fb_axis,
     fb_pixel_grid,
     fb_vacuum_matrix,
     lg_mode_count,
@@ -98,7 +98,7 @@ def test_lg_vacuum_matrix_is_diagonal():
 )
 def test_fb_axis_against_fft_propagation(path_length, n_grid, d):
     ch = square_channel(path_length)
-    got = _fb_axis_vacuum(float(d), n_grid, ch)
+    got = fb_axis(n_grid, ch)[d]
     ref = oracles.fb_axis_fft(d, n_grid, WAVELENGTH, path_length, ch.config.pupil.side)
     assert got == pytest.approx(ref, rel=2e-3)
 
@@ -107,8 +107,20 @@ def test_fb_vacuum_eta_factorizes_over_axes():
     ch = square_channel(10e3)
     a = FBPixel(1, 2, 3)
     b = FBPixel(3, 3, 3)
-    expected = _fb_axis_vacuum(2.0, 3, ch) * _fb_axis_vacuum(1.0, 3, ch)
+    axis = fb_axis(3, ch)
+    expected = axis[2] * axis[1]
     assert fb_vacuum_matrix(3, ch).entry(a, b) == pytest.approx(expected, rel=1e-12)
+
+
+@pytest.mark.parametrize("path_length", [100.0, 300.0, 1e3, 10e3, 100e3])
+def test_fb_axis_matches_pixel_overlap_oracle(path_length):
+    # The autocorrelation form at damp = 0 against the sinc^2 pixel overlap,
+    # a different integral of the same vacuum quantity, on QUADPACK.
+    ch = square_channel(path_length)
+    for n_grid in range(1, 9):
+        axis = fb_axis(n_grid, ch)
+        ref = [oracles.fb_axis_vacuum_overlap(d, n_grid, ch) for d in range(n_grid)]
+        np.testing.assert_allclose(axis, ref, rtol=0, atol=1e-12 * axis.max())
 
 
 def test_fb_vacuum_matrix_invariants():
