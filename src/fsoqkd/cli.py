@@ -15,6 +15,12 @@ validate
     square <= five-thirds <= vacuum per point; the exit code reflects the
     assertion outcome.
 
+Config keys are listed once, in ``_KEYS``: each names its parser and the
+:class:`RunConfig` field it sets, and both the unknown-key check and the
+parsing read that table.  Every config error carries a ``file:line``
+prefix and exits 2.  Each scan point is one task ``(config, L, cn2[,
+family])`` for one worker, which derives one channel per pupil it needs.
+
 All real CSV cells use 12-significant-digit scientific notation with LF
 line endings, so identical configurations yield byte-identical files.
 """
@@ -29,13 +35,14 @@ import math
 import os
 import re
 import sys
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass, field, replace
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .channel import (
     ChannelConfig,
+    DerivedChannel,
     HardSquare,
     SoftGaussian,
     derive,
@@ -44,7 +51,7 @@ from .channel import (
 from .planner import OptimizerOptions, ScanGeometry, ScanRow, scan
 from .qkd import QkdSystemParams
 from .turbulence import fb_turb_eta, gaussian_pib_53, gaussian_pib_turb
-from .vacuum import fb_pixel_grid
+from .vacuum import fb_pixel_grid, lg_vacuum_eta
 
 __all__ = ["RunConfig", "load_config", "cmd_transmissivity", "cmd_rates", "cmd_validate", "main"]
 
@@ -60,33 +67,6 @@ _LENGTH_UNITS = {
     "cm": 1e-2,
     "m": 1.0,
     "km": 1e3,
-}
-
-_ALLOWED_KEYS = {
-    "channel": {
-        "wavelength",
-        "gauss_radius",
-        "square_side",
-        "path_lengths",
-        "path_log_range",
-    },
-    "turbulence": {"cn2_values"},
-    "qkd": {
-        "visibility",
-        "dark_count",
-        "pulse_rate",
-        "error_correction_factor",
-        "sifting_factor",
-    },
-    "planner": {
-        "n_max",
-        "q_max",
-        "mu_min",
-        "mu_max",
-        "rel_tol",
-        "max_sweeps",
-    },
-    "output": {"path"},
 }
 
 
@@ -131,6 +111,12 @@ def _log_range(start: float, stop: float, count: int) -> Tuple[float, ...]:
     return tuple(np.geomspace(start, stop, count))
 
 
+# --------------------------------------------------------------------------
+# Config values.  Each parser takes the raw text and ``where``, the
+# ``file:line: section.key`` prefix of its error messages.
+# --------------------------------------------------------------------------
+
+
 def _parse_length(text: str, where: str) -> float:
     match = re.fullmatch(
         r"\s*([-+0-9.eE]+)\s*(nm|um|µm|mm|cm|km|m)?\s*", text
@@ -143,6 +129,8 @@ def _parse_length(text: str, where: str) -> float:
         raise ConfigError(f"{where}: cannot parse length {text!r}") from exc
     if not math.isfinite(value):
         raise ConfigError(f"{where}: length {text!r} is not finite")
+    if value <= 0:
+        raise ConfigError(f"{where}: length {text!r} must be > 0")
     return value * _LENGTH_UNITS[match.group(2) or "m"]
 
 
@@ -156,11 +144,84 @@ def _parse_float(text: str, where: str) -> float:
     return value
 
 
+def _parse_cn2(text: str, where: str) -> float:
+    value = _parse_float(text, where)
+    if value < 0:
+        raise ConfigError(f"{where}: cn2 {text!r} must be >= 0")
+    return value
+
+
 def _parse_int(text: str, where: str) -> int:
     try:
         return int(text)
     except ValueError as exc:
         raise ConfigError(f"{where}: cannot parse integer {text!r}") from exc
+
+
+def _parse_count(text: str, where: str) -> int:
+    value = _parse_int(text, where)
+    if value < 1:
+        raise ConfigError(f"{where}: must be >= 1, got {value}")
+    return value
+
+
+def _parse_list(item: Callable[[str, str], float]) -> Callable[[str, str], Tuple[float, ...]]:
+    """Parser of a non-empty comma-separated list of ``item`` values."""
+
+    def parse(text: str, where: str) -> Tuple[float, ...]:
+        values = tuple(item(part, where) for part in text.split(",") if part.strip())
+        if not values:
+            raise ConfigError(f"{where}: empty list")
+        return values
+
+    return parse
+
+
+def _parse_log_range(text: str, where: str) -> Tuple[float, ...]:
+    parts = text.split(":")
+    if len(parts) != 3:
+        raise ConfigError(f"{where}: expects start:stop:count")
+    start = _parse_length(parts[0], where)
+    stop = _parse_length(parts[1], where)
+    count = _parse_int(parts[2], where)
+    if start > stop or count < 1:
+        raise ConfigError(f"{where}: {text!r} is not a valid range")
+    return _log_range(start, stop, count)
+
+
+def _parse_text(text: str, where: str) -> str:
+    return text
+
+
+# section -> key -> (parser, RunConfig target).  A dotted target such as
+# "qkd.visibility" sets a field of the frozen options object ``cfg.qkd``;
+# keys of one section that share a target are exclusive.
+_KEYS: Dict[str, Dict[str, Tuple[Callable[[str, str], object], str]]] = {
+    "channel": {
+        "wavelength": (_parse_length, "wavelength"),
+        "gauss_radius": (_parse_length, "gauss_radius"),
+        "square_side": (_parse_length, "square_side"),
+        "path_lengths": (_parse_list(_parse_length), "path_lengths"),
+        "path_log_range": (_parse_log_range, "path_lengths"),
+    },
+    "turbulence": {"cn2_values": (_parse_list(_parse_cn2), "cn2_values")},
+    "qkd": {
+        "visibility": (_parse_float, "qkd.visibility"),
+        "dark_count": (_parse_float, "qkd.dark_count"),
+        "pulse_rate": (_parse_float, "qkd.pulse_rate"),
+        "error_correction_factor": (_parse_float, "qkd.error_correction_factor"),
+        "sifting_factor": (_parse_float, "qkd.sifting_factor"),
+    },
+    "planner": {
+        "n_max": (_parse_count, "n_max"),
+        "q_max": (_parse_count, "q_max"),
+        "mu_min": (_parse_float, "optimizer.mu_min"),
+        "mu_max": (_parse_float, "optimizer.mu_max"),
+        "rel_tol": (_parse_float, "optimizer.rel_tol"),
+        "max_sweeps": (_parse_int, "optimizer.max_sweeps"),
+    },
+    "output": {"path": (_parse_text, "output_path")},
+}
 
 
 def _key_line_numbers(path: str) -> Dict[str, int]:
@@ -202,204 +263,90 @@ def load_config(path: Optional[str]) -> RunConfig:
     lines = _key_line_numbers(path)
     for section in parser.sections():
         name = section.lower()
-        if name not in _ALLOWED_KEYS:
-            lineno = lines.get(f"[{name}]", 0)
-            raise ConfigError(f"{path}:{lineno}: unknown section [{section}]")
-        for key in parser[section]:
-            if key.lower() not in _ALLOWED_KEYS[name]:
-                lineno = lines.get(f"{name}.{key.lower()}", 0)
+        head = f"{path}:{lines.get(f'[{name}]', 0)}"
+        if name not in _KEYS:
+            raise ConfigError(f"{head}: unknown section [{section}]")
+        set_by: Dict[str, str] = {}
+        options: Dict[str, dict] = {}
+        for key, text in parser.items(section):
+            lineno = lines.get(f"{name}.{key}", 0)
+            if key not in _KEYS[name]:
                 raise ConfigError(
                     f"{path}:{lineno}: unknown key {key!r} in section [{section}]"
                 )
-
-    def get(section: str, key: str) -> Optional[str]:
-        return parser.get(section, key, fallback=None)
-
-    value = get("channel", "wavelength")
-    if value is not None:
-        cfg.wavelength = _parse_length(value, f"{path}: channel.wavelength")
-    value = get("channel", "gauss_radius")
-    if value is not None:
-        cfg.gauss_radius = _parse_length(value, f"{path}: channel.gauss_radius")
-    value = get("channel", "square_side")
-    if value is not None:
-        cfg.square_side = _parse_length(value, f"{path}: channel.square_side")
-
-    lengths = get("channel", "path_lengths")
-    log_range = get("channel", "path_log_range")
-    if lengths is not None and log_range is not None:
-        raise ConfigError(
-            f"{path}: channel.path_lengths and channel.path_log_range are exclusive"
-        )
-    if lengths is not None:
-        cfg.path_lengths = tuple(
-            _parse_length(item, f"{path}: channel.path_lengths")
-            for item in lengths.split(",")
-            if item.strip()
-        )
-    if log_range is not None:
-        parts = [p for p in log_range.split(":")]
-        if len(parts) != 3:
-            raise ConfigError(
-                f"{path}: channel.path_log_range expects start:stop:count"
-            )
-        start = _parse_length(parts[0], f"{path}: channel.path_log_range")
-        stop = _parse_length(parts[1], f"{path}: channel.path_log_range")
-        count = _parse_int(parts[2], f"{path}: channel.path_log_range")
-        if not (0 < start <= stop) or count < 1:
-            raise ConfigError(f"{path}: channel.path_log_range is not a valid range")
-        cfg.path_lengths = _log_range(start, stop, count)
-
-    value = get("turbulence", "cn2_values")
-    if value is not None:
-        cfg.cn2_values = tuple(
-            _parse_float(item, f"{path}: turbulence.cn2_values")
-            for item in value.split(",")
-            if item.strip()
-        )
-        if any(v < 0 for v in cfg.cn2_values):
-            raise ConfigError(f"{path}: turbulence.cn2_values must be >= 0")
-
-    qkd_kwargs = {}
-    for key, attr in (
-        ("visibility", "visibility"),
-        ("dark_count", "dark_count"),
-        ("pulse_rate", "pulse_rate"),
-        ("error_correction_factor", "error_correction_factor"),
-        ("sifting_factor", "sifting_factor"),
-    ):
-        value = get("qkd", key)
-        if value is not None:
-            qkd_kwargs[attr] = _parse_float(value, f"{path}: qkd.{key}")
-    if qkd_kwargs:
-        try:
-            cfg.qkd = QkdSystemParams(**{**_dataclass_dict(cfg.qkd), **qkd_kwargs})
-        except ValueError as exc:
-            raise ConfigError(f"{path}: [qkd] {exc}") from exc
-
-    opt_kwargs = {}
-    for key, attr, conv in (
-        ("mu_min", "mu_min", _parse_float),
-        ("mu_max", "mu_max", _parse_float),
-        ("rel_tol", "rel_tol", _parse_float),
-        ("max_sweeps", "max_sweeps", _parse_int),
-    ):
-        value = get("planner", key)
-        if value is not None:
-            opt_kwargs[attr] = conv(value, f"{path}: planner.{key}")
-    if opt_kwargs:
-        try:
-            cfg.optimizer = OptimizerOptions(
-                **{**_dataclass_dict(cfg.optimizer), **opt_kwargs}
-            )
-        except ValueError as exc:
-            raise ConfigError(f"{path}: [planner] {exc}") from exc
-
-    value = get("planner", "n_max")
-    if value is not None:
-        cfg.n_max = _parse_int(value, f"{path}: planner.n_max")
-    value = get("planner", "q_max")
-    if value is not None:
-        cfg.q_max = _parse_int(value, f"{path}: planner.q_max")
-    if cfg.n_max < 1 or cfg.q_max < 1:
-        raise ConfigError(f"{path}: planner.n_max and planner.q_max must be >= 1")
-
-    value = get("output", "path")
-    if value is not None:
-        cfg.output_path = value
-
-    if cfg.wavelength <= 0 or cfg.gauss_radius <= 0:
-        raise ConfigError(f"{path}: lengths must be positive")
-    if cfg.square_side is not None and cfg.square_side <= 0:
-        raise ConfigError(f"{path}: channel.square_side must be positive")
-    if cfg.path_lengths is not None and any(l <= 0 for l in cfg.path_lengths):
-        raise ConfigError(f"{path}: path lengths must be positive")
+            parse, target = _KEYS[name][key]
+            if target in set_by:
+                raise ConfigError(
+                    f"{head}: {name}.{set_by[target]} and {name}.{key} are exclusive"
+                )
+            set_by[target] = key
+            value = parse(text, f"{path}:{lineno}: {name}.{key}")
+            group, _, attr = target.rpartition(".")
+            if group:
+                options.setdefault(group, {})[attr] = value
+            else:
+                setattr(cfg, attr, value)
+        for group, changes in options.items():
+            try:
+                setattr(cfg, group, replace(getattr(cfg, group), **changes))
+            except ValueError as exc:
+                raise ConfigError(f"{head}: [{name}] {exc}") from exc
     return cfg
 
 
-def _dataclass_dict(obj) -> dict:
-    return {name: getattr(obj, name) for name in obj.__dataclass_fields__}
-
-
 # --------------------------------------------------------------------------
-# Subcommand workers (module level so a process pool can pickle them)
+# Subcommand workers: one task (config, L, cn2[, family]) per scan point,
+# module level so a process pool can pickle them.
 # --------------------------------------------------------------------------
 
 
-def _transmissivity_point(args: Tuple[float, float, float, float, float]):
-    wavelength, radius, side, path_length, cn2 = args
-    square = derive(
+def _channel(config: RunConfig, path_length: float, cn2: float, family: str) -> DerivedChannel:
+    """The "lg" (soft Gaussian) or "fb" (hard square) pupil's channel."""
+    if family == "lg":
+        pupil = SoftGaussian(radius=config.gauss_radius)
+    else:
+        pupil = HardSquare(side=config.resolved_square_side())
+    return derive(
         ChannelConfig(
-            wavelength=wavelength,
-            path_length=path_length,
-            cn2=cn2,
-            pupil=HardSquare(side=side),
+            wavelength=config.wavelength, path_length=path_length, cn2=cn2, pupil=pupil
         )
     )
+
+
+def _transmissivity_point(config: RunConfig, path_length: float, cn2: float):
     pixel = fb_pixel_grid(1)[0]
-    eta_fb = fb_turb_eta(pixel, pixel, square)
-    gauss = derive(
-        ChannelConfig(
-            wavelength=wavelength,
-            path_length=path_length,
-            cn2=cn2,
-            pupil=SoftGaussian(radius=radius),
-        )
-    )
-    eta_gauss = gaussian_pib_turb(gauss)
-    return path_length, cn2, eta_fb, eta_gauss
+    eta_fb = fb_turb_eta(pixel, pixel, _channel(config, path_length, cn2, "fb"))
+    eta_gauss = gaussian_pib_turb(_channel(config, path_length, cn2, "lg"))
+    return eta_fb, eta_gauss
 
 
-def _rates_point(args) -> ScanRow:
-    (
-        wavelength,
-        radius,
-        side,
-        path_length,
-        cn2,
-        family,
-        qkd_params,
-        opts,
-        n_max,
-        q_max,
-    ) = args
+def _rates_point(config: RunConfig, path_length: float, cn2: float, family: str) -> ScanRow:
     geometry = ScanGeometry(
-        wavelength=wavelength, gauss_radius=radius, square_side=side
+        wavelength=config.wavelength,
+        gauss_radius=config.gauss_radius,
+        square_side=config.resolved_square_side(),
     )
-    rows = scan([(path_length, cn2)], [family], geometry, qkd_params, n_max, q_max, opts)
+    rows = scan(
+        [(path_length, cn2)], [family], geometry, config.qkd,
+        config.n_max, config.q_max, config.optimizer,
+    )
     return rows[0]
 
 
-def _validate_point(args):
-    wavelength, radius, path_length, cn2 = args
-    ch = derive(
-        ChannelConfig(
-            wavelength=wavelength,
-            path_length=path_length,
-            cn2=cn2,
-            pupil=SoftGaussian(radius=radius),
-        )
-    )
-    vacuum = derive(
-        ChannelConfig(
-            wavelength=wavelength,
-            path_length=path_length,
-            cn2=0.0,
-            pupil=SoftGaussian(radius=radius),
-        )
-    )
-    eta_sq = gaussian_pib_turb(ch)
-    eta_53 = gaussian_pib_53(ch)
-    eta_vac = gaussian_pib_turb(vacuum)
-    return path_length, cn2, eta_sq, eta_53, eta_vac
+def _validate_point(config: RunConfig, path_length: float, cn2: float):
+    ch = _channel(config, path_length, cn2, "lg")
+    # The vacuum power-in-bucket depends on the channel only through its
+    # Fresnel product, which does not depend on cn2.
+    eta_vac = lg_vacuum_eta(1, ch.fresnel_product)
+    return gaussian_pib_turb(ch), gaussian_pib_53(ch), eta_vac
 
 
-def _pool_map(worker, args_list: List, jobs: int) -> List:
-    """Order-preserving map, inline when one worker suffices."""
-    if jobs <= 1 or len(args_list) <= 1:
-        return [worker(args) for args in args_list]
+def _pool_map(worker, tasks: List[tuple], jobs: int) -> List:
+    """Order-preserving ``worker(*task)`` per task, inline when one worker suffices."""
+    if jobs <= 1 or len(tasks) <= 1:
+        return [worker(*task) for task in tasks]
     with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(worker, args_list))
+        return list(pool.map(worker, *zip(*tasks)))
 
 
 # --------------------------------------------------------------------------
@@ -409,16 +356,15 @@ def _pool_map(worker, args_list: List, jobs: int) -> List:
 
 def cmd_transmissivity(config: RunConfig, jobs: int = 1) -> str:
     """Single-beam average transmissivities; CSV text."""
-    side = config.resolved_square_side()
     tasks = [
-        (config.wavelength, config.gauss_radius, side, path_length, cn2)
+        (config, path_length, cn2)
         for path_length in config.resolved_path_lengths()
         for cn2 in config.resolved_cn2(include_vacuum=True)
     ]
     log.info("transmissivity: %d points", len(tasks))
     results = _pool_map(_transmissivity_point, tasks, jobs)
     lines = ["L_m,cn2,eta_fb,eta_gauss"]
-    for path_length, cn2, eta_fb, eta_gauss in results:
+    for (_, path_length, cn2), (eta_fb, eta_gauss) in zip(tasks, results):
         lines.append(
             f"{_REAL % path_length},{_REAL % cn2},{_REAL % eta_fb},{_REAL % eta_gauss}"
         )
@@ -427,20 +373,8 @@ def cmd_transmissivity(config: RunConfig, jobs: int = 1) -> str:
 
 def cmd_rates(config: RunConfig, jobs: int = 1) -> Tuple[str, bool]:
     """Optimized rate envelopes; returns (CSV text, all rows succeeded)."""
-    side = config.resolved_square_side()
     tasks = [
-        (
-            config.wavelength,
-            config.gauss_radius,
-            side,
-            path_length,
-            cn2,
-            family,
-            config.qkd,
-            config.optimizer,
-            config.n_max,
-            config.q_max,
-        )
+        (config, path_length, cn2, family)
         for path_length in config.resolved_path_lengths()
         for cn2 in config.resolved_cn2(include_vacuum=False)
         for family in ("lg", "fb")
@@ -480,7 +414,7 @@ def cmd_validate(config: RunConfig, jobs: int = 1) -> Tuple[str, bool]:
     else:
         path_lengths = (10e3, 30e3, 100e3)
     tasks = [
-        (config.wavelength, config.gauss_radius, path_length, cn2)
+        (config, path_length, cn2)
         for path_length in path_lengths
         for cn2 in config.resolved_cn2(include_vacuum=True)
     ]
@@ -488,7 +422,7 @@ def cmd_validate(config: RunConfig, jobs: int = 1) -> Tuple[str, bool]:
     results = _pool_map(_validate_point, tasks, jobs)
     lines = ["L_m,cn2,eta_square_law,eta_five_thirds,eta_vacuum,rel_gap,status"]
     all_pass = True
-    for path_length, cn2, eta_sq, eta_53, eta_vac in results:
+    for (_, path_length, cn2), (eta_sq, eta_53, eta_vac) in zip(tasks, results):
         rel_gap = (eta_53 - eta_sq) / eta_53 if eta_53 > 0 else 0.0
         if cn2 == 0.0:
             ok = abs(eta_53 - eta_sq) <= 1e-4 * eta_sq and eta_53 <= eta_vac * (1 + 1e-9)
@@ -527,10 +461,16 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    logging.basicConfig(
-        level=os.environ.get("FSO_QKD_LOG", "WARNING").upper(),
-        format="%(levelname)s %(name)s: %(message)s",
-    )
+    level = os.environ.get("FSO_QKD_LOG", "WARNING")
+    # getLevelName maps a known level name to its number, anything else to a str.
+    if not isinstance(logging.getLevelName(level.upper()), int):
+        print(
+            f"fsoqkd: FSO_QKD_LOG={level!r} is not a log level; "
+            "use debug, info, warning, error or critical",
+            file=sys.stderr,
+        )
+        return 2
+    logging.basicConfig(level=level.upper(), format="%(levelname)s %(name)s: %(message)s")
     args = _build_parser().parse_args(argv)
     if args.jobs < 1:
         print("fsoqkd: --jobs must be >= 1", file=sys.stderr)

@@ -484,9 +484,11 @@ def scan(
     channel capacity bound C = -nu * sum_q log2(1 - eta_q) evaluated on
     the vacuum LG transmissivities: turbulence with a passive receiver
     cannot beat the pure-loss bound, so the vacuum figure is the binding
-    one at every cn2.  Per-point failures (a :class:`RuntimeError` such
-    as a :class:`QuadratureError`, or a :class:`ValueError`) are recorded
-    in the row and the scan continues; any other exception propagates.
+    one at every cn2.  It depends on the channel only through the Fresnel
+    product, so the row's own channel serves at any cn2.  Per-point
+    failures (a :class:`RuntimeError` such as a :class:`QuadratureError`,
+    or a :class:`ValueError`) are recorded in the row and the scan
+    continues; any other exception propagates.
     """
     if not points:
         raise ValueError("empty scan")
@@ -501,33 +503,21 @@ def scan(
             error: Optional[str] = None
             try:
                 if family == "lg":
-                    vac = derive(
-                        ChannelConfig(
-                            wavelength=geometry.wavelength,
-                            path_length=path_length,
-                            cn2=0.0,
-                            pupil=SoftGaussian(radius=geometry.gauss_radius),
-                        )
+                    pupil = SoftGaussian(radius=geometry.gauss_radius)
+                else:
+                    pupil = HardSquare(side=geometry.square_side)
+                ch = derive(
+                    ChannelConfig(
+                        wavelength=geometry.wavelength,
+                        path_length=path_length,
+                        cn2=cn2,
+                        pupil=pupil,
                     )
-                    capacity = lg_vacuum_capacity(vac, params.pulse_rate)
-                    ch = derive(
-                        ChannelConfig(
-                            wavelength=geometry.wavelength,
-                            path_length=path_length,
-                            cn2=cn2,
-                            pupil=SoftGaussian(radius=geometry.gauss_radius),
-                        )
-                    )
+                )
+                if family == "lg":
+                    capacity = lg_vacuum_capacity(ch, params.pulse_rate)
                     point = lg_envelope(ch, params, q_max, opts)
                 else:
-                    ch = derive(
-                        ChannelConfig(
-                            wavelength=geometry.wavelength,
-                            path_length=path_length,
-                            cn2=cn2,
-                            pupil=HardSquare(side=geometry.square_side),
-                        )
-                    )
                     point = fb_envelope(ch, params, range(1, n_max + 1), opts)
             except (RuntimeError, ValueError) as exc:
                 error = f"{type(exc).__name__}: {exc}"

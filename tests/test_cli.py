@@ -113,6 +113,12 @@ def test_unknown_key_reports_line(tmp_path):
     assert f"{path}:3: unknown key 'bogus' in section [channel]" in str(err.value)
 
 
+def test_section_names_ignore_case(tmp_path):
+    path = tmp_path / "run.ini"
+    path.write_text("[Channel]\npath_lengths = 3 km\n")
+    assert load_config(str(path)).path_lengths == (3000.0,)
+
+
 def test_unknown_section_reports_line(tmp_path):
     path = tmp_path / "bad.ini"
     path.write_text("[wibble]\nx = 1\n")
@@ -126,8 +132,9 @@ def test_exclusive_path_keys(tmp_path):
     path.write_text(
         "[channel]\npath_lengths = 1 km\npath_log_range = 1 km:2 km:3\n"
     )
-    with pytest.raises(ConfigError, match="exclusive"):
+    with pytest.raises(ConfigError, match="exclusive") as err:
         load_config(str(path))
+    assert str(err.value).startswith(f"{path}:1: ")
 
 
 def test_path_log_range(tmp_path):
@@ -149,15 +156,75 @@ def test_path_log_range(tmp_path):
 
 def test_invalid_values_rejected(tmp_path):
     path = tmp_path / "bad.ini"
-    path.write_text("[qkd]\nvisibility = 2\n")
-    with pytest.raises(ConfigError, match=r"\[qkd\]"):
-        load_config(str(path))
-    path.write_text("[turbulence]\ncn2_values = -1e-15\n")
-    with pytest.raises(ConfigError, match="cn2"):
-        load_config(str(path))
-    path.write_text("[planner]\nq_max = 0\n")
-    with pytest.raises(ConfigError, match="q_max"):
-        load_config(str(path))
+    for text, lineno, pattern in (
+        # Cross-key validators cite the section header's line.
+        ("[qkd]\ndark_count = 1e-6\nvisibility = 2\n", 1, r"\[qkd\]"),
+        ("[channel]\nwavelength = 1 um\n[planner]\nmax_sweeps = 0\n", 3, "sweep"),
+        # Single-key checks cite the key's line.
+        ("[turbulence]\ncn2_values = -1e-15\n", 2, "cn2"),
+        ("[planner]\nn_max = 2\nq_max = 0\n", 3, "q_max"),
+        ("[channel]\npath_lengths = 1 km, inf\n", 2, "path_lengths"),
+        ("[channel]\nsquare_side = 0 cm\n", 2, "must be > 0"),
+    ):
+        path.write_text(text)
+        with pytest.raises(ConfigError, match=pattern) as err:
+            load_config(str(path))
+        assert str(err.value).startswith(f"{path}:{lineno}: "), text
+
+
+@pytest.mark.parametrize("command", ["transmissivity", "rates", "validate"])
+@pytest.mark.parametrize(
+    "section,key,value", [("channel", "path_lengths", ","), ("turbulence", "cn2_values", "")]
+)
+def test_empty_grid_exits_2(tmp_path, capsys, section, key, value, command):
+    path = tmp_path / "empty.ini"
+    path.write_text(f"[{section}]\n{key} = {value}\n")
+    out = tmp_path / "out.csv"
+    assert main(["--config", str(path), "--out", str(out), command]) == 2
+    assert f"{path}:2: {section}.{key}: empty list" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_bad_log_level_exits_2(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("FSO_QKD_LOG", "verbose")
+    out = tmp_path / "out.csv"
+    assert main(["--out", str(out), "transmissivity"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("fsoqkd: FSO_QKD_LOG='verbose'")
+    assert "debug, info, warning, error or critical" in err
+    assert not out.exists()
+
+
+# One valid non-default value per config key.
+_NON_DEFAULT = {
+    ("channel", "wavelength"): "1 um",
+    ("channel", "gauss_radius"): "5 cm",
+    ("channel", "square_side"): "20 cm",
+    ("channel", "path_lengths"): "2 km",
+    ("channel", "path_log_range"): "1 km : 2 km : 2",
+    ("turbulence", "cn2_values"): "1e-14",
+    ("qkd", "visibility"): "0.9",
+    ("qkd", "dark_count"): "1e-5",
+    ("qkd", "pulse_rate"): "1e9",
+    ("qkd", "error_correction_factor"): "1.2",
+    ("qkd", "sifting_factor"): "0.25",
+    ("planner", "n_max"): "3",
+    ("planner", "q_max"): "3",
+    ("planner", "mu_min"): "1e-5",
+    ("planner", "mu_max"): "1.0",
+    ("planner", "rel_tol"): "1e-5",
+    ("planner", "max_sweeps"): "10",
+    ("output", "path"): "x.csv",
+}
+
+
+@pytest.mark.parametrize(
+    "section,key", [(section, key) for section, keys in cli._KEYS.items() for key in keys]
+)
+def test_no_config_key_is_a_no_op(tmp_path, section, key):
+    path = tmp_path / "one.ini"
+    path.write_text(f"[{section}]\n{key} = {_NON_DEFAULT[section, key]}\n")
+    assert load_config(str(path)) != load_config(None)
 
 
 def test_quad_base_order_is_unknown_key(tmp_path, capsys):
@@ -317,9 +384,18 @@ def test_cmd_validate_small_grid():
     assert float(turb_cells[5]) >= 0.0
 
 
-def test_jobs_parallel_matches_serial():
-    cfg = small_config(path_lengths=(1e3, 3e3), cn2_values=(0.0,))
-    assert cmd_transmissivity(cfg, jobs=2) == cmd_transmissivity(cfg, jobs=1)
+@pytest.mark.parametrize(
+    "command,overrides",
+    [
+        (cmd_transmissivity, dict(path_lengths=(1e3, 3e3), cn2_values=(0.0,))),
+        (cmd_rates, dict(path_lengths=(10e3,), cn2_values=(1e-14,), n_max=1, q_max=1)),
+        (cmd_validate, dict(path_lengths=(10e3,), cn2_values=(0.0, 1e-14))),
+    ],
+    ids=["transmissivity", "rates", "validate"],
+)
+def test_jobs_parallel_matches_serial(command, overrides):
+    cfg = small_config(**overrides)
+    assert command(cfg, jobs=2) == command(cfg, jobs=1)
 
 
 def test_jobs_default_follows_cpu_affinity():
