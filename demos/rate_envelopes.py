@@ -60,7 +60,7 @@ def main():
             fb = fb_envelope(
                 channel(path_length, cn2, HardSquare(side=side)),
                 params,
-                n_range=range(1, args.n_max + 1),
+                n_max=args.n_max,
             )
             lg_cfg = "-" if lg.config is None else str(lg.config)
             row += f" {lg.total_rate_bps:>12.4e} {lg_cfg:>4} {fb.total_rate_bps:>12.4e} {fb.config:>4}"

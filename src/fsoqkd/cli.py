@@ -35,6 +35,7 @@ import math
 import os
 import re
 import sys
+from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -481,26 +482,28 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"fsoqkd: {exc}", file=sys.stderr)
         return 2
 
-    status = 0
-    if args.command == "transmissivity":
-        text = cmd_transmissivity(config, args.jobs)
-    elif args.command == "rates":
-        text, clean = cmd_rates(config, args.jobs)
-        status = 0 if clean else 1
-    else:
-        text, all_pass = cmd_validate(config, args.jobs)
-        status = 0 if all_pass else 1
-        print(
-            f"validate: {'all points passed' if all_pass else 'some points FAILED'}",
-            file=sys.stderr,
-        )
-
+    # Open the output before any work, so an unwritable path costs no compute.
     out_path = args.out or config.output_path
-    if out_path:
-        with open(out_path, "w", encoding="utf-8", newline="") as handle:
-            handle.write(text)
-    else:
-        sys.stdout.write(text)
+    try:
+        out = open(out_path, "w", encoding="utf-8", newline="") if out_path else None
+    except OSError as exc:
+        print(f"fsoqkd: cannot write {out_path}: {exc.strerror or exc}", file=sys.stderr)
+        return 2
+    with out or nullcontext(sys.stdout) as handle:
+        status = 0
+        if args.command == "transmissivity":
+            text = cmd_transmissivity(config, args.jobs)
+        elif args.command == "rates":
+            text, clean = cmd_rates(config, args.jobs)
+            status = 0 if clean else 1
+        else:
+            text, all_pass = cmd_validate(config, args.jobs)
+            status = 0 if all_pass else 1
+            print(
+                f"validate: {'all points passed' if all_pass else 'some points FAILED'}",
+                file=sys.stderr,
+            )
+        handle.write(text)
     return status
 
 

@@ -2,14 +2,15 @@
 
 Every 1-D integral in the package runs on one Gauss-Legendre rule with an
 order-doubling error check: callers state a tolerance and get either a
-value that met it or a :class:`QuadratureError`.
+value that met it or a :class:`QuadratureError`.  LG modes are enumerated
+in one place, :func:`lg_modes_of_order`, whose order the LG mode lists
+and the LG-to-HG unitaries share.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from typing import Callable, Tuple
 
 import numpy as np
@@ -18,7 +19,7 @@ __all__ = [
     "QuadratureError",
     "hg_sample",
     "integrate_1d",
-    "BasisChangeMatrix",
+    "lg_modes_of_order",
     "lg_hg_unitary",
 ]
 
@@ -92,36 +93,6 @@ def integrate_1d(
     )
 
 
-@dataclass(frozen=True)
-class BasisChangeMatrix:
-    """Unitary expressing Laguerre-Gauss modes in the Hermite-Gauss basis.
-
-    For total order ``order`` (= 2p + |l| = n + m), row ``i`` holds the
-    coefficients of LG mode ``lg_modes[i]`` over the HG modes
-    (n, order - n) for n = 0..order, where n counts the x index:
-
-        LG_{p,l} = sum_n matrix[i, n] * HG_{n, order-n}.
-    """
-
-    order: int
-    lg_modes: Tuple[Tuple[int, int], ...]
-    matrix: np.ndarray
-
-    def row(self, p: int, l: int) -> np.ndarray:
-        return self.matrix[self.lg_modes.index((p, l))]
-
-
-def _poly_coeffs_one_minus_t_one_plus_t(n: int, m: int) -> list:
-    """Integer coefficients of (1 - t)^n (1 + t)^m, ascending powers."""
-    a = [math.comb(n, j) * (-1) ** j for j in range(n + 1)]
-    b = [math.comb(m, j) for j in range(m + 1)]
-    out = [0] * (n + m + 1)
-    for i, ai in enumerate(a):
-        for j, bj in enumerate(b):
-            out[i + j] += ai * bj
-    return out
-
-
 def lg_modes_of_order(order: int) -> Tuple[Tuple[int, int], ...]:
     """(p, l) pairs with 2p + |l| = order, sorted by ascending l."""
     return tuple(
@@ -129,11 +100,17 @@ def lg_modes_of_order(order: int) -> Tuple[Tuple[int, int], ...]:
     )
 
 
-def lg_hg_unitary(order: int) -> BasisChangeMatrix:
-    """Basis change between same-order LG and HG mode sets.
+def lg_hg_unitary(order: int) -> np.ndarray:
+    """Unitary expressing same-order LG modes in the HG basis.
+
+    For total order N = ``order`` (= 2p + |l| = n + m), row i holds the
+    coefficients of LG mode ``lg_modes_of_order(N)[i]`` over the HG modes
+    (N - k, k), stored in column N - k, the x index:
+
+        LG_{p,l} = sum_k U[i, N - k] * HG_{N-k, k}.
 
     The coefficient of HG_{N-k, k} in LG_{p,l} is (-1)^p i^k b(n, m, k)
-    with n = p + max(-l, 0), m = p + max(l, 0), N = n + m and
+    with n = p + max(-l, 0), m = p + max(l, 0) and
 
         b(n, m, k) = sqrt((N-k)! k! / (2^N n! m!)) [t^k] (1-t)^n (1+t)^m,
 
@@ -141,25 +118,26 @@ def lg_hg_unitary(order: int) -> BasisChangeMatrix:
     theta measured from +x toward +y).  The (-1)^p row phase pins the
     radial convention where L_p^{|l|} enters with a positive leading
     sign; the whole matrix is validated against direct 2-D overlap
-    integrals of the sampled mode patterns.
+    integrals of the sampled mode patterns.  Factorials and binomials are
+    exact integers until each is rounded once to float.
     """
     if order < 0:
         raise ValueError(f"order must be >= 0, got {order}")
-    modes = lg_modes_of_order(order)
-    mat = np.zeros((order + 1, order + 1), dtype=complex)
-    for row, (p, l) in enumerate(modes):
+    ks = np.arange(order + 1)
+    fact = np.array([math.factorial(k) for k in ks], dtype=object)
+    root_fact = np.sqrt((fact[::-1] * fact).astype(float))
+    phase = np.array([1, 1j, -1, -1j])[ks % 4]
+    mat = np.empty((order + 1, order + 1), dtype=complex)
+    for row, (p, l) in enumerate(lg_modes_of_order(order)):
         n = p + max(-l, 0)
         m = p + max(l, 0)
-        coeffs = _poly_coeffs_one_minus_t_one_plus_t(n, m)
+        coeffs = np.convolve(
+            np.array([(-1) ** j * math.comb(n, j) for j in range(n + 1)], dtype=object),
+            np.array([math.comb(m, j) for j in range(m + 1)], dtype=object),
+        ).astype(float)
         norm = (-1.0) ** p / math.sqrt(
             2 ** order * math.factorial(n) * math.factorial(m)
         )
-        for k in range(order + 1):
-            b = (
-                math.sqrt(math.factorial(order - k) * math.factorial(k))
-                * coeffs[k]
-                * norm
-            )
-            # HG_{N-k, k}: x index is N - k.
-            mat[row, order - k] = (1j) ** k * b
-    return BasisChangeMatrix(order=order, lg_modes=modes, matrix=mat)
+        # HG_{N-k, k}: x index is N - k.
+        mat[row, ::-1] = phase * (root_fact * coeffs * norm)
+    return mat

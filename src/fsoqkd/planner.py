@@ -9,7 +9,10 @@ initial points.
 
 The envelope operations additionally maximize over the mode-set
 configuration itself: the focused-beam grid size N, or the LG order cap Q
-against the single-beam power-in-bucket fallback.
+against the single-beam power-in-bucket fallback.  Both run one rule,
+:func:`_envelope`: optimize each candidate configuration in turn and keep
+the first strictly best, so ties go to the smaller configuration and the
+fallback, the last LG candidate, wins only when strictly better.
 """
 
 from __future__ import annotations
@@ -161,37 +164,27 @@ class ScanRow:
 # --------------------------------------------------------------------------
 
 
-def _fb_canonical(pixel: FBPixel) -> Tuple[int, int]:
-    """Least (n, m) image of a pixel under the square grid's symmetries."""
-    n_grid = pixel.grid
-    images = []
-    for a, b in ((pixel.n, pixel.m), (pixel.m, pixel.n)):
-        for aa in (a, n_grid + 1 - a):
-            for bb in (b, n_grid + 1 - b):
-                images.append((aa, bb))
-    return min(images)
-
-
 def orbit_classes(modes: Sequence[ModeId]) -> Tuple[Tuple[int, ...], ...]:
     """Partition modes into classes sharing one power level.
 
     FB pixels are grouped by the dihedral symmetry of the square grid
-    (corner, edge, interior, ... classes); LG modes by (order, |l|).  The
-    coupling matrices are exactly invariant under these groups, so an
-    optimal allocation may be sought within the constrained set.
+    (corner, edge, interior, ... classes), keyed by the sorted pair of
+    their distances to the nearest grid edge in each axis; LG modes by
+    (order, |l|).  The coupling matrices are exactly invariant under these
+    groups, so an optimal allocation may be sought within the constrained
+    set.  Classes are listed by their first mode.
     """
-    keys: List[object] = []
-    for mode in modes:
+    classes: Dict[object, List[int]] = {}
+    for i, mode in enumerate(modes):
         if isinstance(mode, FBPixel):
-            keys.append(("fb", _fb_canonical(mode)))
+            edge = (min(mode.n - 1, mode.grid - mode.n), min(mode.m - 1, mode.grid - mode.m))
+            key: object = ("fb", min(edge), max(edge))
         elif isinstance(mode, LGMode):
-            keys.append(("lg", mode.order, abs(mode.l)))
+            key = ("lg", mode.order, abs(mode.l))
         else:
             raise TypeError(f"no symmetry class defined for {mode!r}")
-    classes: Dict[object, List[int]] = {}
-    for i, key in enumerate(keys):
         classes.setdefault(key, []).append(i)
-    return tuple(tuple(v) for _, v in sorted(classes.items(), key=lambda kv: kv[1][0]))
+    return tuple(tuple(v) for v in classes.values())
 
 
 # --------------------------------------------------------------------------
@@ -370,57 +363,45 @@ def optimize_allocation(
 # --------------------------------------------------------------------------
 
 
-def fb_envelope(
+def _envelope(
     ch: DerivedChannel,
+    candidates: Iterable[Tuple[str, Optional[int], CouplingMatrix]],
     params: QkdSystemParams,
-    n_range: Iterable[int] = range(1, 9),
-    opts: Optional[OptimizerOptions] = None,
+    opts: Optional[OptimizerOptions],
 ) -> RatePoint:
-    """Best focused-beam operating point over grid sizes N in ``n_range``."""
-    if not isinstance(ch.pupil, HardSquare):
-        raise ValueError("focused-beam envelope requires hard square pupils")
+    """Best optimized operating point over ``(mode_set, config, matrix)``
+    candidates; a later candidate replaces the best only when strictly
+    better, so ties go to the earliest."""
     best: Optional[RatePoint] = None
-    for n_grid in n_range:
-        if ch.cn2 == 0.0:
-            matrix = fb_vacuum_matrix(n_grid, ch)
-        else:
-            matrix = fb_turb_matrix(n_grid, ch)
+    for mode_set, config, matrix in candidates:
         alloc, rate = optimize_allocation(matrix, params, opts)
-        point = RatePoint(
-            path_length=ch.path_length,
-            cn2=ch.cn2,
-            mode_set="fb",
-            config=n_grid,
-            total_rate_bps=rate,
-            allocation=alloc,
-        )
-        if best is None or point.total_rate_bps > best.total_rate_bps:
-            best = point
-    if best is None:
-        raise ValueError("empty grid-size range")
+        if best is None or rate > best.total_rate_bps:
+            best = RatePoint(
+                path_length=ch.path_length,
+                cn2=ch.cn2,
+                mode_set=mode_set,
+                config=config,
+                total_rate_bps=rate,
+                allocation=alloc,
+            )
+    assert best is not None, "an envelope has at least one candidate"
     return best
 
 
-def _pib_point(
-    ch: DerivedChannel, params: QkdSystemParams, opts: Optional[OptimizerOptions]
+def fb_envelope(
+    ch: DerivedChannel,
+    params: QkdSystemParams,
+    n_max: int = 8,
+    opts: Optional[OptimizerOptions] = None,
 ) -> RatePoint:
-    """Single focused Gaussian beam aimed at the whole receiver bucket."""
-    eta = gaussian_pib_turb(ch)
-    modes = (LGMode(p=0, l=0),)
-    matrix = CouplingMatrix(
-        modes=modes,
-        eta=np.array([[eta]]),
-        provenance="vacuum" if ch.cn2 == 0.0 else "square-law",
-    )
-    alloc, rate = optimize_allocation(matrix, params, opts)
-    return RatePoint(
-        path_length=ch.path_length,
-        cn2=ch.cn2,
-        mode_set="gaussian-pib",
-        config=None,
-        total_rate_bps=rate,
-        allocation=alloc,
-    )
+    """Best focused-beam operating point over grid sizes N = 1..n_max."""
+    if not isinstance(ch.pupil, HardSquare):
+        raise ValueError("focused-beam envelope requires hard square pupils")
+    if n_max < 1:
+        raise ValueError(f"n_max must be >= 1, got {n_max}")
+    matrix = fb_vacuum_matrix if ch.cn2 == 0.0 else fb_turb_matrix
+    candidates = (("fb", n_grid, matrix(n_grid, ch)) for n_grid in range(1, n_max + 1))
+    return _envelope(ch, candidates, params, opts)
 
 
 def lg_envelope(
@@ -436,32 +417,20 @@ def lg_envelope(
         raise ValueError("LG envelope requires soft Gaussian pupils")
     if q_max < 1:
         raise ValueError(f"q_max must be >= 1, got {q_max}")
-    if ch.cn2 == 0.0:
-        full = lg_vacuum_matrix(q_max, ch)
-    else:
-        full = lg_turb_matrix(q_max, ch)
-    best: Optional[RatePoint] = None
-    for q in range(1, q_max + 1):
-        k = q * (q + 1) // 2
-        sub = CouplingMatrix(
-            modes=full.modes[:k], eta=full.eta[:k, :k], provenance=full.provenance
+    full = (lg_vacuum_matrix if ch.cn2 == 0.0 else lg_turb_matrix)(q_max, ch)
+
+    def candidates():
+        for q in range(1, q_max + 1):
+            k = q * (q + 1) // 2
+            yield "lg", q, CouplingMatrix(
+                modes=full.modes[:k], eta=full.eta[:k, :k], provenance=full.provenance
+            )
+        pib = np.array([[gaussian_pib_turb(ch)]])
+        yield "gaussian-pib", None, CouplingMatrix(
+            modes=(LGMode(p=0, l=0),), eta=pib, provenance=full.provenance
         )
-        alloc, rate = optimize_allocation(sub, params, opts)
-        point = RatePoint(
-            path_length=ch.path_length,
-            cn2=ch.cn2,
-            mode_set="lg",
-            config=q,
-            total_rate_bps=rate,
-            allocation=alloc,
-        )
-        if best is None or point.total_rate_bps > best.total_rate_bps:
-            best = point
-    assert best is not None
-    pib = _pib_point(ch, params, opts)
-    if pib.total_rate_bps > best.total_rate_bps:
-        best = pib
-    return best
+
+    return _envelope(ch, candidates(), params, opts)
 
 
 # --------------------------------------------------------------------------
@@ -518,10 +487,9 @@ def scan(
                     capacity = lg_vacuum_capacity(ch, params.pulse_rate)
                     point = lg_envelope(ch, params, q_max, opts)
                 else:
-                    point = fb_envelope(ch, params, range(1, n_max + 1), opts)
+                    point = fb_envelope(ch, params, n_max, opts)
             except (RuntimeError, ValueError) as exc:
                 error = f"{type(exc).__name__}: {exc}"
-                point = None
             rows.append(
                 ScanRow(
                     path_length=path_length,

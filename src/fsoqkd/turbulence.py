@@ -299,7 +299,7 @@ def lg_turb_matrix(q_max: int, ch: DerivedChannel) -> CouplingMatrix:
     span = range(q_max)
     mom = hg_second_moments(ch, (q_max,) * 4)
     rows = [slice(n * (n + 1) // 2, (n + 1) * (n + 2) // 2) for n in span]
-    unitaries = [lg_hg_unitary(n).matrix for n in span]
+    unitaries = [lg_hg_unitary(n) for n in span]
 
     eta = np.zeros((len(modes), len(modes)))
     worst_imag = 0.0

@@ -16,12 +16,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, List, Tuple, Union
+from typing import Iterable, Tuple, Union
 
 import numpy as np
 
 from .channel import DerivedChannel, HardSquare, SoftGaussian
-from .numerics import integrate_1d
+from .numerics import integrate_1d, lg_modes_of_order
 
 __all__ = [
     "LGMode",
@@ -31,7 +31,6 @@ __all__ = [
     "mode_label",
     "lg_vacuum_eta",
     "lg_modes_up_to",
-    "lg_mode_count",
     "lg_mode_scale",
     "lg_vacuum_matrix",
     "fb_pixel_grid",
@@ -170,22 +169,16 @@ def lg_vacuum_eta(q: int, fresnel_product: float) -> float:
 
 
 def lg_modes_up_to(q_max: int) -> Tuple[LGMode, ...]:
-    """All LG modes with order <= q_max, sorted by (order, l)."""
+    """All LG modes with order <= q_max, sorted by (order, l).
+
+    Order q holds the q modes of :func:`lg_modes_of_order` (q - 1), so the
+    modes of orders <= Q are the leading Q (Q + 1) / 2 entries.
+    """
     if q_max < 1:
         raise ValueError(f"q_max must be >= 1, got {q_max}")
-    modes: List[LGMode] = []
-    for q in range(1, q_max + 1):
-        top = q - 1
-        for l in range(-top, top + 1, 2):
-            modes.append(LGMode(p=(top - abs(l)) // 2, l=l))
-    return tuple(modes)
-
-
-def lg_mode_count(q_max: int) -> int:
-    """Number of LG modes with order <= q_max; each order q holds q modes."""
-    if q_max < 1:
-        raise ValueError(f"q_max must be >= 1, got {q_max}")
-    return q_max * (q_max + 1) // 2
+    return tuple(
+        LGMode(p=p, l=l) for top in range(q_max) for p, l in lg_modes_of_order(top)
+    )
 
 
 def lg_mode_scale(ch: DerivedChannel) -> float:
@@ -256,6 +249,8 @@ def fb_axis(n_grid: int, ch: DerivedChannel, damp: float = 0.0) -> np.ndarray:
     autocorrelation of the far-field pattern, damped by turbulence.  With
     ``damp`` = 0 it is the vacuum overlap of the sinc^2 pattern with pixel d.
     """
+    if n_grid < 1:
+        raise ValueError(f"n_grid must be >= 1, got {n_grid}")
     c = math.sqrt(ch.fresnel_product) / n_grid
     d = np.arange(n_grid)[:, None]
 
@@ -277,6 +272,9 @@ def fb_vacuum_matrix(n_grid: int, ch: DerivedChannel) -> CouplingMatrix:
 # Capacity bound
 # --------------------------------------------------------------------------
 
+# Order budget of the LG capacity series.
+_CAPACITY_ORDERS = 200000
+
 
 def qkd_capacity(etas: Iterable[float], nu: float) -> float:
     """Secret-key capacity bound -nu * sum log2(1 - eta) over parallel modes."""
@@ -290,11 +288,13 @@ def qkd_capacity(etas: Iterable[float], nu: float) -> float:
     return nu * total
 
 
-def lg_vacuum_capacity(ch: DerivedChannel, nu: float, tail_tol: float = 1e-16) -> float:
+def lg_vacuum_capacity(ch: DerivedChannel, nu: float) -> float:
     """Capacity bound over the full vacuum LG spectrum with order degeneracy.
 
-    Sums -q * log2(1 - base^q) until the remaining geometric tail is
-    negligible relative to the accumulated value.
+    Sums -q * log2(1 - base^q) until the remaining geometric tail is below
+    1e-16 of the accumulated value.  Near-field links (large D_f, base
+    close to 1) that need more than 200000 orders raise
+    :class:`RuntimeError` rather than return a truncated sum.
     """
     if nu <= 0:
         raise ValueError(f"pulse rate must be > 0, got {nu}")
@@ -302,13 +302,13 @@ def lg_vacuum_capacity(ch: DerivedChannel, nu: float, tail_tol: float = 1e-16) -
     if base == 0.0:
         return 0.0
     total = 0.0
-    q = 1
-    while True:
-        term = -q * math.log2(1.0 - base ** q)
-        total += term
+    for q in range(1, _CAPACITY_ORDERS + 1):
+        total -= q * math.log2(1.0 - base ** q)
         # Remaining tail is below sum_{j>q} j base^j / ln 2.
         tail = base ** (q + 1) * (q + 1 + base) / ((1 - base) ** 2 * math.log(2))
-        if tail < tail_tol * total or q > 200000:
-            break
-        q += 1
-    return nu * total
+        if tail < 1e-16 * total:
+            return nu * total
+    raise RuntimeError(
+        f"lg_vacuum_capacity: the sum over LG orders did not converge within "
+        f"{_CAPACITY_ORDERS} orders at D_f = {ch.fresnel_product:.6g}"
+    )

@@ -72,6 +72,28 @@ def lg_hg_overlap_matrix(order: int, grid: int = 512, half: float = 8.0) -> np.n
     return out
 
 
+def lg_hg_unitary_scalar(order: int) -> np.ndarray:
+    """The closed-form LG-to-HG coefficients, one element at a time.
+
+    Same formula and arithmetic order as ``fsoqkd.numerics.lg_hg_unitary``
+    with Python integers throughout, so the two must agree bit for bit.
+    """
+    mat = np.zeros((order + 1, order + 1), dtype=complex)
+    for row, l in enumerate(range(-order, order + 1, 2)):
+        p = (order - abs(l)) // 2
+        n, m = p + max(-l, 0), p + max(l, 0)
+        norm = (-1.0) ** p / math.sqrt(2 ** order * math.factorial(n) * math.factorial(m))
+        for k in range(order + 1):
+            # [t^k] (1 - t)^n (1 + t)^m
+            coeff = sum(
+                (-1) ** j * math.comb(n, j) * math.comb(m, k - j)
+                for j in range(max(0, k - m), min(n, k) + 1)
+            )
+            b = math.sqrt(math.factorial(order - k) * math.factorial(k)) * coeff * norm
+            mat[row, order - k] = (1j) ** k * b
+    return mat
+
+
 def tensor_gl_4d(f, box, order: int) -> complex:
     """Tensor-product Gauss-Legendre rule over a 4-D box, summed point by point.
 

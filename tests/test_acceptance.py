@@ -67,7 +67,7 @@ def crossover_rates():
     out = {}
     for path_length, cn2 in ((10e3, 1e-13), (50e3, 1e-13), (1e3, 1e-15)):
         lg = lg_envelope(gauss_channel(path_length, cn2), params, q_max=8)
-        fb = fb_envelope(square_channel(path_length, cn2), params, range(1, 9))
+        fb = fb_envelope(square_channel(path_length, cn2), params, n_max=8)
         out[(path_length, cn2)] = (lg.total_rate_bps, fb.total_rate_bps)
     return out
 
@@ -98,7 +98,7 @@ def test_criterion_02_basis_change_unitary_and_grid_oracle():
     worst_unitary = 0.0
     worst_overlap = 0.0
     for order in range(11):
-        u = lg_hg_unitary(order).matrix
+        u = lg_hg_unitary(order)
         eye = u @ u.conj().T
         worst_unitary = max(worst_unitary, float(np.max(np.abs(eye - np.eye(order + 1)))))
         ref = oracles.lg_hg_overlap_matrix(order)
@@ -198,8 +198,8 @@ def test_criterion_06_structure_function_ordering():
 
 def test_criterion_07_vacuum_fb_envelope_grid_sizes():
     params = QkdSystemParams()
-    near = fb_envelope(square_channel(1e3, 0.0), params, range(1, 9))
-    far = fb_envelope(square_channel(100e3, 0.0), params, range(1, 9))
+    near = fb_envelope(square_channel(1e3, 0.0), params, n_max=8)
+    far = fb_envelope(square_channel(100e3, 0.0), params, n_max=8)
     ok = near.config == 8 and far.config == 1
     assert report(
         7,

@@ -432,6 +432,21 @@ def test_main_exit_codes_and_output(tmp_path, capsys):
     assert vout.read_text().splitlines()[1].endswith(",pass")
 
 
+@pytest.mark.parametrize("command", ["transmissivity", "rates", "validate"])
+def test_unwritable_output_exits_2_before_any_work(tmp_path, capsys, monkeypatch, command):
+    calls = []
+    for name in ("cmd_transmissivity", "cmd_rates", "cmd_validate"):
+        monkeypatch.setattr(cli, name, lambda *args, name=name: calls.append(name))
+    bad = tmp_path / "no" / "such" / "x.csv"
+    ini = tmp_path / "run.ini"
+    ini.write_text(f"[output]\npath = {bad}\n")
+    for argv in (["--out", str(bad), command], ["--config", str(ini), command]):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err == f"fsoqkd: cannot write {bad}: No such file or directory\n"
+    assert calls == []
+
+
 def test_main_writes_config_output_path(tmp_path, monkeypatch):
     out = tmp_path / "from_config.csv"
     ini = tmp_path / "run.ini"

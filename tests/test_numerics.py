@@ -86,29 +86,25 @@ def test_lg_modes_of_order():
 
 @pytest.mark.parametrize("order", range(11))
 def test_lg_hg_unitary_is_unitary(order):
-    u = lg_hg_unitary(order).matrix
+    u = lg_hg_unitary(order)
     eye = u @ u.conj().T
     np.testing.assert_allclose(eye, np.eye(order + 1), rtol=0, atol=1e-12)
 
 
 def test_lg_hg_unitary_first_order_helicity():
     # LG with l = +1 is (HG_{1,0} + i HG_{0,1}) / sqrt(2).
-    basis = lg_hg_unitary(1)
-    row = basis.row(0, 1)
+    row = lg_hg_unitary(1)[lg_modes_of_order(1).index((0, 1))]
     s = 1.0 / math.sqrt(2.0)
     np.testing.assert_allclose(row, [1j * s, s], rtol=0, atol=1e-14)
 
 
+@pytest.mark.parametrize("order", range(16))
+def test_lg_hg_unitary_equals_scalar_formula(order):
+    np.testing.assert_array_equal(lg_hg_unitary(order), oracles.lg_hg_unitary_scalar(order))
+
+
 @pytest.mark.parametrize("order", range(7))
 def test_lg_hg_unitary_matches_grid_overlaps(order):
-    u = lg_hg_unitary(order).matrix
+    u = lg_hg_unitary(order)
     ref = oracles.lg_hg_overlap_matrix(order)
     np.testing.assert_allclose(u, ref, rtol=0, atol=1e-10)
-
-
-def test_lg_hg_unitary_row_accessor_consistency():
-    basis = lg_hg_unitary(4)
-    for i, (p, l) in enumerate(basis.lg_modes):
-        np.testing.assert_array_equal(basis.row(p, l), basis.matrix[i])
-    with pytest.raises(ValueError):
-        basis.row(0, 3)

@@ -325,7 +325,7 @@ def test_optimizer_takes_first_of_tied_corners(caplog):
 def test_fb_envelope_picks_best_grid_size():
     ch = square_channel(10e3, 0.0)
     params = QkdSystemParams()
-    point = fb_envelope(ch, params, n_range=range(1, 4))
+    point = fb_envelope(ch, params, n_max=3)
     assert point.mode_set == "fb"
     assert point.config in (1, 2, 3)
     for n_grid in range(1, 4):
@@ -334,7 +334,7 @@ def test_fb_envelope_picks_best_grid_size():
     with pytest.raises(ValueError):
         fb_envelope(gauss_channel(10e3, 0.0), params)
     with pytest.raises(ValueError):
-        fb_envelope(ch, params, n_range=())
+        fb_envelope(ch, params, n_max=0)
 
 
 def test_lg_envelope_vacuum_prefers_more_orders():
@@ -350,6 +350,36 @@ def test_lg_envelope_vacuum_prefers_more_orders():
         lg_envelope(square_channel(10e3, 0.0), params)
     with pytest.raises(ValueError):
         lg_envelope(ch, params, q_max=0)
+
+
+def test_envelopes_keep_first_of_tied_configurations(monkeypatch):
+    # Every configuration gets a scripted rate; a later one replaces the
+    # best only when strictly higher, and the PIB fallback comes last.
+    real = planner.optimize_allocation
+    rates = []
+
+    def scripted(matrix, params, opts=None):
+        alloc, _ = real(matrix, params, opts)
+        return alloc, rates.pop(0)
+
+    monkeypatch.setattr(planner, "optimize_allocation", scripted)
+    params = QkdSystemParams()
+    rates[:] = [1.0, 1.0, 1.0]
+    point = fb_envelope(square_channel(10e3), params, n_max=3)
+    assert (point.mode_set, point.config) == ("fb", 1)
+    assert rates == []
+    ch = gauss_channel(10e3)
+    # q_max = 2: LG Q = 1, LG Q = 2, then the PIB.
+    for scripted_rates, winner in (
+        ([1.0, 1.0, 1.0], ("lg", 1)),
+        ([1.0, 2.0, 2.0], ("lg", 2)),
+        ([1.0, 1.0, 1.0 + 1e-9], ("gaussian-pib", None)),
+    ):
+        rates[:] = scripted_rates
+        point = lg_envelope(ch, params, q_max=2)
+        assert (point.mode_set, point.config) == winner
+        assert point.total_rate_bps == max(scripted_rates)
+        assert rates == []
 
 
 def test_lg_envelope_pib_fallback_under_strong_turbulence():
@@ -435,6 +465,14 @@ def test_scan_records_errors_and_continues(monkeypatch):
     assert lg_row.point is not None
     assert fb_row.point is None
     assert fb_row.error == "RuntimeError: boom"
+
+
+def test_scan_records_capacity_failure():
+    # A 0.3 m link exhausts the LG capacity series' order budget.
+    (row,) = scan([(0.3, 0.0)], ("lg",), scan_geometry(), QkdSystemParams(), q_max=1)
+    assert row.point is None and row.capacity_bps is None
+    assert row.error.startswith("RuntimeError: lg_vacuum_capacity:")
+    assert "D_f = " in row.error
 
 
 def test_scan_propagates_programming_errors(monkeypatch):

@@ -244,7 +244,7 @@ def test_lg_turb_matrix_matches_elementwise_sum():
     q_max = 3
     mat = lg_turb_matrix(q_max, ch)
     mom = hg_second_moments(ch, (q_max,) * 4)
-    rows = [(n, u) for n in range(q_max) for u in lg_hg_unitary(n).matrix]
+    rows = [(n, u) for n in range(q_max) for u in lg_hg_unitary(n)]
     for i, (n, u) in enumerate(rows):
         for j, (n2, w) in enumerate(rows):
             ref = sum(

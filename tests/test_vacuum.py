@@ -13,7 +13,6 @@ from fsoqkd.vacuum import (
     fb_axis,
     fb_pixel_grid,
     fb_vacuum_matrix,
-    lg_mode_count,
     lg_modes_up_to,
     lg_vacuum_capacity,
     lg_vacuum_eta,
@@ -21,6 +20,8 @@ from fsoqkd.vacuum import (
     mode_label,
     qkd_capacity,
 )
+
+from fsoqkd.turbulence import fb_turb_matrix
 
 import oracles
 from conftest import WAVELENGTH, gauss_channel, gauss_channel_for_df, square_channel
@@ -61,7 +62,7 @@ def test_lg_sum_rule(df):
 
 def test_lg_modes_up_to_structure():
     modes = lg_modes_up_to(4)
-    assert len(modes) == lg_mode_count(4) == 10
+    assert len(modes) == 10
     orders = [m.order for m in modes]
     assert orders == sorted(orders)
     for mode in modes:
@@ -101,6 +102,13 @@ def test_fb_axis_against_fft_propagation(path_length, n_grid, d):
     got = fb_axis(n_grid, ch)[d]
     ref = oracles.fb_axis_fft(d, n_grid, WAVELENGTH, path_length, ch.config.pupil.side)
     assert got == pytest.approx(ref, rel=2e-3)
+
+
+def test_fb_matrices_reject_empty_grid():
+    with pytest.raises(ValueError, match="n_grid must be >= 1, got 0"):
+        fb_vacuum_matrix(0, square_channel(10e3))
+    with pytest.raises(ValueError, match="n_grid must be >= 1, got 0"):
+        fb_turb_matrix(0, square_channel(10e3, 1e-14))
 
 
 def test_fb_vacuum_eta_factorizes_over_axes():
@@ -205,3 +213,10 @@ def test_lg_vacuum_capacity_against_partial_sum():
         q += 1
     assert lg_vacuum_capacity(ch, 1.0) == pytest.approx(total, rel=1e-12)
     assert lg_vacuum_capacity(ch, 3.0) == pytest.approx(3.0 * total, rel=1e-12)
+
+
+def test_lg_vacuum_capacity_raises_past_order_budget():
+    # At 0.3 m (D_f ~ 1.1e9) the series needs ~1.3e6 orders; the sum reached
+    # within the 200000-order budget is 1.5% below the full one.
+    with pytest.raises(RuntimeError, match=r"within 200000 orders at D_f = 1\.14113e\+09"):
+        lg_vacuum_capacity(gauss_channel(0.3), 1.0)
