@@ -20,7 +20,6 @@ from .planner import (
     OptimizerOptions,
     PowerAllocation,
     RatePoint,
-    ScanGeometry,
     ScanRow,
     fb_envelope,
     lg_envelope,
@@ -66,7 +65,6 @@ __all__ = [
     "OptimizerOptions",
     "PowerAllocation",
     "RatePoint",
-    "ScanGeometry",
     "ScanRow",
     "fb_envelope",
     "lg_envelope",

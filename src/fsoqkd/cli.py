@@ -19,7 +19,7 @@ Config keys are listed once, in ``_KEYS``: each names its parser and the
 :class:`RunConfig` field it sets, and both the unknown-key check and the
 parsing read that table.  Every config error carries a ``file:line``
 prefix and exits 2.  Each scan point is one task ``(config, L, cn2[,
-family])`` for one worker, which derives one channel per pupil it needs.
+family])`` for one worker; ``_link`` alone chooses its pupil by family.
 
 All real CSV cells use 12-significant-digit scientific notation with LF
 line endings, so identical configurations yield byte-identical files.
@@ -43,13 +43,12 @@ import numpy as np
 
 from .channel import (
     ChannelConfig,
-    DerivedChannel,
     HardSquare,
     SoftGaussian,
     derive,
     matched_square_side,
 )
-from .planner import OptimizerOptions, ScanGeometry, ScanRow, scan
+from .planner import OptimizerOptions, ScanRow, scan
 from .qkd import QkdSystemParams
 from .turbulence import fb_turb_eta, gaussian_pib_53, gaussian_pib_turb
 from .vacuum import fb_pixel_grid, lg_vacuum_eta
@@ -252,7 +251,8 @@ def load_config(path: Optional[str]) -> RunConfig:
     cfg = RunConfig()
     if path is None:
         return cfg
-    parser = configparser.ConfigParser(interpolation=None)
+    # No default section: a [DEFAULT] would fill every section; it is unknown.
+    parser = configparser.ConfigParser(interpolation=None, default_section="")
     try:
         with open(path, "r", encoding="utf-8") as handle:
             parser.read_file(handle)
@@ -301,41 +301,32 @@ def load_config(path: Optional[str]) -> RunConfig:
 # --------------------------------------------------------------------------
 
 
-def _channel(config: RunConfig, path_length: float, cn2: float, family: str) -> DerivedChannel:
-    """The "lg" (soft Gaussian) or "fb" (hard square) pupil's channel."""
+def _link(config: RunConfig, path_length: float, cn2: float, family: str) -> ChannelConfig:
+    """The link of the "lg" (soft Gaussian) or "fb" (hard square) pupil;
+    a parsed config has lengths > 0 and finite numbers, so it passes."""
     if family == "lg":
         pupil = SoftGaussian(radius=config.gauss_radius)
     else:
         pupil = HardSquare(side=config.resolved_square_side())
-    return derive(
-        ChannelConfig(
-            wavelength=config.wavelength, path_length=path_length, cn2=cn2, pupil=pupil
-        )
+    return ChannelConfig(
+        wavelength=config.wavelength, path_length=path_length, cn2=cn2, pupil=pupil
     )
 
 
 def _transmissivity_point(config: RunConfig, path_length: float, cn2: float):
     pixel = fb_pixel_grid(1)[0]
-    eta_fb = fb_turb_eta(pixel, pixel, _channel(config, path_length, cn2, "fb"))
-    eta_gauss = gaussian_pib_turb(_channel(config, path_length, cn2, "lg"))
+    eta_fb = fb_turb_eta(pixel, pixel, derive(_link(config, path_length, cn2, "fb")))
+    eta_gauss = gaussian_pib_turb(derive(_link(config, path_length, cn2, "lg")))
     return eta_fb, eta_gauss
 
 
 def _rates_point(config: RunConfig, path_length: float, cn2: float, family: str) -> ScanRow:
-    geometry = ScanGeometry(
-        wavelength=config.wavelength,
-        gauss_radius=config.gauss_radius,
-        square_side=config.resolved_square_side(),
-    )
-    rows = scan(
-        [(path_length, cn2)], [family], geometry, config.qkd,
-        config.n_max, config.q_max, config.optimizer,
-    )
-    return rows[0]
+    link = _link(config, path_length, cn2, family)
+    return scan(link, config.qkd, config.n_max, config.q_max, config.optimizer)
 
 
 def _validate_point(config: RunConfig, path_length: float, cn2: float):
-    ch = _channel(config, path_length, cn2, "lg")
+    ch = derive(_link(config, path_length, cn2, "lg"))
     # The vacuum power-in-bucket depends on the channel only through its
     # Fresnel product, which does not depend on cn2.
     eta_vac = lg_vacuum_eta(1, ch.fresnel_product)
@@ -384,27 +375,20 @@ def cmd_rates(config: RunConfig, jobs: int = 1) -> Tuple[str, bool]:
     rows: List[ScanRow] = _pool_map(_rates_point, tasks, jobs)
     lines = ["L_m,cn2,mode_set,config,rate_bps,capacity_bps"]
     clean = True
-    for row in rows:
-        capacity = "" if row.capacity_bps is None else _REAL % row.capacity_bps
-        if row.error is not None or row.point is None:
+    for (_, path_length, cn2, family), row in zip(tasks, rows):
+        if row.error is not None:
             clean = False
             log.error(
-                "rates point L=%g cn2=%g %s failed: %s",
-                row.path_length,
-                row.cn2,
-                row.family,
-                row.error,
+                "rates point L=%g cn2=%g %s failed: %s", path_length, cn2, family, row.error
             )
-            lines.append(
-                f"{_REAL % row.path_length},{_REAL % row.cn2},{row.family},,,{capacity}"
-            )
-            continue
         point = row.point
-        config_cell = "" if point.config is None else str(point.config)
-        lines.append(
-            f"{_REAL % row.path_length},{_REAL % row.cn2},{point.mode_set},"
-            f"{config_cell},{_REAL % point.total_rate_bps},{capacity}"
-        )
+        if point is None:
+            cells = f"{family},,"
+        else:
+            config_cell = "" if point.config is None else str(point.config)
+            cells = f"{point.mode_set},{config_cell},{_REAL % point.total_rate_bps}"
+        capacity = "" if row.capacity_bps is None else _REAL % row.capacity_bps
+        lines.append(f"{_REAL % path_length},{_REAL % cn2},{cells},{capacity}")
     return "\n".join(lines) + "\n", clean
 
 

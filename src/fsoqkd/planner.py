@@ -49,7 +49,6 @@ __all__ = [
     "OptimizerOptions",
     "PowerAllocation",
     "RatePoint",
-    "ScanGeometry",
     "ScanRow",
     "orbit_classes",
     "total_rate",
@@ -126,8 +125,6 @@ class PowerAllocation:
 class RatePoint:
     """One optimized operating point of the link."""
 
-    path_length: float
-    cn2: float
     mode_set: str
     config: Optional[int]
     total_rate_bps: float
@@ -138,22 +135,11 @@ class RatePoint:
             raise ValueError("total rate must be >= 0")
 
 
-@dataclass(frozen=True)
-class ScanGeometry:
-    """Fixed transceiver geometry shared by every scan point."""
-
-    wavelength: float
-    gauss_radius: float
-    square_side: float
-
-
 @dataclass(frozen=True, eq=False)
 class ScanRow:
-    """One scan result: a RatePoint or an error string, never both."""
+    """One link's envelope point and LG capacity bound (None on flat-top
+    links); each is None where its own computation failed, named in ``error``."""
 
-    path_length: float
-    cn2: float
-    family: str
     point: Optional[RatePoint]
     capacity_bps: Optional[float]
     error: Optional[str]
@@ -364,7 +350,6 @@ def optimize_allocation(
 
 
 def _envelope(
-    ch: DerivedChannel,
     candidates: Iterable[Tuple[str, Optional[int], CouplingMatrix]],
     params: QkdSystemParams,
     opts: Optional[OptimizerOptions],
@@ -377,12 +362,7 @@ def _envelope(
         alloc, rate = optimize_allocation(matrix, params, opts)
         if best is None or rate > best.total_rate_bps:
             best = RatePoint(
-                path_length=ch.path_length,
-                cn2=ch.cn2,
-                mode_set=mode_set,
-                config=config,
-                total_rate_bps=rate,
-                allocation=alloc,
+                mode_set=mode_set, config=config, total_rate_bps=rate, allocation=alloc
             )
     assert best is not None, "an envelope has at least one candidate"
     return best
@@ -401,7 +381,7 @@ def fb_envelope(
         raise ValueError(f"n_max must be >= 1, got {n_max}")
     matrix = fb_vacuum_matrix if ch.cn2 == 0.0 else fb_turb_matrix
     candidates = (("fb", n_grid, matrix(n_grid, ch)) for n_grid in range(1, n_max + 1))
-    return _envelope(ch, candidates, params, opts)
+    return _envelope(candidates, params, opts)
 
 
 def lg_envelope(
@@ -430,7 +410,7 @@ def lg_envelope(
             modes=(LGMode(p=0, l=0),), eta=pib, provenance=full.provenance
         )
 
-    return _envelope(ch, candidates(), params, opts)
+    return _envelope(candidates(), params, opts)
 
 
 # --------------------------------------------------------------------------
@@ -439,65 +419,40 @@ def lg_envelope(
 
 
 def scan(
-    points: Sequence[Tuple[float, float]],
-    families: Sequence[str],
-    geometry: ScanGeometry,
+    link: ChannelConfig,
     params: QkdSystemParams,
     n_max: int = 8,
     q_max: int = 8,
     opts: Optional[OptimizerOptions] = None,
-) -> Tuple[ScanRow, ...]:
-    """Optimize every (L, cn2) x family combination.
+) -> ScanRow:
+    """Optimize one link; its pupil chooses the mode family.
 
-    ``families`` entries are "lg" or "fb".  LG rows also carry the lossy
-    channel capacity bound C = -nu * sum_q log2(1 - eta_q) evaluated on
-    the vacuum LG transmissivities: turbulence with a passive receiver
-    cannot beat the pure-loss bound, so the vacuum figure is the binding
-    one at every cn2.  It depends on the channel only through the Fresnel
-    product, so the row's own channel serves at any cn2.  Per-point
-    failures (a :class:`RuntimeError` such as a :class:`QuadratureError`,
-    or a :class:`ValueError`) are recorded in the row and the scan
-    continues; any other exception propagates.
+    A :class:`HardSquare` link runs :func:`fb_envelope`.  A
+    :class:`SoftGaussian` link runs :func:`lg_envelope` and also carries
+    the lossy channel capacity bound C = -nu * sum_q log2(1 - eta_q) on the
+    vacuum LG transmissivities: turbulence with a passive receiver cannot
+    beat the pure-loss bound, so the vacuum figure is the binding one at
+    every cn2.  It depends on the channel only through the Fresnel
+    product, so the link's own channel serves at any cn2.  The rate and
+    the bound are computed independently: a failure of one (a
+    :class:`RuntimeError` such as a :class:`QuadratureError`, or a
+    :class:`ValueError`) leaves that field None and is named in
+    ``error``; any other exception propagates.
     """
-    if not points:
-        raise ValueError("empty scan")
-    for family in families:
-        if family not in ("lg", "fb"):
-            raise ValueError(f"unknown mode family: {family!r}")
-    rows: List[ScanRow] = []
-    for path_length, cn2 in points:
-        for family in families:
-            capacity: Optional[float] = None
-            point: Optional[RatePoint] = None
-            error: Optional[str] = None
-            try:
-                if family == "lg":
-                    pupil = SoftGaussian(radius=geometry.gauss_radius)
-                else:
-                    pupil = HardSquare(side=geometry.square_side)
-                ch = derive(
-                    ChannelConfig(
-                        wavelength=geometry.wavelength,
-                        path_length=path_length,
-                        cn2=cn2,
-                        pupil=pupil,
-                    )
-                )
-                if family == "lg":
-                    capacity = lg_vacuum_capacity(ch, params.pulse_rate)
-                    point = lg_envelope(ch, params, q_max, opts)
-                else:
-                    point = fb_envelope(ch, params, n_max, opts)
-            except (RuntimeError, ValueError) as exc:
-                error = f"{type(exc).__name__}: {exc}"
-            rows.append(
-                ScanRow(
-                    path_length=path_length,
-                    cn2=cn2,
-                    family=family,
-                    point=point,
-                    capacity_bps=capacity,
-                    error=error,
-                )
-            )
-    return tuple(rows)
+    ch = derive(link)
+    errors: List[str] = []
+
+    def attempt(compute: Callable[[], object]):
+        try:
+            return compute()
+        except (RuntimeError, ValueError) as exc:
+            errors.append(f"{type(exc).__name__}: {exc}")
+            return None
+
+    capacity = None
+    if isinstance(link.pupil, HardSquare):
+        point = attempt(lambda: fb_envelope(ch, params, n_max, opts))
+    else:
+        capacity = attempt(lambda: lg_vacuum_capacity(ch, params.pulse_rate))
+        point = attempt(lambda: lg_envelope(ch, params, q_max, opts))
+    return ScanRow(point=point, capacity_bps=capacity, error="; ".join(errors) or None)

@@ -249,8 +249,8 @@ def hg_second_moments(ch: DerivedChannel, shape: Tuple[int, int, int, int]) -> n
         raise ValueError(f"moment shape must be four sizes >= 1, got {shape!r}")
     sigma2 = lg_mode_scale(ch) ** 2
     alpha = 1.0 / ch.pupil.radius ** 2 + 1.0 / (2.0 * sigma2)
-    rho0 = ch.coherence_length
-    turb = 0.0 if math.isinf(rho0) else sigma2 / rho0 ** 2
+    # Vacuum's infinite coherence length gives turb = 0.0 exactly.
+    turb = sigma2 / ch.coherence_length ** 2
     w_in = np.array([1.0, -1.0, 0.0, 0.0])
     w_out = np.array([0.0, 0.0, 1.0, -1.0])
     p = (2.0 * alpha * sigma2) * np.eye(4, dtype=complex) + turb * (
@@ -343,9 +343,7 @@ def _fb_turb_axis(n_grid: int, ch: DerivedChannel) -> np.ndarray:
     """
     if not isinstance(ch.pupil, HardSquare):
         raise ValueError("focused-beam modes require hard square pupils")
-    rho0 = ch.coherence_length
-    damp = 0.0 if math.isinf(rho0) else (ch.pupil.side / rho0) ** 2 / 2.0
-    return fb_axis(n_grid, ch, damp)
+    return fb_axis(n_grid, ch, (ch.pupil.side / ch.coherence_length) ** 2 / 2.0)
 
 
 def fb_turb_eta(pixel_from: FBPixel, pixel_to: FBPixel, ch: DerivedChannel) -> float:

@@ -127,6 +127,17 @@ def test_unknown_section_reports_line(tmp_path):
     assert f"{path}:1: unknown section [wibble]" in str(err.value)
 
 
+@pytest.mark.parametrize(
+    "text", ["[DEFAULT]\nq_max = 2\n", "[DEFAULT]\nq_max = 2\n[channel]\npath_lengths = 1 km\n"]
+)
+def test_default_section_is_unknown(tmp_path, capsys, text):
+    # configparser would copy [DEFAULT] keys into every section.
+    path = tmp_path / "bad.ini"
+    path.write_text(text)
+    assert main(["--config", str(path), "validate"]) == 2
+    assert f"{path}:1: unknown section [DEFAULT]" in capsys.readouterr().err
+
+
 def test_exclusive_path_keys(tmp_path):
     path = tmp_path / "bad.ini"
     path.write_text(
@@ -308,6 +319,18 @@ def test_cmd_rates_records_failures(monkeypatch, caplog):
     assert CELL.match(lg_cells[5])
     fb_cells = lines[2].split(",")
     assert fb_cells[2] == "fb" and float(fb_cells[4]) > 0.0
+
+
+def test_cmd_rates_keeps_rate_when_capacity_fails(caplog):
+    # At 0.3 m the LG capacity series exhausts its order budget.
+    cfg = small_config(path_lengths=(0.3,), cn2_values=(1e-14,), n_max=1, q_max=2)
+    text, clean = cmd_rates(cfg)
+    assert not clean
+    lg_cells = text.splitlines()[1].split(",")
+    assert lg_cells[2] in ("lg", "gaussian-pib")
+    assert lg_cells[3] != "" and CELL.match(lg_cells[4])
+    assert lg_cells[5] == ""
+    assert "lg_vacuum_capacity" in caplog.text
 
 
 def test_quad_rel_tol_is_unknown_key(tmp_path):

@@ -13,7 +13,6 @@ from fsoqkd.planner import (
     OptimizerOptions,
     PowerAllocation,
     RatePoint,
-    ScanGeometry,
     _golden_max,
     fb_envelope,
     lg_envelope,
@@ -35,7 +34,7 @@ from fsoqkd.vacuum import (
 )
 
 import oracles
-from conftest import WAVELENGTH, RADIUS, gauss_channel, square_channel
+from conftest import gauss_channel, square_channel
 
 
 def two_mode_matrix(eta=None):
@@ -415,8 +414,6 @@ def test_rate_point_validation():
     alloc = allocation_for(mat, [0.1, 0.1])
     with pytest.raises(ValueError):
         RatePoint(
-            path_length=1e3,
-            cn2=0.0,
             mode_set="lg",
             config=1,
             total_rate_bps=-1.0,
@@ -429,21 +426,13 @@ def test_rate_point_validation():
 # ------------------------------------------------------------------
 
 
-def scan_geometry():
-    return ScanGeometry(
-        wavelength=WAVELENGTH,
-        gauss_radius=RADIUS,
-        square_side=square_channel(1e3).config.pupil.side,
-    )
-
-
 def test_scan_row_layout_and_capacity():
     params = QkdSystemParams()
-    rows = scan([(10e3, 0.0)], ("lg", "fb"), scan_geometry(), params, n_max=2, q_max=2)
-    assert len(rows) == 2
-    lg_row, fb_row = rows
-    assert (lg_row.family, fb_row.family) == ("lg", "fb")
+    lg_row = scan(gauss_channel(10e3).config, params, n_max=2, q_max=2)
+    fb_row = scan(square_channel(10e3).config, params, n_max=2, q_max=2)
     assert lg_row.error is None and fb_row.error is None
+    assert lg_row.point.mode_set in ("lg", "gaussian-pib")
+    assert fb_row.point.mode_set == "fb"
     assert lg_row.capacity_bps is not None and lg_row.capacity_bps > 0.0
     assert fb_row.capacity_bps is None
     assert lg_row.point.total_rate_bps > 0.0
@@ -459,20 +448,36 @@ def test_scan_records_errors_and_continues(monkeypatch):
         raise RuntimeError("boom")
 
     monkeypatch.setattr(planner, "fb_turb_matrix", boom)
-    rows = scan([(10e3, 1e-14)], ("lg", "fb"), scan_geometry(), params, n_max=2, q_max=1)
-    lg_row, fb_row = rows
+    lg_row = scan(gauss_channel(10e3, 1e-14).config, params, n_max=2, q_max=1)
+    fb_row = scan(square_channel(10e3, 1e-14).config, params, n_max=2, q_max=1)
     assert lg_row.error is None
     assert lg_row.point is not None
     assert fb_row.point is None
     assert fb_row.error == "RuntimeError: boom"
 
 
-def test_scan_records_capacity_failure():
-    # A 0.3 m link exhausts the LG capacity series' order budget.
-    (row,) = scan([(0.3, 0.0)], ("lg",), scan_geometry(), QkdSystemParams(), q_max=1)
-    assert row.point is None and row.capacity_bps is None
+def test_scan_keeps_rate_when_capacity_fails():
+    # A 0.3 m link exhausts the LG capacity series' order budget; the
+    # envelope does not depend on that series and still runs.
+    params = QkdSystemParams()
+    row = scan(gauss_channel(0.3).config, params, q_max=1)
+    assert row.capacity_bps is None
     assert row.error.startswith("RuntimeError: lg_vacuum_capacity:")
     assert "D_f = " in row.error
+    expected = lg_envelope(gauss_channel(0.3), params, q_max=1)
+    assert row.point.total_rate_bps == expected.total_rate_bps > 0.0
+
+
+def test_scan_names_every_failure(monkeypatch):
+    def boom(q_max, ch):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(planner, "lg_vacuum_matrix", boom)
+    row = scan(gauss_channel(0.3).config, QkdSystemParams(), q_max=1)
+    assert row.point is None and row.capacity_bps is None
+    first, second = row.error.split("; ")
+    assert first.startswith("RuntimeError: lg_vacuum_capacity:")
+    assert second == "RuntimeError: boom"
 
 
 def test_scan_propagates_programming_errors(monkeypatch):
@@ -481,12 +486,4 @@ def test_scan_propagates_programming_errors(monkeypatch):
 
     monkeypatch.setattr(planner, "fb_turb_matrix", broken)
     with pytest.raises(TypeError, match="broken"):
-        scan([(10e3, 1e-14)], ("fb",), scan_geometry(), QkdSystemParams(), n_max=2)
-
-
-def test_scan_validation():
-    params = QkdSystemParams()
-    with pytest.raises(ValueError):
-        scan([], ("lg",), scan_geometry(), params)
-    with pytest.raises(ValueError):
-        scan([(1e3, 0.0)], ("hg",), scan_geometry(), params)
+        scan(square_channel(10e3, 1e-14).config, QkdSystemParams(), n_max=2)
