@@ -5,14 +5,16 @@ from the other modes raises that mode's background click rate.  The total
 key rate is therefore a nonconvex function of the vector of per-mode mean
 photon numbers, maximized here by coordinate ascent over symmetry classes
 of modes with a golden-section line search, restarted from a few spread
-initial points.
+initial points.  The objective is evaluated in class space: one value per
+class, with cross-talk aggregated by source class.
 
 The envelope operations additionally maximize over the mode-set
 configuration itself: the focused-beam grid size N, or the LG order cap Q
 against the single-beam power-in-bucket fallback.  Both run one rule,
-:func:`_envelope`: optimize each candidate configuration in turn and keep
-the first strictly best, so ties go to the smaller configuration and the
-fallback, the last LG candidate, wins only when strictly better.
+:func:`_envelope`: optimize every candidate configuration in one lockstep
+ascent and keep the first strictly best, so ties go to the smaller
+configuration and the fallback, the last LG candidate, wins only when
+strictly better.
 """
 
 from __future__ import annotations
@@ -131,8 +133,8 @@ class RatePoint:
     allocation: PowerAllocation
 
     def __post_init__(self) -> None:
-        if self.total_rate_bps < 0.0:
-            raise ValueError("total rate must be >= 0")
+        if not 0.0 <= self.total_rate_bps < math.inf:
+            raise ValueError(f"total rate must be finite and >= 0, got {self.total_rate_bps}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -178,16 +180,50 @@ def orbit_classes(modes: Sequence[ModeId]) -> Tuple[Tuple[int, ...], ...]:
 # --------------------------------------------------------------------------
 
 
-def _rates_per_mode(
-    mu: np.ndarray, matrix: CouplingMatrix, params: QkdSystemParams
+def _class_space(
+    problems: Sequence[Tuple[CouplingMatrix, Tuple[Tuple[int, ...], ...]]],
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The rate objective of each ``(matrix, classes)`` problem in class space.
+
+    Returns ``(coupling, eta_diag, cls)`` of shapes (B, K, n), (B, n) and
+    (B, n), padded to the largest class count K and mode count n.
+    ``coupling[b, j, i]`` sums eta[i', i] over the modes i' != i of class j
+    (the diagonal is zeroed first, so a mode's own power is left out
+    exactly, not subtracted); with one value v[j] per class, mode i's
+    cross-talk is ``(v @ coupling[b])[i]`` for any matrix.  ``cls`` maps
+    each mode to its class.  A padded mode has zero transmissivity and no
+    cross-talk, so its rate is exactly 0; a padded class couples into
+    nothing.
+    """
+    n_modes = max(len(matrix.modes) for matrix, _ in problems)
+    n_classes = max(len(orbits) for _, orbits in problems)
+    coupling = np.zeros((len(problems), n_classes, n_modes))
+    eta_diag = np.zeros((len(problems), n_modes))
+    cls = np.zeros((len(problems), n_modes), dtype=int)
+    for b, (matrix, orbits) in enumerate(problems):
+        size = len(matrix.modes)
+        off = matrix.eta.copy()
+        np.fill_diagonal(off, 0.0)
+        eta_diag[b, :size] = np.diag(matrix.eta)
+        for j, orbit in enumerate(orbits):
+            coupling[b, j, :size] = off[list(orbit)].sum(axis=0)
+            cls[b, list(orbit)] = j
+    return coupling, eta_diag, cls
+
+
+def _class_totals(
+    v: np.ndarray, problem: Tuple[np.ndarray, ...], params: QkdSystemParams
 ) -> np.ndarray:
-    """Per-mode key rates, bits/s, of allocations ``mu`` of shape (..., n)."""
-    eta_diag = np.diag(matrix.eta)
-    # Each allocation is multiplied as its own (1, n) matrix: a stacked
-    # (S, n) GEMM may sum in another order, and a row's cross-talk must not
-    # depend on how many rows share the call.
-    mu_cross = (mu[..., None, :] @ matrix.eta)[..., 0, :] - mu * eta_diag
-    return params.pulse_rate * rate_per_pulse(eta_diag, mu, mu_cross, params)
+    """Total key rates, bits/s, of the class values ``v`` (r, K), row s on
+    row s of each array of ``problem`` (see :func:`_class_space`).  Every
+    mode's rate is evaluated and summed."""
+    coupling, eta_diag, cls = problem
+    # Each row is multiplied as its own (1, K) matrix: a stacked (r, K)
+    # GEMM may sum in another order, and a row's total must not depend on
+    # how many rows share the call.
+    cross = (v[:, None, :] @ coupling)[:, 0, :]
+    mu = v[np.arange(len(v))[:, None], cls]
+    return np.sum(params.pulse_rate * rate_per_pulse(eta_diag, mu, cross, params), axis=1)
 
 
 def total_rate(
@@ -196,7 +232,8 @@ def total_rate(
     """Total key rate of an allocation over all modes, bits/s."""
     if alloc.modes != matrix.modes:
         raise ValueError("allocation and matrix cover different mode lists")
-    return float(np.sum(_rates_per_mode(alloc.mu, matrix, params)))
+    v = alloc.mu[[orbit[0] for orbit in alloc.orbits]]
+    return float(_class_totals(v[None], _class_space([(matrix, alloc.orbits)]), params)[0])
 
 
 # --------------------------------------------------------------------------
@@ -246,6 +283,120 @@ def _golden_max(
     return x, f(x)
 
 
+def _optimize(
+    candidates: Sequence[Tuple[Optional[str], Optional[int], CouplingMatrix]],
+    params: QkdSystemParams,
+    opts: Optional[OptimizerOptions],
+) -> List[Tuple[PowerAllocation, float]]:
+    """Optimize the allocation of every ``(mode_set, config, matrix)``
+    candidate in one lockstep ascent; returns each candidate's best
+    allocation and total rate, in order.
+
+    Every candidate gets the starts, sweep rule and tie rules of
+    :func:`optimize_allocation`.  Its starts are rows of one array of
+    class values, padded to the largest class count, and each row takes
+    exactly the steps it would take alone: the line search of class k runs
+    on the live rows of candidates with more than k classes.  A
+    one-class candidate has no corner start; that row starts at -inf, so
+    it never runs or wins.
+    """
+    opts = opts or OptimizerOptions()
+    orbits = [orbit_classes(matrix.modes) for _, _, matrix in candidates]
+    problem = _class_space([(matrix, orb) for (_, _, matrix), orb in zip(candidates, orbits)])
+    counts = np.array([len(orb) for orb in orbits])
+    n_cand, n_cls = len(candidates), counts.max()
+    own_class = np.arange(n_cls) < counts[:, None]
+
+    def objective(cand: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+        rows = tuple(x[cand] for x in problem)
+        return lambda v: _class_totals(v, rows, params)
+
+    def bracket(rows: int) -> Tuple[np.ndarray, np.ndarray]:
+        return np.full(rows, opts.mu_min), np.full(rows, opts.mu_max)
+
+    lead_eta = np.concatenate(
+        [np.diag(m.eta)[[o[0] for o in orb]] for (_, _, m), orb in zip(candidates, orbits)]
+    )
+    single_k, _ = _golden_max(
+        lambda x: rate_per_pulse(lead_eta, x, 0.0, params),
+        *bracket(len(lead_eta)),
+        opts.line_tol,
+    )
+    single = np.full((n_cand, n_cls), opts.mu_min)
+    single[own_class] = single_k
+    # Corners: one class lit at its single-mode optimum, the rest floored.
+    corner_cand, corner_k = np.nonzero(own_class & (counts > 1)[:, None])
+    corners = np.where(np.arange(n_cls) == corner_k[:, None], single[corner_cand], opts.mu_min)
+    corner_val = objective(corner_cand)(corners)
+
+    start = np.empty((n_cand, len(_START_NAMES), n_cls))
+    start[:, 0], start[:, 1], start[:, 2], start[:, 3] = 0.05, 0.5, single, opts.mu_min
+    for b in np.flatnonzero(counts > 1):
+        own = np.flatnonzero(corner_cand == b)
+        start[b, 3] = corners[own[np.argmax(corner_val[own])]]
+    n_starts = np.where(counts > 1, len(_START_NAMES), len(_START_NAMES) - 1)
+    has_start = (np.arange(len(_START_NAMES)) < n_starts[:, None]).ravel()
+    cand = np.repeat(np.arange(n_cand), len(_START_NAMES))
+
+    v = np.clip(start.reshape(-1, n_cls), opts.mu_min, opts.mu_max)
+    current = np.where(has_start, objective(cand)(v), -np.inf)
+    sweeps = np.zeros(len(v), dtype=int)
+    before = current.copy()
+    active = has_start.copy()
+    for _ in range(opts.max_sweeps):
+        rows = np.flatnonzero(active)
+        before[rows] = current[rows]
+        for k in range(n_cls):
+            step = rows[counts[cand[rows]] > k]
+            if not step.size:
+                break
+            total = objective(cand[step])
+            trial = v[step]
+
+            def line(x: np.ndarray) -> np.ndarray:
+                trial[:, k] = x
+                return total(trial)
+
+            x_star, val = _golden_max(line, *bracket(len(step)), opts.line_tol)
+            better = val >= current[step]
+            v[step[better], k] = x_star[better]
+            current[step[better]] = val[better]
+        sweeps[rows] += 1
+        gain = current[rows] - before[rows]
+        active[rows[gain <= opts.rel_tol * np.maximum(np.abs(before[rows]), 1e-300)]] = False
+        if not active.any():
+            break
+
+    results = []
+    cls = problem[2]
+    for b, ((mode_set, config, matrix), orb) in enumerate(zip(candidates, orbits)):
+        first = b * len(_START_NAMES)
+        own = np.arange(first, first + n_starts[b])
+        for s in own[active[own]]:
+            base = float(before[s])
+            log.warning(
+                "optimize_allocation: mode set %r, config %r: start %r used all %d "
+                "sweeps on %d modes without meeting rel_tol %g (last relative gain %.3g)",
+                mode_set, config, _START_NAMES[s - first], sweeps[s], len(matrix.modes),
+                opts.rel_tol, (float(current[s]) - base) / max(abs(base), 1e-300),
+            )
+        best = own[np.argmax(current[own])]
+        log.debug(
+            "optimize_allocation: mode set %r, config %r: %d modes in %d classes, "
+            "sweeps per start %s, winning start %r",
+            mode_set, config, len(matrix.modes), counts[b], sweeps[own].tolist(),
+            _START_NAMES[best - first],
+        )
+        alloc = PowerAllocation(
+            modes=matrix.modes,
+            mu=v[best][cls[b, : len(matrix.modes)]],
+            orbits=orb,
+            pulse_rate=params.pulse_rate,
+        )
+        results.append((alloc, float(current[best])))
+    return results
+
+
 def optimize_allocation(
     matrix: CouplingMatrix,
     params: QkdSystemParams,
@@ -259,89 +410,18 @@ def optimize_allocation(
     (or ``max_sweeps``).  The best of several starts is returned: uniform
     mu = 0.05, uniform mu = 0.5, every class at its own single-mode
     optimum (cross-talk ignored), and the best single-active corner (one
-    class lit, the rest floored), so heavy cross-talk cases where
-    shutting modes down is optimal are always reachable.  Ties go to the
-    earliest start in that order.  The starts run in lockstep as the rows
-    of one array, each taking the steps it would take alone.  The problem
-    is nonconvex, so this is a heuristic; it is validated against small
-    brute-force grids.
+    class lit, the rest floored; the first of tied corners), so heavy
+    cross-talk cases where shutting modes down is optimal are always
+    reachable.  Ties go to the earliest start in that order.  The starts
+    run in lockstep as the rows of one array, each taking the steps it
+    would take alone; the envelopes run every configuration's starts in
+    the same array.  The problem is nonconvex, so this is a heuristic; it
+    is validated against small brute-force grids.
 
     A start that uses all ``max_sweeps`` without meeting ``rel_tol`` is
     logged as a warning on the ``fsoqkd.planner`` logger.
     """
-    opts = opts or OptimizerOptions()
-    orbits = orbit_classes(matrix.modes)
-    n_classes = len(orbits)
-    eta_diag = np.diag(matrix.eta)
-    cls = np.empty(len(matrix.modes), dtype=int)
-    for k, orbit in enumerate(orbits):
-        cls[list(orbit)] = k
-
-    def bracket(rows: int) -> Tuple[np.ndarray, np.ndarray]:
-        return np.full(rows, opts.mu_min), np.full(rows, opts.mu_max)
-
-    def total(mu: np.ndarray) -> np.ndarray:
-        return np.sum(_rates_per_mode(mu, matrix, params), axis=-1)
-
-    lead_eta = eta_diag[[orbit[0] for orbit in orbits]]
-    single_k, _ = _golden_max(
-        lambda v: rate_per_pulse(lead_eta, v, 0.0, params),
-        *bracket(n_classes),
-        opts.line_tol,
-    )
-    single = single_k[cls]
-    starts = [
-        np.full(len(matrix.modes), 0.05),
-        np.full(len(matrix.modes), 0.5),
-        single,
-    ]
-    if n_classes > 1:
-        corners = np.where(cls == np.arange(n_classes)[:, None], single, opts.mu_min)
-        starts.append(corners[np.argmax(total(corners))])
-
-    mu = np.clip(np.array(starts), opts.mu_min, opts.mu_max)
-    current = total(mu)
-    sweeps = np.zeros(len(mu), dtype=int)
-    before = current.copy()
-    active = np.ones(len(mu), dtype=bool)
-    for _ in range(opts.max_sweeps):
-        rows = np.flatnonzero(active)
-        before[rows] = current[rows]
-        for orbit in orbits:
-            idx = list(orbit)
-            trial = mu[rows]
-
-            def line(v: np.ndarray) -> np.ndarray:
-                trial[:, idx] = v[:, None]
-                return total(trial)
-
-            v_star, val = _golden_max(line, *bracket(len(rows)), opts.line_tol)
-            better = val >= current[rows]
-            mu[np.ix_(rows[better], idx)] = v_star[better, None]
-            current[rows[better]] = val[better]
-        sweeps[rows] += 1
-        gain = current[rows] - before[rows]
-        active[rows[gain <= opts.rel_tol * np.maximum(np.abs(before[rows]), 1e-300)]] = False
-        if not active.any():
-            break
-    for s in np.flatnonzero(active):
-        base = float(before[s])
-        log.warning(
-            "optimize_allocation: start %r used all %d sweeps on %d modes "
-            "without meeting rel_tol %g (last relative gain %.3g)",
-            _START_NAMES[s], sweeps[s], len(matrix.modes), opts.rel_tol,
-            (float(current[s]) - base) / max(abs(base), 1e-300),
-        )
-    best = int(np.argmax(current))
-    log.debug(
-        "optimize_allocation: %d modes in %d classes, sweeps per start %s, "
-        "winning start %r",
-        len(matrix.modes), n_classes, sweeps.tolist(), _START_NAMES[best],
-    )
-    alloc = PowerAllocation(
-        modes=matrix.modes, mu=mu[best], orbits=orbits, pulse_rate=params.pulse_rate
-    )
-    return alloc, float(current[best])
+    return _optimize([(None, None, matrix)], params, opts)[0]
 
 
 # --------------------------------------------------------------------------
@@ -355,17 +435,22 @@ def _envelope(
     opts: Optional[OptimizerOptions],
 ) -> RatePoint:
     """Best optimized operating point over ``(mode_set, config, matrix)``
-    candidates; a later candidate replaces the best only when strictly
-    better, so ties go to the earliest."""
-    best: Optional[RatePoint] = None
-    for mode_set, config, matrix in candidates:
-        alloc, rate = optimize_allocation(matrix, params, opts)
-        if best is None or rate > best.total_rate_bps:
-            best = RatePoint(
-                mode_set=mode_set, config=config, total_rate_bps=rate, allocation=alloc
-            )
-    assert best is not None, "an envelope has at least one candidate"
-    return best
+    candidates, all optimized in one lockstep ascent; a later candidate
+    replaces the best only when strictly better, so ties go to the
+    earliest.  A winner that is the last sized candidate (the N or Q
+    budget cap) is logged as a warning: a larger cap may do better."""
+    candidates = list(candidates)
+    results = _optimize(candidates, params, opts)
+    best = max(range(len(results)), key=lambda i: results[i][1])  # the first of ties
+    mode_set, config, _ = candidates[best]
+    if config is not None and all(later[1] is None for later in candidates[best + 1 :]):
+        log.warning(
+            "envelope: mode set %r wins at its budget cap, config %d; "
+            "a larger cap may give a higher rate",
+            mode_set, config,
+        )
+    alloc, rate = results[best]
+    return RatePoint(mode_set=mode_set, config=config, total_rate_bps=rate, allocation=alloc)
 
 
 def fb_envelope(

@@ -110,6 +110,8 @@ class CouplingMatrix:
         n = len(self.modes)
         if eta.shape != (n, n):
             raise ValueError(f"eta shape {eta.shape} does not match {n} modes")
+        if not np.all(np.isfinite(eta)):
+            raise ValueError("coupling entries must be finite")
         if np.any(eta < -self._NEG_CLAMP) or np.any(eta > 1.0 + self._ROW_SLACK):
             raise ValueError("coupling entries outside [0, 1] beyond tolerance")
         eta = np.clip(eta, 0.0, 1.0)

@@ -271,23 +271,39 @@ def scalar_golden_max(f, lo: float, hi: float, tol: float):
     return x, f(x)
 
 
+def mode_space_total(matrix, mu, params) -> float:
+    """Total key rate, bits/s, of the per-mode allocation ``mu``, with each
+    mode's cross-talk summed in mode space by ``math.fsum`` over the other
+    modes j != i; the per-mode rates are summed by ``math.fsum`` too."""
+    from fsoqkd.qkd import rate_per_pulse
+
+    eta = matrix.eta
+    n = len(mu)
+    cross = np.array(
+        [math.fsum(mu[j] * eta[j, i] for j in range(n) if j != i) for i in range(n)]
+    )
+    return math.fsum(params.pulse_rate * rate_per_pulse(np.diag(eta), mu, cross, params))
+
+
 def scalar_coordinate_ascent(matrix, params, opts):
     """The power optimizer run one start after another with scalar searches.
 
     Same starts, sweep rule and tie rule as ``planner.optimize_allocation``
     (strict ``>`` keeps the earliest best start); the objective is the
-    package's per-mode rate on one allocation at a time.  Returns
+    package's class-space total on one allocation at a time.  Returns
     ``(mu, total rate)``.
     """
-    from fsoqkd.planner import _rates_per_mode, orbit_classes
+    from fsoqkd.planner import _class_space, _class_totals, orbit_classes
     from fsoqkd.qkd import rate_per_pulse
 
     orbits = orbit_classes(matrix.modes)
     eta_diag = np.diag(matrix.eta)
     n = len(matrix.modes)
+    problem = _class_space([(matrix, orbits)])
+    leads = [orbit[0] for orbit in orbits]
 
     def total(mu):
-        return float(np.sum(_rates_per_mode(mu, matrix, params)))
+        return float(_class_totals(mu[leads][None], problem, params)[0])
 
     single = np.empty(n)
     for orbit in orbits:

@@ -1,5 +1,6 @@
 """Power allocation, symmetry classes, envelopes, and scans."""
 
+import functools
 import logging
 import math
 
@@ -22,6 +23,7 @@ from fsoqkd.planner import (
     total_rate,
 )
 from fsoqkd.qkd import QkdSystemParams, rate_per_pulse
+from fsoqkd.turbulence import fb_turb_matrix, lg_turb_matrix
 from fsoqkd.vacuum import (
     CouplingMatrix,
     FBPixel,
@@ -247,6 +249,58 @@ _MODE_LISTS = [lg_modes_up_to(q) for q in range(1, 9)] + [
 ]
 
 
+def random_matrix(modes, seed, crosstalk_exp, diag_exp):
+    """A random symmetric coupling matrix on ``modes`` that is not invariant
+    under their symmetry classes: diagonal 10**U(diag_exp, 0), cross-talk
+    scaled by 10**crosstalk_exp, rows normalized to sum to at most 1."""
+    rng = np.random.default_rng(seed)
+    n = len(modes)
+    off = rng.random((n, n))
+    off = (off + off.T) * 10.0**crosstalk_exp
+    np.fill_diagonal(off, 0.0)
+    eta = off + np.diag(10.0 ** rng.uniform(diag_exp, 0.0, n))
+    eta /= max(1.0, float(eta.sum(axis=1).max()))
+    return CouplingMatrix(modes=tuple(modes), eta=eta, provenance="vacuum")
+
+
+@functools.cache
+def real_matrices():
+    """FB and LG matrices of real links, in vacuum and in turbulence."""
+    return (
+        fb_vacuum_matrix(5, square_channel(1.75e3, 0.0)),
+        fb_turb_matrix(5, square_channel(1.75e3, 1e-14)),
+        lg_vacuum_matrix(5, gauss_channel(1e3, 0.0)),
+        lg_turb_matrix(5, gauss_channel(3e3, 1e-14)),
+    )
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    matrix=st.one_of(
+        st.builds(
+            random_matrix,
+            st.sampled_from(_MODE_LISTS),
+            st.integers(0, 2**32 - 1),
+            st.floats(-6.0, 0.0),
+            st.floats(-4.0, 0.0),
+        ),
+        st.integers(0, 3).map(lambda i: real_matrices()[i]),
+    ),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_objective_matches_mode_space_oracle(matrix, seed):
+    # Class values spread log-uniformly over [mu_min, mu_max]; the package
+    # aggregates cross-talk by source class, the oracle sums it mode by mode.
+    orbits = orbit_classes(matrix.modes)
+    values = 10.0 ** np.random.default_rng(seed).uniform(-6.0, math.log10(1.5), len(orbits))
+    mu = np.empty(len(matrix.modes))
+    for value, orbit in zip(values, orbits):
+        mu[list(orbit)] = value
+    params = QkdSystemParams()
+    got = total_rate(allocation_for(matrix, mu, params.pulse_rate), matrix, params)
+    assert got == pytest.approx(oracles.mode_space_total(matrix, mu, params), rel=1e-12, abs=0.0)
+
+
 @settings(max_examples=25, deadline=None)
 @given(
     modes=st.sampled_from(_MODE_LISTS),
@@ -255,14 +309,7 @@ _MODE_LISTS = [lg_modes_up_to(q) for q in range(1, 9)] + [
     diag_exp=st.floats(-4.0, 0.0),
 )
 def test_optimizer_matches_scalar_oracle(modes, seed, crosstalk_exp, diag_exp):
-    rng = np.random.default_rng(seed)
-    n = len(modes)
-    off = rng.random((n, n))
-    off = (off + off.T) * 10.0**crosstalk_exp
-    np.fill_diagonal(off, 0.0)
-    eta = off + np.diag(10.0 ** rng.uniform(diag_exp, 0.0, n))
-    eta /= max(1.0, float(eta.sum(axis=1).max()))
-    mat = CouplingMatrix(modes=tuple(modes), eta=eta, provenance="vacuum")
+    mat = random_matrix(modes, seed, crosstalk_exp, diag_exp)
     params = QkdSystemParams()
     opts = OptimizerOptions()
     alloc, val = optimize_allocation(mat, params, opts)
@@ -354,14 +401,14 @@ def test_lg_envelope_vacuum_prefers_more_orders():
 def test_envelopes_keep_first_of_tied_configurations(monkeypatch):
     # Every configuration gets a scripted rate; a later one replaces the
     # best only when strictly higher, and the PIB fallback comes last.
-    real = planner.optimize_allocation
+    real = planner._optimize
     rates = []
 
-    def scripted(matrix, params, opts=None):
-        alloc, _ = real(matrix, params, opts)
-        return alloc, rates.pop(0)
+    def scripted(candidates, params, opts):
+        results = real(candidates, params, opts)
+        return [(alloc, rates.pop(0)) for alloc, _ in results]
 
-    monkeypatch.setattr(planner, "optimize_allocation", scripted)
+    monkeypatch.setattr(planner, "_optimize", scripted)
     params = QkdSystemParams()
     rates[:] = [1.0, 1.0, 1.0]
     point = fb_envelope(square_channel(10e3), params, n_max=3)
@@ -379,6 +426,51 @@ def test_envelopes_keep_first_of_tied_configurations(monkeypatch):
         assert (point.mode_set, point.config) == winner
         assert point.total_rate_bps == max(scripted_rates)
         assert rates == []
+
+
+@pytest.mark.parametrize(
+    "family,path_length,cn2,cap",
+    [("fb", 1e3, 0.0, 8), ("fb", 1.75e3, 1e-14, 8), ("lg", 10e3, 1e-14, 5)],
+)
+def test_envelope_lockstep_equals_per_candidate(monkeypatch, family, path_length, cn2, cap):
+    real = planner._optimize
+    seen = []
+
+    def spy(candidates, params, opts):
+        results = real(candidates, params, opts)
+        seen.append((candidates, results))
+        return results
+
+    monkeypatch.setattr(planner, "_optimize", spy)
+    params = QkdSystemParams()
+    if family == "fb":
+        point = fb_envelope(square_channel(path_length, cn2), params, n_max=cap)
+    else:
+        point = lg_envelope(gauss_channel(path_length, cn2), params, q_max=cap)
+    ((candidates, results),) = seen
+    assert len(candidates) == cap + (family == "lg")
+    solo = [optimize_allocation(matrix, params)[1] for _, _, matrix in candidates]
+    for (_, rate), expected in zip(results, solo):
+        assert rate == pytest.approx(expected, rel=1e-12, abs=0.0)
+    mode_set, config, _ = candidates[solo.index(max(solo))]
+    assert (point.mode_set, point.config) == (mode_set, config)
+
+
+def test_envelope_warns_when_cut_off_by_its_budget(caplog):
+    params = QkdSystemParams()
+    with caplog.at_level(logging.WARNING, logger="fsoqkd.planner"):
+        point = lg_envelope(gauss_channel(10e3, 0.0), params, q_max=1)
+    assert (point.mode_set, point.config) == ("lg", 1)
+    (record,) = caplog.records
+    assert record.name == "fsoqkd.planner" and record.levelno == logging.WARNING
+    assert "mode set 'lg'" in record.getMessage()
+    assert "config 1" in record.getMessage()
+
+    caplog.clear()
+    with caplog.at_level(logging.WARNING, logger="fsoqkd.planner"):
+        point = lg_envelope(gauss_channel(1e3, 1e-13), params, q_max=2)
+    assert point.mode_set == "gaussian-pib"
+    assert not caplog.records
 
 
 def test_lg_envelope_pib_fallback_under_strong_turbulence():
@@ -419,6 +511,13 @@ def test_rate_point_validation():
             total_rate_bps=-1.0,
             allocation=alloc,
         )
+
+
+def test_rate_point_rejects_non_finite_total():
+    alloc = allocation_for(two_mode_matrix(), [0.1, 0.1])
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            RatePoint(mode_set="lg", config=1, total_rate_bps=bad, allocation=alloc)
 
 
 # ------------------------------------------------------------------

@@ -178,6 +178,14 @@ def test_coupling_matrix_clamps_and_rejects():
     assert ok.row_sums()[0] > 1.0
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_coupling_matrix_rejects_non_finite(bad):
+    # NaN fails every comparison, so the range checks alone let it through.
+    eta = np.array([[0.5, bad], [0.0, 0.25]])
+    with pytest.raises(ValueError, match="finite"):
+        CouplingMatrix(modes=(LGMode(0, 0), LGMode(0, 1)), eta=eta, provenance="vacuum")
+
+
 def test_coupling_matrix_dump_format():
     ch = square_channel(10e3)
     mat = fb_vacuum_matrix(2, ch)
