@@ -4,7 +4,8 @@ In vacuum every Laguerre-Gauss mode of order q = 2p + |l| + 1 shares one
 transmissivity x^q, where x depends only on the Fresnel number product.
 The script prints the ladder, checks the power sum rule against the Fresnel
 number product, and contrasts the Laguerre-Gauss capacity with the flat-top
-pixel matrix at the same geometry.
+pixel matrix at the same geometry, built by the turbulent builder at
+cn2 = 0, which is how the package computes every vacuum matrix.
 """
 
 import argparse
@@ -12,9 +13,9 @@ import argparse
 import numpy as np
 
 from fsoqkd.channel import ChannelConfig, HardSquare, SoftGaussian, derive, matched_square_side
+from fsoqkd.turbulence import fb_turb_matrix
 from fsoqkd.vacuum import (
     fb_pixel_grid,
-    fb_vacuum_matrix,
     lg_modes_up_to,
     lg_vacuum_capacity,
     lg_vacuum_eta,
@@ -71,7 +72,7 @@ def main():
     )
     for n_grid in (1, 2):
         pixels = fb_pixel_grid(n_grid)
-        mat = fb_vacuum_matrix(n_grid, square)
+        mat = fb_turb_matrix(n_grid, square)
         print(f"\nflat-top pixel matrix, {n_grid}x{n_grid} grid, side {side:.4f} m:")
         labels = [mode_label(p) for p in pixels]
         width = max(len(s) for s in labels)

@@ -10,11 +10,12 @@ class, with cross-talk aggregated by source class.
 
 The envelope operations additionally maximize over the mode-set
 configuration itself: the focused-beam grid size N, or the LG order cap Q
-against the single-beam power-in-bucket fallback.  Both run one rule,
-:func:`_envelope`: optimize every candidate configuration in one lockstep
-ascent and keep the first strictly best, so ties go to the smaller
-configuration and the fallback, the last LG candidate, wins only when
-strictly better.
+against the single-beam power-in-bucket fallback.  Both build their
+matrices with the turbulent builders at every cn2, vacuum included, and
+run one rule, :func:`_envelope`: optimize every candidate configuration in
+one lockstep ascent and keep the first best beyond roundoff, so ties go to
+the smaller configuration and the fallback, the last LG candidate, wins
+only when better by more than ``_TIE_REL_TOL`` relative.
 """
 
 from __future__ import annotations
@@ -35,15 +36,9 @@ from .channel import (
 )
 from .qkd import QkdSystemParams, rate_per_pulse
 from .turbulence import fb_turb_matrix, gaussian_pib_turb, lg_turb_matrix
-from .vacuum import (
-    CouplingMatrix,
-    FBPixel,
-    LGMode,
-    ModeId,
-    fb_vacuum_matrix,
-    lg_vacuum_capacity,
-    lg_vacuum_matrix,
-)
+from .vacuum import CouplingMatrix, FBPixel, LGMode, ModeId, lg_vacuum_capacity
+# Unused here; the benchmark tracer wraps fsoqkd.planner.<name> by name.
+from .vacuum import fb_vacuum_matrix, lg_vacuum_matrix  # noqa: F401
 
 log = logging.getLogger(__name__)
 
@@ -429,6 +424,12 @@ def optimize_allocation(
 # --------------------------------------------------------------------------
 
 
+# Relative margin by which a later envelope candidate must beat the best.
+# Two builders of one vacuum beam (LG Q = 1 and the power-in-bucket) differ
+# by ~1e-15 relative; the optimizer's rel_tol is 1e6 times coarser.
+_TIE_REL_TOL = 1e-12
+
+
 def _envelope(
     candidates: Iterable[Tuple[str, Optional[int], CouplingMatrix]],
     params: QkdSystemParams,
@@ -436,12 +437,16 @@ def _envelope(
 ) -> RatePoint:
     """Best optimized operating point over ``(mode_set, config, matrix)``
     candidates, all optimized in one lockstep ascent; a later candidate
-    replaces the best only when strictly better, so ties go to the
-    earliest.  A winner that is the last sized candidate (the N or Q
-    budget cap) is logged as a warning: a larger cap may do better."""
+    replaces the best only when higher by more than ``_TIE_REL_TOL``
+    relative, so ties, roundoff ties included, go to the earliest.  A
+    winner that is the last sized candidate (the N or Q budget cap) is
+    logged as a warning: a larger cap may do better."""
     candidates = list(candidates)
     results = _optimize(candidates, params, opts)
-    best = max(range(len(results)), key=lambda i: results[i][1])  # the first of ties
+    best = 0
+    for i, (_, rate) in enumerate(results):
+        if rate > results[best][1] * (1.0 + _TIE_REL_TOL):
+            best = i
     mode_set, config, _ = candidates[best]
     if config is not None and all(later[1] is None for later in candidates[best + 1 :]):
         log.warning(
@@ -464,8 +469,7 @@ def fb_envelope(
         raise ValueError("focused-beam envelope requires hard square pupils")
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
-    matrix = fb_vacuum_matrix if ch.cn2 == 0.0 else fb_turb_matrix
-    candidates = (("fb", n_grid, matrix(n_grid, ch)) for n_grid in range(1, n_max + 1))
+    candidates = (("fb", n_grid, fb_turb_matrix(n_grid, ch)) for n_grid in range(1, n_max + 1))
     return _envelope(candidates, params, opts)
 
 
@@ -482,18 +486,14 @@ def lg_envelope(
         raise ValueError("LG envelope requires soft Gaussian pupils")
     if q_max < 1:
         raise ValueError(f"q_max must be >= 1, got {q_max}")
-    full = (lg_vacuum_matrix if ch.cn2 == 0.0 else lg_turb_matrix)(q_max, ch)
+    full = lg_turb_matrix(q_max, ch)
 
     def candidates():
         for q in range(1, q_max + 1):
             k = q * (q + 1) // 2
-            yield "lg", q, CouplingMatrix(
-                modes=full.modes[:k], eta=full.eta[:k, :k], provenance=full.provenance
-            )
+            yield "lg", q, CouplingMatrix(modes=full.modes[:k], eta=full.eta[:k, :k])
         pib = np.array([[gaussian_pib_turb(ch)]])
-        yield "gaussian-pib", None, CouplingMatrix(
-            modes=(LGMode(p=0, l=0),), eta=pib, provenance=full.provenance
-        )
+        yield "gaussian-pib", None, CouplingMatrix(modes=(LGMode(p=0, l=0),), eta=pib)
 
     return _envelope(candidates(), params, opts)
 

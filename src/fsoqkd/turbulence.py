@@ -99,12 +99,12 @@ def structure_fn(
         D = 2.91 k^2 cn2 L * integral_0^1 |d_out xi + d_in (1 - xi)|^(5/3) dxi,
 
     and the square-law approximation replaces it with
-    (|d_out|^2 + d_out . d_in + |d_in|^2) / rho_0^2.
+    (|d_out|^2 + d_out . d_in + |d_in|^2) / rho_0^2.  Both are exactly
+    0.0 in vacuum: the 5/3 law carries the factor cn2 = 0 and the square
+    law divides by rho_0^2 = inf.
     """
     ox, oy = float(d_out[0]), float(d_out[1])
     ix, iy = float(d_in[0]), float(d_in[1])
-    if ch.cn2 == 0.0:
-        return 0.0
     if kind is StructureFunctionKind.SQUARE_LAW:
         quad_form = (ox * ox + oy * oy) + (ox * ix + oy * iy) + (ix * ix + iy * iy)
         return quad_form / ch.coherence_length ** 2
@@ -140,17 +140,16 @@ def gaussian_pib_turb(ch: DerivedChannel) -> float:
         <eta> = eta0_vac * T / (T + (R / rho_0)^2),
         T = 1 + 4 D_f + sqrt(1 + 4 D_f).
 
-    Reduces to the vacuum fundamental-mode transmissivity as cn2 -> 0.
+    In vacuum rho_0 = inf makes the ratio T / T = 1.0 exactly, so the
+    result is the vacuum fundamental-mode transmissivity to the bit.
     """
     if not isinstance(ch.pupil, SoftGaussian):
         raise ValueError("Gaussian power-in-bucket requires soft Gaussian pupils")
-    eta0 = lg_vacuum_eta(1, ch.fresnel_product)
-    if ch.cn2 == 0.0:
-        return eta0
     df = ch.fresnel_product
+    eta0 = lg_vacuum_eta(1, df)
     tee = 1.0 + 4.0 * df + math.sqrt(1.0 + 4.0 * df)
     ratio2 = (ch.pupil.radius / ch.coherence_length) ** 2
-    return eta0 * tee / (tee + ratio2)
+    return eta0 * (tee / (tee + ratio2))
 
 
 def gaussian_pib_53(ch: DerivedChannel) -> float:
@@ -291,7 +290,8 @@ def lg_turb_matrix(q_max: int, ch: DerivedChannel) -> CouplingMatrix:
 
     with N, N' the total orders and U, W the coefficient rows of the two
     modes.  Entries are clamped to [0, 1]; imaginary residues beyond
-    ``_IMAG_TOL`` raise :class:`QuadratureError`.
+    ``_IMAG_TOL`` raise :class:`QuadratureError`.  At cn2 = 0 it is the
+    vacuum matrix to ~1e-14 relative (off-diagonal entries ~1e-16).
     """
     if q_max < 1:
         raise ValueError(f"q_max must be >= 1, got {q_max}")
@@ -326,8 +326,7 @@ def lg_turb_matrix(q_max: int, ch: DerivedChannel) -> CouplingMatrix:
         raise QuadratureError(
             f"LG coupling entries retain imaginary residue {worst_imag:.3e}"
         )
-    provenance = "vacuum" if ch.cn2 == 0.0 else "square-law"
-    return CouplingMatrix(modes=modes, eta=eta, provenance=provenance)
+    return CouplingMatrix(modes=modes, eta=eta)
 
 
 # --------------------------------------------------------------------------
@@ -356,6 +355,7 @@ def fb_turb_eta(pixel_from: FBPixel, pixel_to: FBPixel, ch: DerivedChannel) -> f
 
 
 def fb_turb_matrix(n_grid: int, ch: DerivedChannel) -> CouplingMatrix:
-    """Average coupling matrix over the N x N focused-beam set."""
+    """Average coupling matrix over the N x N focused-beam set (the vacuum
+    matrix, bit for bit, at cn2 = 0)."""
     axis = _fb_turb_axis(n_grid, ch)
-    return fb_coupling_matrix(axis, "vacuum" if ch.cn2 == 0.0 else "square-law")
+    return fb_coupling_matrix(axis)

@@ -93,13 +93,12 @@ class CouplingMatrix:
 
     Entries are average power transmissivities in [0, 1]; each row sums to
     at most 1 (power into the modeled output set cannot exceed the power
-    sent).  ``provenance`` records which propagation model produced the
-    entries: "vacuum", "square-law", or "five-thirds".
+    sent).  Vacuum and turbulent matrices are the same type: vacuum is
+    the cn2 = 0 call of the turbulent builders.
     """
 
     modes: Tuple[ModeId, ...]
     eta: np.ndarray
-    provenance: str
 
     # Numerical slack for clamping quadrature noise at the domain edges.
     _NEG_CLAMP = 1e-8
@@ -135,7 +134,7 @@ class CouplingMatrix:
 
     def dump(self) -> str:
         """Plain-text table: one row per (from, to, eta), 12 significant digits."""
-        lines = [f"# from_mode to_mode eta ({self.provenance})"]
+        lines = ["# from_mode to_mode eta"]
         for i, mi in enumerate(self.modes):
             for j, mj in enumerate(self.modes):
                 lines.append(
@@ -201,12 +200,13 @@ def lg_mode_scale(ch: DerivedChannel) -> float:
 
 
 def lg_vacuum_matrix(q_max: int, ch: DerivedChannel) -> CouplingMatrix:
-    """Diagonal vacuum coupling matrix for all LG modes of order <= q_max."""
+    """Diagonal vacuum coupling matrix for all LG modes of order <= q_max:
+    the closed-form reference for ``lg_turb_matrix`` at cn2 = 0."""
     if not isinstance(ch.pupil, SoftGaussian):
         raise ValueError("LG modes require soft Gaussian pupils")
     modes = lg_modes_up_to(q_max)
     eta = np.diag([lg_vacuum_eta(m.order, ch.fresnel_product) for m in modes])
-    return CouplingMatrix(modes=modes, eta=eta, provenance="vacuum")
+    return CouplingMatrix(modes=modes, eta=eta)
 
 
 # --------------------------------------------------------------------------
@@ -225,7 +225,7 @@ def fb_pixel_grid(n_grid: int) -> Tuple[FBPixel, ...]:
     )
 
 
-def fb_coupling_matrix(axis: np.ndarray, provenance: str) -> CouplingMatrix:
+def fb_coupling_matrix(axis: np.ndarray) -> CouplingMatrix:
     """Coupling matrix of the N x N focused-beam set from its per-axis factors.
 
     ``axis[d]`` is the per-axis coupling for pixel-index difference d = 0..N-1.
@@ -235,11 +235,7 @@ def fb_coupling_matrix(axis: np.ndarray, provenance: str) -> CouplingMatrix:
     """
     idx = np.arange(len(axis))
     toeplitz = axis[np.abs(idx[:, None] - idx[None, :])]
-    return CouplingMatrix(
-        modes=fb_pixel_grid(len(axis)),
-        eta=np.kron(toeplitz, toeplitz),
-        provenance=provenance,
-    )
+    return CouplingMatrix(modes=fb_pixel_grid(len(axis)), eta=np.kron(toeplitz, toeplitz))
 
 
 def fb_axis(n_grid: int, ch: DerivedChannel, damp: float = 0.0) -> np.ndarray:
@@ -264,10 +260,11 @@ def fb_axis(n_grid: int, ch: DerivedChannel, damp: float = 0.0) -> np.ndarray:
 
 
 def fb_vacuum_matrix(n_grid: int, ch: DerivedChannel) -> CouplingMatrix:
-    """Vacuum coupling matrix over the full N x N focused-beam set."""
+    """Vacuum coupling matrix over the full N x N focused-beam set: the
+    reference for ``fb_turb_matrix`` at cn2 = 0."""
     if not isinstance(ch.pupil, HardSquare):
         raise ValueError("focused-beam modes require hard square pupils")
-    return fb_coupling_matrix(fb_axis(n_grid, ch), "vacuum")
+    return fb_coupling_matrix(fb_axis(n_grid, ch))
 
 
 # --------------------------------------------------------------------------

@@ -8,7 +8,7 @@ import scipy.special
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fsoqkd.channel import cn2_for_coherence_length
+from fsoqkd.channel import ChannelConfig, SoftGaussian, cn2_for_coherence_length, derive
 from fsoqkd.numerics import lg_hg_unitary
 from fsoqkd.turbulence import (
     StructureFunctionKind,
@@ -80,6 +80,12 @@ def test_structure_fn_vacuum_is_zero():
     ch = gauss_channel(10e3, 0.0)
     for kind in StructureFunctionKind:
         assert structure_fn(kind, (0.1, 0.0), (0.0, 0.1), ch) == 0.0
+
+
+@pytest.mark.parametrize("cn2", [0.0, 1e-14])
+def test_structure_fn_rejects_unknown_kind(cn2):
+    with pytest.raises(ValueError, match="unknown structure function kind"):
+        structure_fn("bogus", (0.1, 0.0), (0.0, 0.1), gauss_channel(10e3, cn2))
 
 
 # ------------------------------------------------------------------
@@ -218,7 +224,6 @@ def test_lg_turb_matrix_vacuum_reduction():
     ch = gauss_channel(10e3, 0.0)
     turb = lg_turb_matrix(3, ch)
     vac = lg_vacuum_matrix(3, ch)
-    assert turb.provenance == "vacuum"
     assert turb.modes == vac.modes
     np.testing.assert_allclose(turb.eta, vac.eta, rtol=0, atol=1e-8)
 
@@ -226,7 +231,6 @@ def test_lg_turb_matrix_vacuum_reduction():
 def test_lg_turb_matrix_invariants():
     ch = gauss_channel(10e3, 1e-14)
     mat = lg_turb_matrix(3, ch)
-    assert mat.provenance == "square-law"
     assert np.all(mat.row_sums() <= 1.0 + 1e-6)
     np.testing.assert_allclose(mat.eta, mat.eta.T, rtol=0, atol=1e-10)
     # Azimuthal inversion symmetry: flipping the sign of every l leaves
@@ -300,6 +304,21 @@ def test_lg_turb_matrix_random_invariants(path_length, cn2, q_max):
         np.testing.assert_allclose(mat.eta, vac.eta, rtol=0, atol=1e-12)
 
 
+@pytest.mark.parametrize("q_max", [8, 16])
+@pytest.mark.parametrize("path_length", [1.0, 100.0, 300e3])
+def test_lg_turb_matrix_is_vacuum_matrix_at_cn2_zero(path_length, q_max):
+    # The envelopes build vacuum LG rows with lg_turb_matrix; the closed
+    # form is the reference from the near field to the deep far field.
+    ch = gauss_channel(path_length, 0.0)
+    turb = lg_turb_matrix(q_max, ch)
+    vac = lg_vacuum_matrix(q_max, ch)
+    assert turb.modes == vac.modes
+    diff = np.abs(turb.eta - vac.eta)
+    assert diff.max() <= 1e-13 * np.diag(vac.eta).max()
+    np.fill_diagonal(diff, 0.0)
+    assert diff.max() <= 1e-15
+
+
 # ------------------------------------------------------------------
 # Focused-beam coupling under turbulence
 # ------------------------------------------------------------------
@@ -325,7 +344,6 @@ def test_fb_turb_vacuum_identity():
 def test_fb_turb_matrix_invariants(path_length, cn2, n_grid):
     ch = square_channel(path_length, cn2)
     mat = fb_turb_matrix(n_grid, ch)
-    assert mat.provenance == ("vacuum" if cn2 == 0.0 else "square-law")
     assert len(mat) == n_grid * n_grid
     assert np.all(mat.row_sums() <= 1.0 + 1e-6)
     np.testing.assert_allclose(mat.eta, mat.eta.T, rtol=0, atol=1e-12)
@@ -387,6 +405,23 @@ def test_gaussian_pib_turb_vacuum_reduction():
     df = ch.fresnel_product
     expected = 2.0 * df / (1.0 + 2.0 * df + math.sqrt(1.0 + 4.0 * df))
     assert gaussian_pib_turb(ch) == pytest.approx(expected, rel=1e-12)
+
+
+def test_gaussian_pib_turb_is_vacuum_eta_exactly_at_cn2_zero():
+    # The closed form has no vacuum branch: rho_0 = inf makes T / (T + 0)
+    # exactly 1.0, so the result is the fundamental-mode transmissivity to
+    # the bit on every link.
+    for radius in (0.05, 0.10, 0.20):
+        for path_length in np.geomspace(1.0, 1e6, 4000):
+            ch = derive(
+                ChannelConfig(
+                    wavelength=WAVELENGTH,
+                    path_length=float(path_length),
+                    cn2=0.0,
+                    pupil=SoftGaussian(radius=radius),
+                )
+            )
+            assert gaussian_pib_turb(ch) == lg_vacuum_eta(1, ch.fresnel_product)
 
 
 def test_gaussian_pib_turb_requires_gaussian_pupil():

@@ -73,7 +73,6 @@ def test_lg_modes_up_to_structure():
 def test_lg_vacuum_matrix_is_diagonal():
     ch = gauss_channel(10e3)
     mat = lg_vacuum_matrix(3, ch)
-    assert mat.provenance == "vacuum"
     for i, mi in enumerate(mat.modes):
         for j in range(len(mat)):
             if i == j:
@@ -134,7 +133,6 @@ def test_fb_axis_matches_pixel_overlap_oracle(path_length):
 def test_fb_vacuum_matrix_invariants():
     ch = square_channel(10e3)
     mat = fb_vacuum_matrix(3, ch)
-    assert mat.provenance == "vacuum"
     assert len(mat) == 9
     np.testing.assert_allclose(mat.eta, mat.eta.T, rtol=0, atol=1e-12)
     assert np.all(mat.row_sums() <= 1.0 + 1e-6)
@@ -168,13 +166,13 @@ def test_mode_labels():
 def test_coupling_matrix_clamps_and_rejects():
     modes = (LGMode(0, 0), LGMode(0, 1))
     eta = np.array([[0.5, -1e-9], [0.0, 0.25]])
-    mat = CouplingMatrix(modes=modes, eta=eta, provenance="vacuum")
+    mat = CouplingMatrix(modes=modes, eta=eta)
     assert mat.eta[0, 1] == 0.0
     with pytest.raises(ValueError):
-        CouplingMatrix(modes=modes, eta=np.array([[0.5, -1e-3], [0.0, 0.25]]), provenance="vacuum")
+        CouplingMatrix(modes=modes, eta=np.array([[0.5, -1e-3], [0.0, 0.25]]))
     with pytest.raises(ValueError):
-        CouplingMatrix(modes=modes, eta=np.array([[0.9, 0.2], [0.0, 0.25]]), provenance="vacuum")
-    ok = CouplingMatrix(modes=modes, eta=np.array([[0.9, 0.1 + 1e-7], [0.0, 0.25]]), provenance="vacuum")
+        CouplingMatrix(modes=modes, eta=np.array([[0.9, 0.2], [0.0, 0.25]]))
+    ok = CouplingMatrix(modes=modes, eta=np.array([[0.9, 0.1 + 1e-7], [0.0, 0.25]]))
     assert ok.row_sums()[0] > 1.0
 
 
@@ -183,7 +181,7 @@ def test_coupling_matrix_rejects_non_finite(bad):
     # NaN fails every comparison, so the range checks alone let it through.
     eta = np.array([[0.5, bad], [0.0, 0.25]])
     with pytest.raises(ValueError, match="finite"):
-        CouplingMatrix(modes=(LGMode(0, 0), LGMode(0, 1)), eta=eta, provenance="vacuum")
+        CouplingMatrix(modes=(LGMode(0, 0), LGMode(0, 1)), eta=eta)
 
 
 def test_coupling_matrix_dump_format():
@@ -191,7 +189,7 @@ def test_coupling_matrix_dump_format():
     mat = fb_vacuum_matrix(2, ch)
     text = mat.dump()
     lines = text.splitlines()
-    assert lines[0] == "# from_mode to_mode eta (vacuum)"
+    assert lines[0] == "# from_mode to_mode eta"
     assert len(lines) == 1 + 16
     cell = re.compile(r"^fb\(n=\d,m=\d;N=2\) fb\(n=\d,m=\d;N=2\) \d\.\d{11}e[+-]\d{2}$")
     for line in lines[1:]:
