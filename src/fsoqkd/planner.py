@@ -4,9 +4,11 @@ Each transmitted mode carries its own decoy-state BB84 stream; cross-talk
 from the other modes raises that mode's background click rate.  The total
 key rate is therefore a nonconvex function of the vector of per-mode mean
 photon numbers, maximized here by coordinate ascent over symmetry classes
-of modes with a golden-section line search, restarted from a few spread
-initial points.  The objective is evaluated in class space: one value per
-class, with cross-talk aggregated by source class.
+of modes, restarted from a few spread initial points.  Each line search
+narrows its bracket by value comparisons, which chooses the basin, then
+finishes with a secant on the closed-form slope of the total.  The
+objective is evaluated in class space: one value per class, with
+cross-talk aggregated by source class.
 
 The envelope operations additionally maximize over the mode-set
 configuration itself: the focused-beam grid size N, or the LG order cap Q
@@ -34,7 +36,7 @@ from .channel import (
     SoftGaussian,
     derive,
 )
-from .qkd import QkdSystemParams, rate_per_pulse
+from .qkd import QkdSystemParams, rate_and_slopes, rate_per_pulse
 from .turbulence import fb_turb_matrix, gaussian_pib_turb, lg_turb_matrix
 from .vacuum import CouplingMatrix, FBPixel, LGMode, ModeId, lg_vacuum_capacity
 # Unused here; the benchmark tracer wraps fsoqkd.planner.<name> by name.
@@ -64,7 +66,10 @@ class OptimizerOptions:
     optima sit below 1, so the 1.5 ceiling leaves headroom while the floor
     keeps logarithms finite.  A sweep updates every symmetry class once;
     ascent stops when a full sweep improves the total rate by less than
-    ``rel_tol`` relative, or after ``max_sweeps``.
+    ``rel_tol`` relative, or after ``max_sweeps``.  ``line_tol`` bounds the
+    final bracket of each line search: a class value ends within
+    ``line_tol`` of a stationary point of its line, or exactly at
+    ``mu_min`` or ``mu_max`` where the slope there points outward.
     """
 
     mu_min: float = 1e-6
@@ -207,18 +212,36 @@ def _class_space(
 
 
 def _class_totals(
-    v: np.ndarray, problem: Tuple[np.ndarray, ...], params: QkdSystemParams
-) -> np.ndarray:
+    v: np.ndarray,
+    problem: Tuple[np.ndarray, ...],
+    params: QkdSystemParams,
+    k: Optional[int] = None,
+):
     """Total key rates, bits/s, of the class values ``v`` (r, K), row s on
     row s of each array of ``problem`` (see :func:`_class_space`).  Every
-    mode's rate is evaluated and summed."""
+    mode's rate is evaluated and summed.  Given a class ``k``, also returns
+    the (r,) slopes d total/d v[:, k] = pulse_rate * (sum over the modes i
+    of class k of d rate_i/d mu + sum over all i of coupling[k, i]
+    d rate_i/d mu_c)."""
     coupling, eta_diag, cls = problem
     # Each row is multiplied as its own (1, K) matrix: a stacked (r, K)
     # GEMM may sum in another order, and a row's total must not depend on
     # how many rows share the call.
     cross = (v[:, None, :] @ coupling)[:, 0, :]
     mu = v[np.arange(len(v))[:, None], cls]
-    return np.sum(params.pulse_rate * rate_per_pulse(eta_diag, mu, cross, params), axis=1)
+    if k is None:
+        return _mode_sum(params.pulse_rate * rate_per_pulse(eta_diag, mu, cross, params))
+    rate, d_mu, d_cross = rate_and_slopes(eta_diag, mu, cross, params)
+    own = np.sum(np.where(cls == k, d_mu, 0.0), axis=1)
+    leak = (coupling[:, k, None, :] @ d_cross[:, :, None])[:, 0, 0]
+    return _mode_sum(params.pulse_rate * rate), params.pulse_rate * (own + leak)
+
+
+def _mode_sum(rates: np.ndarray) -> np.ndarray:
+    """Row sums of (r, n) mode rates, added in mode order: the zero rates
+    of padded modes then leave a total unchanged to the bit, where a
+    pairwise sum would regroup it by the padded length."""
+    return np.cumsum(rates, axis=1)[:, -1]
 
 
 def total_rate(
@@ -237,26 +260,47 @@ def total_rate(
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
+# Golden steps shrink a line search's bracket to this width, choosing its
+# basin as a whole golden-section search would; the slope phase finishes.
+_COARSE_WIDTH = 0.1
+
 _START_NAMES = ("uniform 0.05", "uniform 0.5", "single-mode optima", "best corner")
 
 
-def _golden_max(
-    f: Callable[[np.ndarray], np.ndarray], lo: np.ndarray, hi: np.ndarray, tol: float
+def _line_max(
+    f: Callable[..., object], lo: np.ndarray, hi: np.ndarray, tol: float
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """Golden-section maximizers of S scalar functions, run in lockstep.
+    """Maximizers of S scalar functions, run in lockstep.
 
-    Row s searches [lo[s], hi[s]]; ``f`` maps one (S,) vector of
-    candidates, one per row, to their (S,) values.  Each row takes exactly
-    the steps a scalar golden-section search takes on its own function and
-    stops changing once its bracket is <= ``tol``.  Returns the (S,)
-    bracket midpoints and their values.
+    Row s searches [lo[s], hi[s]].  ``f(x)`` maps an (S, m) array of
+    candidates, m per row, to their (S, m) values, and ``f(x, True)``
+    returns ``(values, slopes)``.  Each row takes golden-section steps
+    until its bracket is at most ``_COARSE_WIDTH`` (or ``tol``) wide,
+    which chooses its basin.  One call then evaluates value and slope at
+    both bracket ends.  A row stops at ``lo`` or ``hi`` when the slope
+    there points out of the interval (a zero slope points toward the best
+    point evaluated); the others run a secant on the slope inside the
+    bracket, bisecting when the secant step leaves the bracket or is more
+    than half as long as the last step, and probing at least ``tol``/2
+    inside either end, until the bracket is <= ``tol`` wide.  Each row
+    takes exactly the steps a scalar search takes on its own function.
+    Returns each row's best evaluated point, ties going to the smaller
+    point, and its value.
     """
-    a = np.array(lo, dtype=float)
-    b = np.array(hi, dtype=float)
+    lo = np.array(lo, dtype=float)
+    hi = np.array(hi, dtype=float)
+    a, b = lo.copy(), hi.copy()
     c = b - _INVPHI * (b - a)
     d = a + _INVPHI * (b - a)
-    fc, fd = f(c), f(d)
-    live = b - a > tol
+    fc, fd = f(np.stack([c, d], axis=1)).T
+    best_x, best_f = np.where(fd > fc, d, c), np.maximum(fc, fd)
+
+    def consider(x: np.ndarray, fx: np.ndarray, rows: np.ndarray) -> None:
+        take = rows & ((fx > best_f) | ((fx == best_f) & (x < best_x)))
+        best_x[take], best_f[take] = x[take], fx[take]
+
+    coarse = max(tol, _COARSE_WIDTH)
+    live = b - a > coarse
     while live.any():
         keep_left = fc >= fd
         left = live & keep_left
@@ -270,12 +314,44 @@ def _golden_max(
             np.where(left, fc, fd),
         )
         probe = np.where(left, b - _INVPHI * (b - a), a + _INVPHI * (b - a))
-        value = f(probe)
+        value = f(probe[:, None])[:, 0]
+        consider(probe, value, live)
         c, fc = np.where(left, probe, c), np.where(left, value, fc)
         d, fd = np.where(right, probe, d), np.where(right, value, fd)
-        live = b - a > tol
-    x = 0.5 * (a + b)
-    return x, f(x)
+        live = b - a > coarse
+
+    live = b - a > tol
+    if not live.any():
+        return best_x, best_f
+    ends, slope = f(np.stack([a, b], axis=1), True)
+    consider(a, ends[:, 0], live)
+    consider(b, ends[:, 1], live)
+    ga, gb = slope.T
+
+    def rising(x: np.ndarray, g: np.ndarray) -> np.ndarray:
+        # The maximum lies right of x; a zero slope (a clipped, flat
+        # stretch) points toward the best point evaluated.
+        return (g > 0.0) | ((g == 0.0) & (best_x > x))
+
+    live &= ~(((a == lo) & ~rising(a, ga)) | ((b == hi) & rising(b, gb)))
+    # The secant runs through the last two probes, (x0, g0) then (x1, g1).
+    x0, g0, x1, g1 = a, ga, b, gb
+    last = np.full(len(a), np.inf)  # length of the last step, x1 - x0
+    while live.any():
+        with np.errstate(divide="ignore", invalid="ignore"):
+            s = x1 - g1 * (x1 - x0) / (g1 - g0)
+        secant = (s > a) & (s < b) & (np.abs(s - x1) <= 0.5 * last)
+        x = np.where(secant, s, 0.5 * (a + b))
+        x = np.minimum(np.maximum(x, a + 0.5 * tol), b - 0.5 * tol)
+        fx, gx = (out[:, 0] for out in f(x[:, None], True))
+        consider(x, fx, live)
+        up = live & rising(x, gx)
+        a, b = np.where(up, x, a), np.where(live & ~up, x, b)
+        last = np.where(live, np.abs(x - x1), last)
+        x0, g0 = np.where(live, x1, x0), np.where(live, g1, g0)
+        x1, g1 = np.where(live, x, x1), np.where(live, gx, g1)
+        live &= b - a > tol
+    return best_x, best_f
 
 
 def _optimize(
@@ -302,21 +378,42 @@ def _optimize(
     n_cand, n_cls = len(candidates), counts.max()
     own_class = np.arange(n_cls) < counts[:, None]
 
-    def objective(cand: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+    def objective(cand: np.ndarray) -> Callable[..., object]:
         rows = tuple(x[cand] for x in problem)
-        return lambda v: _class_totals(v, rows, params)
+        return lambda v, k=None: _class_totals(v, rows, params, k)
+
+    def line(cand: np.ndarray, base: np.ndarray, k: int) -> Callable[..., object]:
+        """The totals of the rows ``base`` with class k set to each of m
+        values per row, and with ``slopes`` their slopes in class k, for
+        :func:`_line_max`."""
+        totals = {}
+
+        def f(x: np.ndarray, slopes: bool = False):
+            m = x.shape[1]
+            if m not in totals:
+                totals[m] = objective(np.repeat(cand, m))
+            trial = np.repeat(base, m, axis=0)
+            trial[:, k] = x.ravel()
+            if not slopes:
+                return totals[m](trial).reshape(-1, m)
+            value, slope = totals[m](trial, k)
+            return value.reshape(-1, m), slope.reshape(-1, m)
+
+        return f
 
     def bracket(rows: int) -> Tuple[np.ndarray, np.ndarray]:
         return np.full(rows, opts.mu_min), np.full(rows, opts.mu_max)
 
     lead_eta = np.concatenate(
         [np.diag(m.eta)[[o[0] for o in orb]] for (_, _, m), orb in zip(candidates, orbits)]
-    )
-    single_k, _ = _golden_max(
-        lambda x: rate_per_pulse(lead_eta, x, 0.0, params),
-        *bracket(len(lead_eta)),
-        opts.line_tol,
-    )
+    )[:, None]
+
+    def lone(x: np.ndarray, slopes: bool = False):
+        if not slopes:
+            return rate_per_pulse(lead_eta, x, 0.0, params)
+        return rate_and_slopes(lead_eta, x, 0.0, params)[:2]
+
+    single_k, _ = _line_max(lone, *bracket(len(lead_eta)), opts.line_tol)
     single = np.full((n_cand, n_cls), opts.mu_min)
     single[own_class] = single_k
     # Corners: one class lit at its single-mode optimum, the rest floored.
@@ -345,14 +442,8 @@ def _optimize(
             step = rows[counts[cand[rows]] > k]
             if not step.size:
                 break
-            total = objective(cand[step])
-            trial = v[step]
-
-            def line(x: np.ndarray) -> np.ndarray:
-                trial[:, k] = x
-                return total(trial)
-
-            x_star, val = _golden_max(line, *bracket(len(step)), opts.line_tol)
+            f = line(cand[step], v[step], k)
+            x_star, val = _line_max(f, *bracket(len(step)), opts.line_tol)
             better = val >= current[step]
             v[step[better], k] = x_star[better]
             current[step[better]] = val[better]
@@ -400,9 +491,10 @@ def optimize_allocation(
     """Maximize the total rate over per-class mean photon numbers.
 
     Coordinate ascent: each symmetry class's shared value is line-searched
-    by golden section on [mu_min, mu_max] with the rest held fixed, and
-    sweeps repeat until a full sweep gains less than ``rel_tol`` relative
-    (or ``max_sweeps``).  The best of several starts is returned: uniform
+    on [mu_min, mu_max] with the rest held fixed (value comparisons down to
+    a 0.1-wide bracket, then a secant on the class slope), and sweeps
+    repeat until a full sweep gains less than ``rel_tol`` relative (or
+    ``max_sweeps``).  The best of several starts is returned: uniform
     mu = 0.05, uniform mu = 0.5, every class at its own single-mode
     optimum (cross-talk ignored), and the best single-active corner (one
     class lit, the rest floored; the first of tied corners), so heavy

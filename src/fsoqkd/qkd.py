@@ -24,6 +24,7 @@ import numpy as np
 __all__ = [
     "QkdSystemParams",
     "binary_entropy",
+    "rate_and_slopes",
     "rate_per_pulse",
 ]
 
@@ -94,13 +95,37 @@ def rate_per_pulse(eta, mu, mu_c, params: QkdSystemParams):
     per pulse, and the cross-talk mean photon number per pulse.  Arrays
     broadcast elementwise.
     """
+    return _decoy_rate(eta, mu, mu_c, params, slopes=False)
+
+
+def rate_and_slopes(eta, mu, mu_c, params: QkdSystemParams):
+    """:func:`rate_per_pulse` and its partials in ``mu`` and ``mu_c``.
+
+    Returns ``(rate, d rate/d mu, d rate/d mu_c)``; the rate is bit for bit
+    :func:`rate_per_pulse`.  The partials are closed form, chained through
+    the yields and error rates with H2'(x) = log2((1 - x) / x) under the
+    same 1e-300 floor as H2, so they stay finite where an error rate is 0.
+    Both are 0 where the rate is clipped to 0.
+    """
+    return _decoy_rate(eta, mu, mu_c, params, slopes=True)
+
+
+def _entropy_slope(x: np.ndarray) -> np.ndarray:
+    """H2'(x) = log2((1 - x) / x) under :func:`_entropy`'s 1e-300 floor."""
+    return np.log2(np.maximum(1.0 - x, 1e-300)) - np.log2(np.maximum(x, 1e-300))
+
+
+def _decoy_rate(eta, mu, mu_c, params: QkdSystemParams, slopes: bool):
+    """The rate per pulse and, with ``slopes``, its partials in mu and mu_c."""
     eta = np.asarray(eta, dtype=float)
     mu = np.asarray(mu, dtype=float)
     mu_c = np.asarray(mu_c, dtype=float)
 
-    y0 = params.dark_count + 1.0 - np.exp(-mu_c)
+    no_cross = np.exp(-mu_c)
+    y0 = params.dark_count + 1.0 - no_cross
     e_det = 0.5 * (1.0 - params.visibility)
     e0 = 0.5
+    f_ec = params.error_correction_factor
 
     decay = np.exp(-eta * mu)
     q_mu = y0 + 1.0 - decay
@@ -111,11 +136,28 @@ def rate_per_pulse(eta, mu, mu_c, params: QkdSystemParams):
             0.0,
         )
         y1 = y0 + eta - y0 * eta
-        q1 = mu * np.exp(-mu) * y1
+        poisson0 = np.exp(-mu)
+        q1 = mu * poisson0 * y1
         e1 = np.where(
             y1 > 0.0, (e0 * y0 + e_det * eta) / np.where(y1 > 0, y1, 1.0), 0.0
         )
-    raw = q1 * (1.0 - _entropy(np.clip(e1, 0.0, 1.0))) - (
-        params.error_correction_factor * q_mu * _entropy(np.clip(e_mu, 0.0, 1.0))
+    e1, e_mu = np.clip(e1, 0.0, 1.0), np.clip(e_mu, 0.0, 1.0)
+    h1, h_mu = _entropy(e1), _entropy(e_mu)
+    raw = q1 * (1.0 - h1) - f_ec * q_mu * h_mu
+    rate = params.sifting_factor * np.maximum(raw, 0.0)
+    if not slopes:
+        return rate
+
+    # dQ_mu/dmu = eta exp(-eta mu), dQ_mu/dmu_c = dY_0/dmu_c = exp(-mu_c),
+    # dY_1/dmu_c = (1 - eta) exp(-mu_c); Q_mu dE_mu and Q_1 de_1 are
+    # written without their divisions.
+    slope1, slope_mu = _entropy_slope(e1), _entropy_slope(e_mu)
+    d_mu = (1.0 - mu) * poisson0 * y1 * (1.0 - h1) - f_ec * eta * decay * (
+        h_mu + slope_mu * (e_det - e_mu)
     )
-    return params.sifting_factor * np.maximum(raw, 0.0)
+    d_mu_c = mu * poisson0 * no_cross * (
+        (1.0 - eta) * (1.0 - h1) - slope1 * (e0 - e1 * (1.0 - eta))
+    ) - f_ec * no_cross * (h_mu + slope_mu * (e0 - e_mu))
+    lit = raw > 0.0
+    sift = params.sifting_factor
+    return rate, sift * np.where(lit, d_mu, 0.0), sift * np.where(lit, d_mu_c, 0.0)

@@ -5,8 +5,8 @@ library code: scipy special functions instead of the in-package recurrences,
 direct grid sums instead of analytic coefficient formulas, FFT beam
 propagation instead of the reduced per-axis overlap integrals, a plain
 4-D tensor-product cubature instead of the factorized moment contraction,
-a one-start-at-a-time coordinate ascent with a scalar golden-section
-search instead of the lockstep array search, and QUADPACK's adaptive
+a one-start-at-a-time coordinate ascent with a scalar line search
+instead of the lockstep array search, and QUADPACK's adaptive
 quadrature, one integral per value, instead of the vectorized
 Gauss-Legendre rule and the closed-form 5/3 path integral.
 """
@@ -252,23 +252,66 @@ def decoy_rate_reference(
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
-def scalar_golden_max(f, lo: float, hi: float, tol: float):
-    """Golden-section maximizer of a scalar function on [lo, hi]."""
+def scalar_line_max(f, lo: float, hi: float, tol: float):
+    """The package's line search on one scalar function, one probe at a time.
+
+    ``f(x)`` returns ``(value, slope)``.  Golden-section steps shrink
+    [lo, hi] to a bracket at most 0.1 (or ``tol``) wide.  Then the search
+    stops at ``lo`` or ``hi`` if the slope there points out of the interval
+    (a zero slope points toward the best point evaluated so far, the
+    smallest of ties); otherwise a secant on the slope, through the last two
+    probes, runs inside the bracket, bisecting when its step leaves the
+    bracket or is more than half as long as the last step, and probing at
+    least ``tol``/2 inside either end, until the bracket is <= ``tol``
+    wide.  Returns the best evaluated point, the smallest of ties, and its
+    value.
+    """
+    evaluated = []
+
+    def value(x):
+        fx = f(x)[0]
+        evaluated.append((x, fx))
+        return fx
+
+    def best():
+        top = max(fx for _, fx in evaluated)
+        return min(x for x, fx in evaluated if fx == top), top
+
+    def rising(x, g):
+        return g > 0.0 or (g == 0.0 and best()[0] > x)
+
     a, b = lo, hi
     c = b - _INVPHI * (b - a)
     d = a + _INVPHI * (b - a)
-    fc, fd = f(c), f(d)
-    while b - a > tol:
+    fc, fd = value(c), value(d)
+    while b - a > max(tol, 0.1):
         if fc >= fd:
             b, d, fd = d, c, fc
             c = b - _INVPHI * (b - a)
-            fc = f(c)
+            fc = value(c)
         else:
             a, c, fc = c, d, fd
             d = a + _INVPHI * (b - a)
-            fd = f(d)
-    x = 0.5 * (a + b)
-    return x, f(x)
+            fd = value(d)
+    if b - a > tol:
+        (fa, ga), (fb, gb) = f(a), f(b)
+        evaluated += [(a, fa), (b, fb)]
+        if not ((a == lo and not rising(a, ga)) or (b == hi and rising(b, gb))):
+            x0, g0, x1, g1 = a, ga, b, gb
+            last = math.inf
+            while b - a > tol:
+                s = x1 - g1 * (x1 - x0) / (g1 - g0) if g1 != g0 else math.nan
+                x = s if a < s < b and abs(s - x1) <= 0.5 * last else 0.5 * (a + b)
+                x = min(max(x, a + 0.5 * tol), b - 0.5 * tol)
+                fx, gx = f(x)
+                evaluated.append((x, fx))
+                if rising(x, gx):
+                    a = x
+                else:
+                    b = x
+                last = abs(x - x1)
+                x0, g0, x1, g1 = x1, g1, x, gx
+    return best()
 
 
 def mode_space_total(matrix, mu, params) -> float:
@@ -294,7 +337,7 @@ def scalar_coordinate_ascent(matrix, params, opts):
     ``(mu, total rate)``.
     """
     from fsoqkd.planner import _class_space, _class_totals, orbit_classes
-    from fsoqkd.qkd import rate_per_pulse
+    from fsoqkd.qkd import rate_and_slopes
 
     orbits = orbit_classes(matrix.modes)
     eta_diag = np.diag(matrix.eta)
@@ -302,14 +345,15 @@ def scalar_coordinate_ascent(matrix, params, opts):
     problem = _class_space([(matrix, orbits)])
     leads = [orbit[0] for orbit in orbits]
 
-    def total(mu):
-        return float(_class_totals(mu[leads][None], problem, params)[0])
+    def total(mu, k=0):
+        value, slope = _class_totals(mu[leads][None], problem, params, k)
+        return float(value[0]), float(slope[0])
 
     single = np.empty(n)
     for orbit in orbits:
         eta = float(eta_diag[orbit[0]])
-        single[list(orbit)], _ = scalar_golden_max(
-            lambda mu: float(rate_per_pulse(eta, mu, 0.0, params)),
+        single[list(orbit)], _ = scalar_line_max(
+            lambda mu: tuple(float(x) for x in rate_and_slopes(eta, mu, 0.0, params)[:2]),
             opts.mu_min,
             opts.mu_max,
             opts.line_tol,
@@ -320,7 +364,7 @@ def scalar_coordinate_ascent(matrix, params, opts):
         for orbit in orbits:
             corner = np.full(n, opts.mu_min)
             corner[list(orbit)] = single[orbit[0]]
-            val = total(corner)
+            val = total(corner)[0]
             if val > best_corner_val:
                 best_corner, best_corner_val = corner, val
         starts.append(best_corner)
@@ -328,18 +372,18 @@ def scalar_coordinate_ascent(matrix, params, opts):
     best_mu, best_val = None, -math.inf
     for start in starts:
         mu = np.clip(start, opts.mu_min, opts.mu_max)
-        current = total(mu)
+        current = total(mu)[0]
         for _ in range(opts.max_sweeps):
             before = current
-            for orbit in orbits:
+            for k, orbit in enumerate(orbits):
                 idx = list(orbit)
 
                 def line(v):
                     trial = mu.copy()
                     trial[idx] = v
-                    return total(trial)
+                    return total(trial, k)
 
-                v_star, val = scalar_golden_max(
+                v_star, val = scalar_line_max(
                     line, opts.mu_min, opts.mu_max, opts.line_tol
                 )
                 if val >= current:

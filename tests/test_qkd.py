@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from fsoqkd.qkd import QkdSystemParams, binary_entropy, rate_per_pulse
+from fsoqkd.qkd import QkdSystemParams, binary_entropy, rate_and_slopes, rate_per_pulse
 
 import oracles
 
@@ -57,6 +57,70 @@ def test_rate_matches_scalar_reference_on_random_grid():
         )
         got = float(rate_per_pulse(eta, mu, mu_c, params))
         assert got == pytest.approx(expected, rel=1e-12, abs=1e-15)
+
+
+def test_rate_and_slopes_value_is_rate_per_pulse():
+    params = QkdSystemParams()
+    rng = np.random.default_rng(11)
+    eta = 10.0 ** rng.uniform(-6.0, 0.0, 500)
+    mu = rng.uniform(0.0, 1.5, 500)
+    mu_c = 10.0 ** rng.uniform(-9.0, -1.0, 500)
+    rate, _, _ = rate_and_slopes(eta, mu, mu_c, params)
+    np.testing.assert_array_equal(rate, rate_per_pulse(eta, mu, mu_c, params))
+
+
+def test_rate_slopes_match_central_differences():
+    # Random points cover the clipped region (rate 0, where both slopes
+    # must be exactly 0) and the lit one; points whose difference stencil
+    # straddles the clip are skipped.  The mu_c step has a 1e-10 floor:
+    # y0 = p_dc + 1 - exp(-mu_c) cancels to the last bits below it.
+    params = QkdSystemParams()
+
+    def ref(eta, mu, mu_c):
+        return oracles.decoy_rate_reference(
+            eta, mu, mu_c, params.visibility, params.dark_count,
+            params.error_correction_factor, params.sifting_factor,
+        )
+
+    rng = np.random.default_rng(20261018)
+    clipped = lit = 0
+    for _ in range(400):
+        eta = float(10.0 ** rng.uniform(-6.0, 0.0))
+        mu = float(rng.uniform(1e-3, 1.5))
+        mu_c = float(10.0 ** rng.uniform(-8.0, -1.0))
+        rate, d_mu, d_mu_c = (float(x) for x in rate_and_slopes(eta, mu, mu_c, params))
+        h, h_c = 1e-6 * mu, max(1e-4 * mu_c, 1e-10)
+        stencil = [ref(eta, mu - h, mu_c), ref(eta, mu + h, mu_c)]
+        stencil += [ref(eta, mu, mu_c - h_c), ref(eta, mu, mu_c + h_c)]
+        if rate == 0.0 and not any(stencil):
+            clipped += 1
+            assert d_mu == d_mu_c == 0.0
+        elif rate > 0.0 and all(stencil):
+            lit += 1
+            scale = rate / mu
+            assert d_mu == pytest.approx(
+                (stencil[1] - stencil[0]) / (2.0 * h), rel=1e-4, abs=1e-6 * scale
+            )
+            assert d_mu_c == pytest.approx((stencil[3] - stencil[2]) / (2.0 * h_c), rel=1e-4)
+    assert clipped > 100 and lit > 100
+
+
+def test_rate_slopes_finite_at_ideal_corner():
+    # V = 1, p_dc = 0, mu_c = 0: every error rate is 0, where
+    # H2'(0) = inf.  The slopes stay finite; d/dmu is the exact
+    # sift * (1 - mu) exp(-mu) eta of the error-free rate sift * mu exp(-mu) eta.
+    params = QkdSystemParams(visibility=1.0, dark_count=0.0)
+    eta, mu = np.meshgrid(np.linspace(0.0, 1.0, 11), np.linspace(0.0, 1.5, 16))
+    rate, d_mu, d_mu_c = rate_and_slopes(eta, mu, 0.0, params)
+    assert np.all(np.isfinite(d_mu)) and np.all(np.isfinite(d_mu_c))
+    np.testing.assert_array_equal(rate, rate_per_pulse(eta, mu, 0.0, params))
+    lit = rate > 0.0
+    assert np.count_nonzero(lit) == 150  # all but mu = 0 or eta = 0
+    np.testing.assert_allclose(
+        d_mu[lit], (0.5 * (1.0 - mu) * np.exp(-mu) * eta)[lit], rtol=1e-14, atol=0.0
+    )
+    assert np.all(d_mu_c[lit] < 0.0)
+    assert not np.any(d_mu[~lit]) and not np.any(d_mu_c[~lit])
 
 
 def test_rate_vectorizes_over_mu():
