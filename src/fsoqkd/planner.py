@@ -14,10 +14,12 @@ The envelope operations additionally maximize over the mode-set
 configuration itself: the focused-beam grid size N, or the LG order cap Q
 against the single-beam power-in-bucket fallback.  Both build their
 matrices with the turbulent builders at every cn2, vacuum included, and
-run one rule, :func:`_envelope`: optimize every candidate configuration in
-one lockstep ascent and keep the first best beyond roundoff, so ties go to
-the smaller configuration and the fallback, the last LG candidate, wins
-only when better by more than ``_TIE_REL_TOL`` relative.
+run one rule, :func:`_envelopes`: optimize every candidate configuration
+of every link in one lockstep ascent and keep each link's first best
+beyond roundoff, so ties go to the smaller configuration and the
+fallback, the last LG candidate, wins only when better by more than
+``_TIE_REL_TOL`` relative.  :func:`scan` runs the links of one family
+through such ascents in batches.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -217,31 +219,35 @@ def _class_totals(
     params: QkdSystemParams,
     k: Optional[int] = None,
 ):
-    """Total key rates, bits/s, of the class values ``v`` (r, K), row s on
-    row s of each array of ``problem`` (see :func:`_class_space`).  Every
-    mode's rate is evaluated and summed.  Given a class ``k``, also returns
-    the (r,) slopes d total/d v[:, k] = pulse_rate * (sum over the modes i
-    of class k of d rate_i/d mu + sum over all i of coupling[k, i]
-    d rate_i/d mu_c)."""
+    """Total key rates, bits/s, of the class values ``v`` (S, m, K): m
+    points per row s, each on row s of every array of ``problem`` (see
+    :func:`_class_space`), which is gathered once and broadcast over the m
+    points.  Every mode's rate is evaluated and summed.  Given a class
+    ``k``, also returns the (S, m) slopes d total/d v[..., k] = pulse_rate
+    * (sum over the modes i of class k of d rate_i/d mu + sum over all i
+    of coupling[k, i] d rate_i/d mu_c)."""
     coupling, eta_diag, cls = problem
-    # Each row is multiplied as its own (1, K) matrix: a stacked (r, K)
-    # GEMM may sum in another order, and a row's total must not depend on
-    # how many rows share the call.
-    cross = (v[:, None, :] @ coupling)[:, 0, :]
-    mu = v[np.arange(len(v))[:, None], cls]
+    # Each point is multiplied as its own (1, K) matrix: a stacked GEMM
+    # may sum in another order, and a point's total must not depend on how
+    # many points share the call.
+    cross = (v[:, :, None, :] @ coupling[:, None])[:, :, 0, :]
+    # mu[s, p, i] = v[s, p, cls[s, i]], read from v's flat buffer.
+    first = np.arange(0, v.size, v.shape[2]).reshape(v.shape[:2] + (1,))
+    mu = v.reshape(-1)[first + cls[:, None, :]]
+    eta = eta_diag[:, None, :]
     if k is None:
-        return _mode_sum(params.pulse_rate * rate_per_pulse(eta_diag, mu, cross, params))
-    rate, d_mu, d_cross = rate_and_slopes(eta_diag, mu, cross, params)
-    own = np.sum(np.where(cls == k, d_mu, 0.0), axis=1)
-    leak = (coupling[:, k, None, :] @ d_cross[:, :, None])[:, 0, 0]
+        return _mode_sum(params.pulse_rate * rate_per_pulse(eta, mu, cross, params))
+    rate, d_mu, d_cross = rate_and_slopes(eta, mu, cross, params)
+    own = np.sum(np.where(cls[:, None, :] == k, d_mu, 0.0), axis=2)
+    leak = (coupling[:, None, k, None, :] @ d_cross[..., None])[..., 0, 0]
     return _mode_sum(params.pulse_rate * rate), params.pulse_rate * (own + leak)
 
 
 def _mode_sum(rates: np.ndarray) -> np.ndarray:
-    """Row sums of (r, n) mode rates, added in mode order: the zero rates
-    of padded modes then leave a total unchanged to the bit, where a
-    pairwise sum would regroup it by the padded length."""
-    return np.cumsum(rates, axis=1)[:, -1]
+    """Sums of mode rates over the last axis, added in mode order: the
+    zero rates of padded modes then leave a total unchanged to the bit,
+    where a pairwise sum would regroup it by the padded length."""
+    return np.cumsum(rates, axis=-1)[..., -1]
 
 
 def total_rate(
@@ -251,7 +257,8 @@ def total_rate(
     if alloc.modes != matrix.modes:
         raise ValueError("allocation and matrix cover different mode lists")
     v = alloc.mu[[orbit[0] for orbit in alloc.orbits]]
-    return float(_class_totals(v[None], _class_space([(matrix, alloc.orbits)]), params)[0])
+    problem = _class_space([(matrix, alloc.orbits)])
+    return float(_class_totals(v[None, None], problem, params)[0, 0])
 
 
 # --------------------------------------------------------------------------
@@ -378,26 +385,20 @@ def _optimize(
     n_cand, n_cls = len(candidates), counts.max()
     own_class = np.arange(n_cls) < counts[:, None]
 
-    def objective(cand: np.ndarray) -> Callable[..., object]:
-        rows = tuple(x[cand] for x in problem)
-        return lambda v, k=None: _class_totals(v, rows, params, k)
+    def totals(cand: np.ndarray, v: np.ndarray) -> np.ndarray:
+        """The (r,) totals of the class values ``v`` (r, K) of candidates ``cand``."""
+        return _class_totals(v[:, None], tuple(x[cand] for x in problem), params)[:, 0]
 
     def line(cand: np.ndarray, base: np.ndarray, k: int) -> Callable[..., object]:
         """The totals of the rows ``base`` with class k set to each of m
         values per row, and with ``slopes`` their slopes in class k, for
         :func:`_line_max`."""
-        totals = {}
+        rows = tuple(x[cand] for x in problem)
 
         def f(x: np.ndarray, slopes: bool = False):
-            m = x.shape[1]
-            if m not in totals:
-                totals[m] = objective(np.repeat(cand, m))
-            trial = np.repeat(base, m, axis=0)
-            trial[:, k] = x.ravel()
-            if not slopes:
-                return totals[m](trial).reshape(-1, m)
-            value, slope = totals[m](trial, k)
-            return value.reshape(-1, m), slope.reshape(-1, m)
+            trial = np.repeat(base[:, None, :], x.shape[1], axis=1)
+            trial[:, :, k] = x
+            return _class_totals(trial, rows, params, k if slopes else None)
 
         return f
 
@@ -419,7 +420,7 @@ def _optimize(
     # Corners: one class lit at its single-mode optimum, the rest floored.
     corner_cand, corner_k = np.nonzero(own_class & (counts > 1)[:, None])
     corners = np.where(np.arange(n_cls) == corner_k[:, None], single[corner_cand], opts.mu_min)
-    corner_val = objective(corner_cand)(corners)
+    corner_val = totals(corner_cand, corners)
 
     start = np.empty((n_cand, len(_START_NAMES), n_cls))
     start[:, 0], start[:, 1], start[:, 2], start[:, 3] = 0.05, 0.5, single, opts.mu_min
@@ -431,7 +432,7 @@ def _optimize(
     cand = np.repeat(np.arange(n_cand), len(_START_NAMES))
 
     v = np.clip(start.reshape(-1, n_cls), opts.mu_min, opts.mu_max)
-    current = np.where(has_start, objective(cand)(v), -np.inf)
+    current = np.where(has_start, totals(cand, v), -np.inf)
     sweeps = np.zeros(len(v), dtype=int)
     before = current.copy()
     active = has_start.copy()
@@ -521,33 +522,69 @@ def optimize_allocation(
 # by ~1e-15 relative; the optimizer's rel_tol is 1e6 times coarser.
 _TIE_REL_TOL = 1e-12
 
+_Candidate = Tuple[str, Optional[int], CouplingMatrix]
+_Winner = Tuple[str, Optional[int], float, PowerAllocation]
 
-def _envelope(
-    candidates: Iterable[Tuple[str, Optional[int], CouplingMatrix]],
+
+def _envelopes(
+    groups: Sequence[Sequence[_Candidate]],
     params: QkdSystemParams,
     opts: Optional[OptimizerOptions],
-) -> RatePoint:
-    """Best optimized operating point over ``(mode_set, config, matrix)``
-    candidates, all optimized in one lockstep ascent; a later candidate
-    replaces the best only when higher by more than ``_TIE_REL_TOL``
-    relative, so ties, roundoff ties included, go to the earliest.  A
-    winner that is the last sized candidate (the N or Q budget cap) is
-    logged as a warning: a larger cap may do better."""
-    candidates = list(candidates)
-    results = _optimize(candidates, params, opts)
-    best = 0
-    for i, (_, rate) in enumerate(results):
-        if rate > results[best][1] * (1.0 + _TIE_REL_TOL):
-            best = i
-    mode_set, config, _ = candidates[best]
-    if config is not None and all(later[1] is None for later in candidates[best + 1 :]):
-        log.warning(
-            "envelope: mode set %r wins at its budget cap, config %d; "
-            "a larger cap may give a higher rate",
-            mode_set, config,
-        )
-    alloc, rate = results[best]
-    return RatePoint(mode_set=mode_set, config=config, total_rate_bps=rate, allocation=alloc)
+) -> List[_Winner]:
+    """Best optimized operating point of each group of ``(mode_set,
+    config, matrix)`` candidates, as the :class:`RatePoint` fields
+    ``(mode_set, config, total_rate_bps, allocation)``.
+
+    Every candidate of every group is optimized in one lockstep ascent.
+    Within a group a later candidate replaces the best only when higher by
+    more than ``_TIE_REL_TOL`` relative, so ties, roundoff ties included,
+    go to the earliest.  A winner that is its group's last sized candidate
+    (the N or Q budget cap) is logged as a warning: a larger cap may do
+    better."""
+    results = iter(_optimize([c for group in groups for c in group], params, opts))
+    winners = []
+    for candidates in groups:
+        own = [next(results) for _ in candidates]
+        best = 0
+        for i, (_, rate) in enumerate(own):
+            if rate > own[best][1] * (1.0 + _TIE_REL_TOL):
+                best = i
+        mode_set, config, _ = candidates[best]
+        if config is not None and all(later[1] is None for later in candidates[best + 1 :]):
+            log.warning(
+                "envelope: mode set %r wins at its budget cap, config %d; "
+                "a larger cap may give a higher rate",
+                mode_set, config,
+            )
+        alloc, rate = own[best]
+        winners.append((mode_set, config, rate, alloc))
+    return winners
+
+
+def _fb_candidates(ch: DerivedChannel, n_max: int) -> List[_Candidate]:
+    """The focused-beam grids N = 1..n_max of one link."""
+    if not isinstance(ch.pupil, HardSquare):
+        raise ValueError("focused-beam envelope requires hard square pupils")
+    if n_max < 1:
+        raise ValueError(f"n_max must be >= 1, got {n_max}")
+    return [("fb", n_grid, fb_turb_matrix(n_grid, ch)) for n_grid in range(1, n_max + 1)]
+
+
+def _lg_candidates(ch: DerivedChannel, q_max: int) -> List[_Candidate]:
+    """The LG order caps Q = 1..q_max of one link, then its single-beam
+    power-in-bucket fallback."""
+    if not isinstance(ch.pupil, SoftGaussian):
+        raise ValueError("LG envelope requires soft Gaussian pupils")
+    if q_max < 1:
+        raise ValueError(f"q_max must be >= 1, got {q_max}")
+    full = lg_turb_matrix(q_max, ch)
+    candidates: List[_Candidate] = []
+    for q in range(1, q_max + 1):
+        k = q * (q + 1) // 2
+        candidates.append(("lg", q, CouplingMatrix(modes=full.modes[:k], eta=full.eta[:k, :k])))
+    pib = np.array([[gaussian_pib_turb(ch)]])
+    candidates.append(("gaussian-pib", None, CouplingMatrix(modes=(LGMode(p=0, l=0),), eta=pib)))
+    return candidates
 
 
 def fb_envelope(
@@ -557,12 +594,7 @@ def fb_envelope(
     opts: Optional[OptimizerOptions] = None,
 ) -> RatePoint:
     """Best focused-beam operating point over grid sizes N = 1..n_max."""
-    if not isinstance(ch.pupil, HardSquare):
-        raise ValueError("focused-beam envelope requires hard square pupils")
-    if n_max < 1:
-        raise ValueError(f"n_max must be >= 1, got {n_max}")
-    candidates = (("fb", n_grid, fb_turb_matrix(n_grid, ch)) for n_grid in range(1, n_max + 1))
-    return _envelope(candidates, params, opts)
+    return RatePoint(*_envelopes([_fb_candidates(ch, n_max)], params, opts)[0])
 
 
 def lg_envelope(
@@ -574,20 +606,7 @@ def lg_envelope(
     """Best LG operating point: mode-sorted order caps Q <= q_max, or the
     single-beam power-in-bucket fallback when mode sorting only adds
     cross-talk (deep far field under strong turbulence)."""
-    if not isinstance(ch.pupil, SoftGaussian):
-        raise ValueError("LG envelope requires soft Gaussian pupils")
-    if q_max < 1:
-        raise ValueError(f"q_max must be >= 1, got {q_max}")
-    full = lg_turb_matrix(q_max, ch)
-
-    def candidates():
-        for q in range(1, q_max + 1):
-            k = q * (q + 1) // 2
-            yield "lg", q, CouplingMatrix(modes=full.modes[:k], eta=full.eta[:k, :k])
-        pib = np.array([[gaussian_pib_turb(ch)]])
-        yield "gaussian-pib", None, CouplingMatrix(modes=(LGMode(p=0, l=0),), eta=pib)
-
-    return _envelope(candidates(), params, opts)
+    return RatePoint(*_envelopes([_lg_candidates(ch, q_max)], params, opts)[0])
 
 
 # --------------------------------------------------------------------------
@@ -595,41 +614,91 @@ def lg_envelope(
 # --------------------------------------------------------------------------
 
 
+# Class-space coupling entries per lockstep ascent in ``scan``.  A batch's
+# working set grows by about 200 bytes per entry (measured from n_max = 8
+# to q_max = 16), while the gain of one more link shrinks as the arrays
+# grow.  At n_max = q_max = 8 a batch holds 3 links (5,120 and 6,480
+# entries each), the default scan's cn2 count; from q_max = 10 (18,150) on
+# it holds one.
+_SCAN_BATCH_ENTRIES = 20_000
+
+
+def _class_space_entries(candidates: Sequence[_Candidate]) -> int:
+    """Coupling entries of one link's candidates in ``_optimize``'s class
+    space, each padded to the largest class and mode counts."""
+    matrices = [matrix for _, _, matrix in candidates]
+    n_classes = max(len(orbit_classes(m.modes)) for m in matrices)
+    return len(matrices) * n_classes * max(len(m.modes) for m in matrices)
+
+
 def scan(
-    link: ChannelConfig,
+    links: Sequence[ChannelConfig],
     params: QkdSystemParams,
     n_max: int = 8,
     q_max: int = 8,
     opts: Optional[OptimizerOptions] = None,
-) -> ScanRow:
-    """Optimize one link; its pupil chooses the mode family.
+) -> List[ScanRow]:
+    """Optimize every link; each link's pupil chooses its mode family.
+    Returns one row per link, in order.
 
-    A :class:`HardSquare` link runs :func:`fb_envelope`.  A
-    :class:`SoftGaussian` link runs :func:`lg_envelope` and also carries
-    the lossy channel capacity bound C = -nu * sum_q log2(1 - eta_q) on the
-    vacuum LG transmissivities: turbulence with a passive receiver cannot
-    beat the pure-loss bound, so the vacuum figure is the binding one at
-    every cn2.  It depends on the channel only through the Fresnel
-    product, so the link's own channel serves at any cn2.  The rate and
-    the bound are computed independently: a failure of one (a
+    A :class:`HardSquare` link gets the :func:`fb_envelope` point.  A
+    :class:`SoftGaussian` link gets the :func:`lg_envelope` point and also
+    carries the lossy channel capacity bound C = -nu * sum_q log2(1 -
+    eta_q) on the vacuum LG transmissivities: turbulence with a passive
+    receiver cannot beat the pure-loss bound, so the vacuum figure is the
+    binding one at every cn2.  It depends on the channel only through the
+    Fresnel product, so the link's own channel serves at any cn2.
+
+    The links of one family are optimized in lockstep batches, in link
+    order: a batch takes links while their candidates stay within
+    ``_SCAN_BATCH_ENTRIES`` class-space coupling entries (3 links at
+    ``n_max = q_max = 8``, 1 from ``q_max = 10``), and at least one.  Every
+    FB link pads to ``n_max``'s grid and every LG link to ``q_max``'s, so
+    each row is bit for bit the row of a one-link scan.  A link's rate and
+    bound are computed independently, and a failure of either (a
     :class:`RuntimeError` such as a :class:`QuadratureError`, or a
-    :class:`ValueError`) leaves that field None and is named in
-    ``error``; any other exception propagates.
+    :class:`ValueError`, in its matrix builds, its bound or its
+    :class:`RatePoint`) leaves that field None and is named in its
+    ``error``; the other links are untouched.  Any other exception
+    propagates.
     """
-    ch = derive(link)
-    errors: List[str] = []
+    links = list(links)
+    points: List[Optional[RatePoint]] = [None] * len(links)
+    capacity: List[Optional[float]] = [None] * len(links)
+    errors: List[List[str]] = [[] for _ in links]
 
-    def attempt(compute: Callable[[], object]):
+    def attempt(i: int, compute: Callable[[], object]):
         try:
             return compute()
         except (RuntimeError, ValueError) as exc:
-            errors.append(f"{type(exc).__name__}: {exc}")
+            errors[i].append(f"{type(exc).__name__}: {exc}")
             return None
 
-    capacity = None
-    if isinstance(link.pupil, HardSquare):
-        point = attempt(lambda: fb_envelope(ch, params, n_max, opts))
-    else:
-        capacity = attempt(lambda: lg_vacuum_capacity(ch, params.pulse_rate))
-        point = attempt(lambda: lg_envelope(ch, params, q_max, opts))
-    return ScanRow(point=point, capacity_bps=capacity, error="; ".join(errors) or None)
+    batches: Dict[str, List[Tuple[int, List[_Candidate]]]] = {"fb": [], "lg": []}
+
+    def run(batch: List[Tuple[int, List[_Candidate]]]) -> None:
+        winners = _envelopes([candidates for _, candidates in batch], params, opts)
+        for (i, _), winner in zip(batch, winners):
+            points[i] = attempt(i, lambda: RatePoint(*winner))
+        batch.clear()
+
+    for i, link in enumerate(links):
+        ch = derive(link)
+        if isinstance(link.pupil, HardSquare):
+            family, candidates = "fb", attempt(i, lambda: _fb_candidates(ch, n_max))
+        else:
+            capacity[i] = attempt(i, lambda: lg_vacuum_capacity(ch, params.pulse_rate))
+            family, candidates = "lg", attempt(i, lambda: _lg_candidates(ch, q_max))
+        if candidates is None:
+            continue
+        batch = batches[family]
+        batch.append((i, candidates))
+        if (len(batch) + 1) * _class_space_entries(candidates) > _SCAN_BATCH_ENTRIES:
+            run(batch)
+    for batch in batches.values():
+        if batch:
+            run(batch)
+    return [
+        ScanRow(point=point, capacity_bps=bound, error="; ".join(errs) or None)
+        for point, bound, errs in zip(points, capacity, errors)
+    ]

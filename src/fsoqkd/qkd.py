@@ -75,25 +75,28 @@ def binary_entropy(x):
     xa = np.asarray(x, dtype=float)
     if np.any((xa < 0) | (xa > 1)):
         raise ValueError("binary entropy argument outside [0, 1]")
-    val = _entropy(xa)
+    val = _entropy_and_slope(xa)[0]
     if np.isscalar(x) or getattr(x, "ndim", None) == 0:
         return float(val)
     return val
 
 
-def _entropy(x: np.ndarray) -> np.ndarray:
-    """H2 of an array already in [0, 1]; the 1e-300 floor keeps 0 log 0 = 0."""
-    return -x * np.log2(np.maximum(x, 1e-300)) - (1.0 - x) * np.log2(
-        np.maximum(1.0 - x, 1e-300)
-    )
+def _entropy_and_slope(x: np.ndarray):
+    """H2(x) and H2'(x) = log2((1 - x) / x) of an array in [0, 1], sharing
+    their logarithms; the 1e-300 floor keeps 0 log 0 = 0 and the slope
+    finite."""
+    log_x = np.log2(np.maximum(x, 1e-300))
+    rest = 1.0 - x
+    log_rest = np.log2(np.maximum(rest, 1e-300))
+    return -x * log_x - rest * log_rest, log_rest - log_x
 
 
 def rate_per_pulse(eta, mu, mu_c, params: QkdSystemParams):
     """Vectorized asymptotic decoy-state BB84 rate in bits per pulse.
 
     Parameters are the mode transmissivity, the signal mean photon number
-    per pulse, and the cross-talk mean photon number per pulse.  Arrays
-    broadcast elementwise.
+    per pulse, and the cross-talk mean photon number per pulse: eta in
+    [0, 1], mu and mu_c >= 0.  Arrays broadcast elementwise.
     """
     return _decoy_rate(eta, mu, mu_c, params, slopes=False)
 
@@ -110,9 +113,10 @@ def rate_and_slopes(eta, mu, mu_c, params: QkdSystemParams):
     return _decoy_rate(eta, mu, mu_c, params, slopes=True)
 
 
-def _entropy_slope(x: np.ndarray) -> np.ndarray:
-    """H2'(x) = log2((1 - x) / x) under :func:`_entropy`'s 1e-300 floor."""
-    return np.log2(np.maximum(1.0 - x, 1e-300)) - np.log2(np.maximum(x, 1e-300))
+# Divisor floor, the smallest positive double.  A yield is never negative
+# and a zero yield has a zero numerator, so num / max(yield, _TINY) is 0
+# there and the plain quotient elsewhere.
+_TINY = np.finfo(float).smallest_subnormal
 
 
 def _decoy_rate(eta, mu, mu_c, params: QkdSystemParams, slopes: bool):
@@ -127,37 +131,33 @@ def _decoy_rate(eta, mu, mu_c, params: QkdSystemParams, slopes: bool):
     e0 = 0.5
     f_ec = params.error_correction_factor
 
+    # With eta in [0, 1] and mu, mu_c >= 0 every numerator below is >= 0,
+    # so each error rate needs only its upper clip at 1.
     decay = np.exp(-eta * mu)
     q_mu = y0 + 1.0 - decay
-    with np.errstate(invalid="ignore", divide="ignore"):
-        e_mu = np.where(
-            q_mu > 0.0,
-            (e0 * y0 + e_det * (1.0 - decay)) / np.where(q_mu > 0, q_mu, 1.0),
-            0.0,
-        )
-        y1 = y0 + eta - y0 * eta
-        poisson0 = np.exp(-mu)
-        q1 = mu * poisson0 * y1
-        e1 = np.where(
-            y1 > 0.0, (e0 * y0 + e_det * eta) / np.where(y1 > 0, y1, 1.0), 0.0
-        )
-    e1, e_mu = np.clip(e1, 0.0, 1.0), np.clip(e_mu, 0.0, 1.0)
-    h1, h_mu = _entropy(e1), _entropy(e_mu)
+    e_mu = np.minimum((e0 * y0 + e_det * (1.0 - decay)) / np.maximum(q_mu, _TINY), 1.0)
+    y1 = y0 + eta - y0 * eta
+    poisson0 = np.exp(-mu)
+    q1 = mu * poisson0 * y1
+    e1 = np.minimum((e0 * y0 + e_det * eta) / np.maximum(y1, _TINY), 1.0)
+    (h1, slope1), (h_mu, slope_mu) = _entropy_and_slope(e1), _entropy_and_slope(e_mu)
     raw = q1 * (1.0 - h1) - f_ec * q_mu * h_mu
     rate = params.sifting_factor * np.maximum(raw, 0.0)
     if not slopes:
         return rate
+    # Free what the slopes do not read: a batched call holds many arrays
+    # of the full (points x modes) size at once.
+    lit = raw > 0.0
+    del y0, q_mu, q1, raw
 
     # dQ_mu/dmu = eta exp(-eta mu), dQ_mu/dmu_c = dY_0/dmu_c = exp(-mu_c),
     # dY_1/dmu_c = (1 - eta) exp(-mu_c); Q_mu dE_mu and Q_1 de_1 are
     # written without their divisions.
-    slope1, slope_mu = _entropy_slope(e1), _entropy_slope(e_mu)
     d_mu = (1.0 - mu) * poisson0 * y1 * (1.0 - h1) - f_ec * eta * decay * (
         h_mu + slope_mu * (e_det - e_mu)
     )
     d_mu_c = mu * poisson0 * no_cross * (
         (1.0 - eta) * (1.0 - h1) - slope1 * (e0 - e1 * (1.0 - eta))
     ) - f_ec * no_cross * (h_mu + slope_mu * (e0 - e_mu))
-    lit = raw > 0.0
     sift = params.sifting_factor
     return rate, sift * np.where(lit, d_mu, 0.0), sift * np.where(lit, d_mu_c, 0.0)

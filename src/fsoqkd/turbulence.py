@@ -299,26 +299,24 @@ def lg_turb_matrix(q_max: int, ch: DerivedChannel) -> CouplingMatrix:
     span = range(q_max)
     mom = hg_second_moments(ch, (q_max,) * 4)
     rows = [slice(n * (n + 1) // 2, (n + 1) * (n + 2) // 2) for n in span]
-    unitaries = [lg_hg_unitary(n) for n in span]
+    # Row i of pair[n] is U_a U_b* of LG mode i of order n over the pair
+    # index ab, so a block is pair[N] @ K[ab, cd] @ pair[N'].conj().T.
+    pair = []
+    for n in span:
+        u = lg_hg_unitary(n)
+        pair.append((u[:, :, None] * u.conj()[:, None, :]).reshape(n + 1, -1))
 
     eta = np.zeros((len(modes), len(modes)))
     worst_imag = 0.0
-    for n_in, u_in in enumerate(unitaries):
-        for n_out, u_out in enumerate(unitaries):
+    for n_in in span:
+        for n_out in span:
             # K[a, b, c, d] = M(a, b; c, d) M(N-a, N-b; N'-c, N'-d).
             k_tensor = (
                 mom[: n_in + 1, : n_in + 1, : n_out + 1, : n_out + 1]
                 * mom[n_in::-1, n_in::-1, n_out::-1, n_out::-1]
             )
-            block = np.einsum(
-                "ia,ib,jc,jd,abcd->ij",
-                u_in,
-                u_in.conj(),
-                u_out.conj(),
-                u_out,
-                k_tensor,
-                optimize=True,
-            )
+            k_matrix = k_tensor.reshape((n_in + 1) ** 2, (n_out + 1) ** 2)
+            block = pair[n_in] @ k_matrix @ pair[n_out].conj().T
             worst_imag = max(worst_imag, float(np.max(np.abs(block.imag))))
             eta[rows[n_in], rows[n_out]] = block.real
 

@@ -8,7 +8,9 @@ propagation instead of the reduced per-axis overlap integrals, a plain
 a one-start-at-a-time coordinate ascent with a scalar line search
 instead of the lockstep array search, and QUADPACK's adaptive
 quadrature, one integral per value, instead of the vectorized
-Gauss-Legendre rule and the closed-form 5/3 path integral.
+Gauss-Legendre rule and the closed-form 5/3 path integral.  The rate
+kernel as first written is also kept here, to pin the package's leaner
+one bit for bit.
 """
 
 import math
@@ -249,6 +251,64 @@ def decoy_rate_reference(
     return sift * max(0.0, raw)
 
 
+
+def decoy_rate_frozen(eta, mu, mu_c, params, slopes: bool):
+    """The package's array rate kernel as first written, with its slopes:
+    division guards by ``np.where``, error rates clipped by ``np.clip``,
+    and H2 and H2' taking their own logarithms.  The leaner kernel must
+    return the same bits on every valid input."""
+
+    def entropy(x):
+        return -x * np.log2(np.maximum(x, 1e-300)) - (1.0 - x) * np.log2(
+            np.maximum(1.0 - x, 1e-300)
+        )
+
+    def entropy_slope(x):
+        return np.log2(np.maximum(1.0 - x, 1e-300)) - np.log2(np.maximum(x, 1e-300))
+
+    eta = np.asarray(eta, dtype=float)
+    mu = np.asarray(mu, dtype=float)
+    mu_c = np.asarray(mu_c, dtype=float)
+
+    no_cross = np.exp(-mu_c)
+    y0 = params.dark_count + 1.0 - no_cross
+    e_det = 0.5 * (1.0 - params.visibility)
+    e0 = 0.5
+    f_ec = params.error_correction_factor
+
+    decay = np.exp(-eta * mu)
+    q_mu = y0 + 1.0 - decay
+    with np.errstate(invalid="ignore", divide="ignore"):
+        e_mu = np.where(
+            q_mu > 0.0,
+            (e0 * y0 + e_det * (1.0 - decay)) / np.where(q_mu > 0, q_mu, 1.0),
+            0.0,
+        )
+        y1 = y0 + eta - y0 * eta
+        poisson0 = np.exp(-mu)
+        q1 = mu * poisson0 * y1
+        e1 = np.where(
+            y1 > 0.0, (e0 * y0 + e_det * eta) / np.where(y1 > 0, y1, 1.0), 0.0
+        )
+    e1, e_mu = np.clip(e1, 0.0, 1.0), np.clip(e_mu, 0.0, 1.0)
+    h1, h_mu = entropy(e1), entropy(e_mu)
+    raw = q1 * (1.0 - h1) - f_ec * q_mu * h_mu
+    rate = params.sifting_factor * np.maximum(raw, 0.0)
+    if not slopes:
+        return rate
+
+    slope1, slope_mu = entropy_slope(e1), entropy_slope(e_mu)
+    d_mu = (1.0 - mu) * poisson0 * y1 * (1.0 - h1) - f_ec * eta * decay * (
+        h_mu + slope_mu * (e_det - e_mu)
+    )
+    d_mu_c = mu * poisson0 * no_cross * (
+        (1.0 - eta) * (1.0 - h1) - slope1 * (e0 - e1 * (1.0 - eta))
+    ) - f_ec * no_cross * (h_mu + slope_mu * (e0 - e_mu))
+    lit = raw > 0.0
+    sift = params.sifting_factor
+    return rate, sift * np.where(lit, d_mu, 0.0), sift * np.where(lit, d_mu_c, 0.0)
+
+
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
@@ -346,8 +406,8 @@ def scalar_coordinate_ascent(matrix, params, opts):
     leads = [orbit[0] for orbit in orbits]
 
     def total(mu, k=0):
-        value, slope = _class_totals(mu[leads][None], problem, params, k)
-        return float(value[0]), float(slope[0])
+        value, slope = _class_totals(mu[leads][None, None], problem, params, k)
+        return float(value[0, 0]), float(slope[0, 0])
 
     single = np.empty(n)
     for orbit in orbits:

@@ -303,6 +303,47 @@ def test_cmd_rates_small_grid_and_determinism():
     assert text2.encode() == text.encode()
 
 
+def test_cmd_rates_lists_rows_by_length_then_cn2_then_family():
+    # One worker gets one task per (L, family) with every cn2; the CSV
+    # order is unchanged.
+    cfg = small_config(path_lengths=(20e3, 10e3), cn2_values=(1e-14, 1e-15), n_max=1, q_max=1)
+    text, clean = cmd_rates(cfg)
+    assert clean
+    keys = [
+        (float(cells[0]), float(cells[1]), "fb" if cells[2] == "fb" else "lg")
+        for cells in (line.split(",") for line in text.splitlines()[1:])
+    ]
+    assert keys == [
+        (path_length, cn2, family)
+        for path_length in (20e3, 10e3)
+        for cn2 in (1e-14, 1e-15)
+        for family in ("lg", "fb")
+    ]
+
+
+def test_cmd_rates_splits_cn2_lists_to_fill_workers(monkeypatch):
+    # 6 rows over 4 workers: cn2 slices of at most ceil(6 / 4) = 2 values
+    # give 4 tasks; one worker gets whole lists.  The CSV is the same.
+    cfg = small_config(path_lengths=(10e3,), cn2_values=(1e-15, 1e-14, 1e-13), n_max=1, q_max=1)
+    slices = []
+
+    def serial(worker, tasks, jobs):
+        slices.append([(family, cn2_values) for _, _, cn2_values, family in tasks])
+        return [worker(*task) for task in tasks]
+
+    monkeypatch.setattr(cli, "_pool_map", serial)
+    assert cmd_rates(cfg, jobs=4) == cmd_rates(cfg, jobs=1)
+    assert slices == [
+        [
+            ("lg", (1e-15, 1e-14)),
+            ("lg", (1e-13,)),
+            ("fb", (1e-15, 1e-14)),
+            ("fb", (1e-13,)),
+        ],
+        [("lg", (1e-15, 1e-14, 1e-13)), ("fb", (1e-15, 1e-14, 1e-13))],
+    ]
+
+
 def test_cmd_rates_records_failures(monkeypatch, caplog):
     cfg = small_config(path_lengths=(10e3,), cn2_values=(1e-14,), n_max=1, q_max=1)
 
@@ -411,7 +452,11 @@ def test_cmd_validate_small_grid():
     "command,overrides",
     [
         (cmd_transmissivity, dict(path_lengths=(1e3, 3e3), cn2_values=(0.0,))),
-        (cmd_rates, dict(path_lengths=(10e3,), cn2_values=(1e-14,), n_max=1, q_max=1)),
+        # Two links per (L, family) task and more tasks (4) than workers.
+        (
+            cmd_rates,
+            dict(path_lengths=(10e3, 20e3), cn2_values=(1e-15, 1e-14), n_max=2, q_max=2),
+        ),
         (cmd_validate, dict(path_lengths=(10e3,), cn2_values=(0.0, 1e-14))),
     ],
     ids=["transmissivity", "rates", "validate"],

@@ -341,7 +341,7 @@ def test_class_slopes_match_mode_space_differences(matrix, seed):
     params = QkdSystemParams()
     values = 10.0 ** np.random.default_rng(seed).uniform(-3.0, math.log10(1.4), len(orbits))
     problem = planner._class_space([(matrix, orbits)])
-    total = planner._class_totals(values[None], problem, params)
+    total = planner._class_totals(values[None, None], problem, params)[0]
 
     def allocation(v):
         mu = np.empty(len(matrix.modes))
@@ -354,7 +354,7 @@ def test_class_slopes_match_mode_space_differences(matrix, seed):
         return rate_per_pulse(np.diag(matrix.eta), mu, mu @ off, params) > 0.0
 
     for k in range(len(orbits)):
-        value, slope = planner._class_totals(values[None], problem, params, k)
+        value, slope = (out[0] for out in planner._class_totals(values[None, None], problem, params, k))
         assert value[0] == total[0]
         h = 1e-5 * values[k]
         step = h * (np.arange(len(orbits)) == k)
@@ -571,11 +571,8 @@ def test_envelope_total_is_total_rate_of_its_allocation(family, path_length, cn2
     assert point.total_rate_bps == total_rate(point.allocation, matrix, params)
 
 
-def test_fb_envelope_rate_kernel_call_budget(monkeypatch):
-    # Deterministic work count of the optimizer: every rate-kernel call of
-    # one vacuum flat-top envelope at 1 km, N = 1..8 (71 line searches).
-    # Golden section to line_tol took 3,339 calls; the golden-then-secant
-    # search takes 877.
+def _kernel_calls(monkeypatch):
+    """A list that gets one entry per rate-kernel call of the planner."""
     calls = []
     for name in ("rate_per_pulse", "rate_and_slopes"):
         kernel = getattr(planner, name)
@@ -585,6 +582,15 @@ def test_fb_envelope_rate_kernel_call_budget(monkeypatch):
             return _kernel(*args)
 
         monkeypatch.setattr(planner, name, counted)
+    return calls
+
+
+def test_fb_envelope_rate_kernel_call_budget(monkeypatch):
+    # Deterministic work count of the optimizer: every rate-kernel call of
+    # one vacuum flat-top envelope at 1 km, N = 1..8 (71 line searches).
+    # Golden section to line_tol took 3,339 calls; the golden-then-secant
+    # search takes 877.
+    calls = _kernel_calls(monkeypatch)
     fb_envelope(square_channel(1e3, 0.0), QkdSystemParams())
     assert len(calls) <= 900
     assert 0 < calls.count("rate_and_slopes") < calls.count("rate_per_pulse")
@@ -661,8 +667,9 @@ def test_rate_point_rejects_non_finite_total():
 
 def test_scan_row_layout_and_capacity():
     params = QkdSystemParams()
-    lg_row = scan(gauss_channel(10e3).config, params, n_max=2, q_max=2)
-    fb_row = scan(square_channel(10e3).config, params, n_max=2, q_max=2)
+    lg_row, fb_row = scan(
+        [gauss_channel(10e3).config, square_channel(10e3).config], params, n_max=2, q_max=2
+    )
     assert lg_row.error is None and fb_row.error is None
     assert lg_row.point.mode_set in ("lg", "gaussian-pib")
     assert fb_row.point.mode_set == "fb"
@@ -681,8 +688,8 @@ def test_scan_records_errors_and_continues(monkeypatch):
         raise RuntimeError("boom")
 
     monkeypatch.setattr(planner, "fb_turb_matrix", boom)
-    lg_row = scan(gauss_channel(10e3, 1e-14).config, params, n_max=2, q_max=1)
-    fb_row = scan(square_channel(10e3, 1e-14).config, params, n_max=2, q_max=1)
+    links = [gauss_channel(10e3, 1e-14).config, square_channel(10e3, 1e-14).config]
+    lg_row, fb_row = scan(links, params, n_max=2, q_max=1)
     assert lg_row.error is None
     assert lg_row.point is not None
     assert fb_row.point is None
@@ -693,7 +700,7 @@ def test_scan_keeps_rate_when_capacity_fails():
     # A 0.3 m link exhausts the LG capacity series' order budget; the
     # envelope does not depend on that series and still runs.
     params = QkdSystemParams()
-    row = scan(gauss_channel(0.3).config, params, q_max=1)
+    (row,) = scan([gauss_channel(0.3).config], params, q_max=1)
     assert row.capacity_bps is None
     assert row.error.startswith("RuntimeError: lg_vacuum_capacity:")
     assert "D_f = " in row.error
@@ -706,11 +713,92 @@ def test_scan_names_every_failure(monkeypatch):
         raise RuntimeError("boom")
 
     monkeypatch.setattr(planner, "lg_turb_matrix", boom)
-    row = scan(gauss_channel(0.3).config, QkdSystemParams(), q_max=1)
+    (row,) = scan([gauss_channel(0.3).config], QkdSystemParams(), q_max=1)
     assert row.point is None and row.capacity_bps is None
     first, second = row.error.split("; ")
     assert first.startswith("RuntimeError: lg_vacuum_capacity:")
     assert second == "RuntimeError: boom"
+
+
+def _same_row(row, solo):
+    assert row.error == solo.error
+    assert row.capacity_bps == solo.capacity_bps
+    if solo.point is None:
+        assert row.point is None
+        return
+    assert (row.point.mode_set, row.point.config) == (solo.point.mode_set, solo.point.config)
+    assert row.point.total_rate_bps == solo.point.total_rate_bps
+    np.testing.assert_array_equal(row.point.allocation.mu, solo.point.allocation.mu)
+
+
+def test_scan_batch_rows_equal_one_link_scans(monkeypatch):
+    # The links of one family share one lockstep ascent, padded to the
+    # n_max or q_max configuration, so every row keeps the bits of its own
+    # one-link scan; a link whose matrix build fails fails alone.
+    params = QkdSystemParams()
+    links = [
+        square_channel(1e3, 0.0).config,
+        gauss_channel(10e3, 1e-14).config,
+        square_channel(1.75e3, 1e-14).config,
+        gauss_channel(1e3, 0.0).config,
+        square_channel(3e3, 1e-14).config,
+        square_channel(5e3, 1e-15).config,
+        gauss_channel(2e3, 1e-13).config,
+    ]
+    real = planner.fb_turb_matrix
+
+    def flaky(n_grid, ch):
+        if ch.config.path_length == 3e3 and n_grid == 3:
+            raise RuntimeError("boom")
+        return real(n_grid, ch)
+
+    monkeypatch.setattr(planner, "fb_turb_matrix", flaky)
+    rows = scan(links, params, n_max=4, q_max=4)
+    assert len(rows) == len(links)
+    assert rows[4].point is None and rows[4].error == "RuntimeError: boom"
+    for i, (link, row) in enumerate(zip(links, rows)):
+        (solo,) = scan([link], params, n_max=4, q_max=4)
+        _same_row(row, solo)
+        if i != 4:
+            assert row.error is None and row.point.total_rate_bps > 0.0
+
+
+def test_scan_batches_stay_within_entry_budget(monkeypatch):
+    # At n_max = 4 a flat-top link holds 4 x 3 x 16 = 192 class-space
+    # entries and at q_max = 4 an LG link 5 x 6 x 10 = 300; a budget of 576
+    # fits 3 and 1 of them.  Rows keep the bits of one unbounded batch.
+    params = QkdSystemParams()
+    links = [square_channel(L, 1e-14).config for L in (1e3, 2e3, 3e3, 4e3, 5e3)]
+    links += [gauss_channel(L, 1e-14).config for L in (1e3, 2e3)]
+    whole = scan(links, params, n_max=4, q_max=4)
+    sizes = []
+    real = planner._optimize
+
+    def recorded(candidates, *args):
+        sizes.append(len(candidates))
+        return real(candidates, *args)
+
+    monkeypatch.setattr(planner, "_optimize", recorded)
+    monkeypatch.setattr(planner, "_SCAN_BATCH_ENTRIES", 576)
+    rows = scan(links, params, n_max=4, q_max=4)
+    assert sizes == [3 * 4, 5, 5, 2 * 4]
+    for row, solo in zip(rows, whole):
+        _same_row(row, solo)
+
+
+def test_scan_batch_rate_kernel_call_budget(monkeypatch):
+    # A batch costs about as many kernel calls as its slowest link alone:
+    # each call carries every link's rows.
+    calls = _kernel_calls(monkeypatch)
+    links = [square_channel(1e3, 0.0).config, square_channel(1e3, 1e-14).config]
+    solo = []
+    for link in links:
+        calls.clear()
+        scan([link], QkdSystemParams())
+        solo.append(len(calls))
+    calls.clear()
+    scan(links, QkdSystemParams())
+    assert len(calls) <= 1.1 * max(solo)
 
 
 def test_scan_propagates_programming_errors(monkeypatch):
@@ -719,4 +807,4 @@ def test_scan_propagates_programming_errors(monkeypatch):
 
     monkeypatch.setattr(planner, "fb_turb_matrix", broken)
     with pytest.raises(TypeError, match="broken"):
-        scan(square_channel(10e3, 1e-14).config, QkdSystemParams(), n_max=2)
+        scan([square_channel(10e3, 1e-14).config], QkdSystemParams(), n_max=2)

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from fsoqkd.qkd import QkdSystemParams, binary_entropy, rate_and_slopes, rate_per_pulse
 
@@ -67,6 +69,45 @@ def test_rate_and_slopes_value_is_rate_per_pulse():
     mu_c = 10.0 ** rng.uniform(-9.0, -1.0, 500)
     rate, _, _ = rate_and_slopes(eta, mu, mu_c, params)
     np.testing.assert_array_equal(rate, rate_per_pulse(eta, mu, mu_c, params))
+
+
+def _unit_or_zero(lo_exp):
+    """0, a subnormal, 1 or a log-uniform value in [10**lo_exp, 1]."""
+    return st.one_of(
+        st.sampled_from([0.0, 1e-310, 1.0]), st.floats(lo_exp, 0.0).map(lambda e: 10.0**e)
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    eta=st.lists(_unit_or_zero(-12.0), min_size=1, max_size=6),
+    mu=st.one_of(st.just(0.0), st.floats(1e-6, 1.5), st.floats(0.0, 20.0)),
+    mu_c=st.one_of(st.just(0.0), st.floats(-12.0, 1.0).map(lambda e: 10.0**e)),
+    dark_count=st.one_of(st.just(0.0), st.floats(-12.0, -0.01).map(lambda e: 10.0**e)),
+    visibility=st.one_of(st.just(1.0), st.floats(0.01, 1.0)),
+    f_ec=st.one_of(st.just(1.0), st.floats(1.0, 2.0)),
+)
+# Dark counts and cross-talk near saturation push e_1 past 1 (to 1.48 at
+# eta = 1), where the clip acts.
+@example(eta=[1.0, 0.5], mu=0.5, mu_c=10.0, dark_count=0.97, visibility=0.01, f_ec=1.0)
+def test_rate_kernel_bitwise_matches_frozen_kernel(
+    eta, mu, mu_c, dark_count, visibility, f_ec
+):
+    # The guards and logarithms were rewritten to do less work; value and
+    # slopes must keep their bits, on padded modes (eta = 0), without dark
+    # counts and without cross-talk included.
+    params = QkdSystemParams(
+        visibility=visibility, dark_count=dark_count, error_correction_factor=f_ec
+    )
+    eta = np.array(eta)
+    got = rate_and_slopes(eta, mu, mu_c, params)
+    want = oracles.decoy_rate_frozen(eta, mu, mu_c, params, slopes=True)
+    for g, w in zip(got, want):
+        np.testing.assert_array_equal(g, w)
+        assert not np.any(np.signbit(g) != np.signbit(w))
+    np.testing.assert_array_equal(
+        rate_per_pulse(eta, mu, mu_c, params), oracles.decoy_rate_frozen(eta, mu, mu_c, params, False)
+    )
 
 
 def test_rate_slopes_match_central_differences():
