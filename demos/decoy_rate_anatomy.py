@@ -5,7 +5,8 @@ trade-off: too dim and the single-photon gain Q1 vanishes, too bright and
 the multi-photon fraction hands everything to the eavesdropper.  Then shows
 how cross-talk photons from neighbouring modes act as an extra dark count
 that erodes the optimum, and where the rate sits against the repeaterless
-capacity bound per pulse.
+capacity bound per pulse and against the cross-talk-free single-photon
+bound B(eta) that the envelope search prunes configurations with.
 """
 
 import argparse
@@ -13,7 +14,7 @@ import math
 
 import numpy as np
 
-from fsoqkd.qkd import QkdSystemParams, rate_per_pulse
+from fsoqkd.qkd import QkdSystemParams, rate_bound, rate_per_pulse
 
 
 def main():
@@ -48,16 +49,21 @@ def main():
         frac = 1.0 - float(noisy[i]) / clean if clean > 0 else 0.0
         print(f"{mu_c:>10.0e} {mu_grid[i]:>8.4f} {float(noisy[i]):>14.6e} {frac:>14.2%}")
 
-    # Distance flavour: rate collapse as eta drops toward the dark-count floor.
-    print(f"\n{'eta':>10} {'mu*':>8} {'rate [bits/pulse]':>18} {'rate/capacity':>14}")
+    # Distance flavour: rate collapse as eta drops toward the dark-count
+    # floor, next to the bound B(eta) on every mu of the grid and every
+    # cross-talk level.
+    print(f"\n{'eta':>10} {'mu*':>8} {'rate [bits/pulse]':>18} {'bound B':>14} "
+          f"{'B/rate':>8} {'rate/capacity':>14}")
     for eta in np.geomspace(1e-1, 1e-6, 6):
         r = rate_per_pulse(eta, mu_grid, 0.0, params)
         i = int(np.argmax(r))
         cap = -math.log2(1.0 - eta)
         ratio = float(r[i]) / cap if cap > 0 else 0.0
         mu_star = f"{mu_grid[i]:.4f}" if r[i] > 0 else "-"
-        print(f"{eta:>10.1e} {mu_star:>8} {float(r[i]):>18.6e} {ratio:>14.3f}")
-
+        bound = float(rate_bound(eta, params, mu_grid[0], mu_grid[-1]))
+        tight = f"{bound / float(r[i]):.3f}" if r[i] > 0 else "-"
+        print(f"{eta:>10.1e} {mu_star:>8} {float(r[i]):>18.6e} {bound:>14.6e} "
+              f"{tight:>8} {ratio:>14.3f}")
 
 if __name__ == "__main__":
     main()

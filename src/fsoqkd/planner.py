@@ -18,8 +18,11 @@ run one rule, :func:`_envelopes`: optimize every candidate configuration
 of every link in one lockstep ascent and keep each link's first best
 beyond roundoff, so ties go to the smaller configuration and the
 fallback, the last LG candidate, wins only when better by more than
-``_TIE_REL_TOL`` relative.  :func:`scan` runs the links of one family
-through such ascents in batches.
+``_TIE_REL_TOL`` relative.  The ascent drops a configuration as soon as
+its closed-form rate bound (:func:`fsoqkd.qkd.rate_bound`, free of
+cross-talk) is below the best total its link has reached, a cut that
+changes no winner.  :func:`scan` runs the links of one family through
+such ascents in batches.
 """
 
 from __future__ import annotations
@@ -38,7 +41,7 @@ from .channel import (
     SoftGaussian,
     derive,
 )
-from .qkd import QkdSystemParams, rate_and_slopes, rate_per_pulse
+from .qkd import QkdSystemParams, rate_and_slopes, rate_bound, rate_per_pulse
 from .turbulence import fb_turb_matrix, gaussian_pib_turb, lg_turb_matrix
 from .vacuum import CouplingMatrix, FBPixel, LGMode, ModeId, lg_vacuum_capacity
 # Unused here; the benchmark tracer wraps fsoqkd.planner.<name> by name.
@@ -361,14 +364,20 @@ def _line_max(
     return best_x, best_f
 
 
+# Relative margin on a configuration's rate bound.  The bound is proven
+# for exact arithmetic; summed mode rates carry roundoff near 1e-14.
+_BOUND_REL_TOL = 1e-9
+
+
 def _optimize(
     candidates: Sequence[Tuple[Optional[str], Optional[int], CouplingMatrix]],
     params: QkdSystemParams,
     opts: Optional[OptimizerOptions],
-) -> List[Tuple[PowerAllocation, float]]:
+    groups: Sequence[int],
+) -> List[Optional[Tuple[PowerAllocation, float]]]:
     """Optimize the allocation of every ``(mode_set, config, matrix)``
     candidate in one lockstep ascent; returns each candidate's best
-    allocation and total rate, in order.
+    allocation and total rate, in order, or None for a pruned candidate.
 
     Every candidate gets the starts, sweep rule and tie rules of
     :func:`optimize_allocation`.  Its starts are rows of one array of
@@ -377,6 +386,17 @@ def _optimize(
     on the live rows of candidates with more than k classes.  A
     one-class candidate has no corner start; that row starts at -inf, so
     it never runs or wins.
+
+    Each candidate's total is bounded by U = pulse_rate * sum of
+    :func:`rate_bound` over its diagonal transmissivities, whatever its
+    allocation and cross-talk.  A row whose total exceeds U (1 +
+    ``_BOUND_REL_TOL``) raises :class:`RuntimeError`.  ``groups`` labels
+    each candidate's group.  The start totals and every line search are
+    followed by a cut (branch and bound, Land & Doig 1960): a candidate
+    whose U (1 + ``_BOUND_REL_TOL``) is below the best total of any row of
+    its group cannot reach it, so its rows stop.  A candidate alone in its
+    group is never pruned.  The other rows keep their steps, so their
+    results do not change.
     """
     opts = opts or OptimizerOptions()
     orbits = [orbit_classes(matrix.modes) for _, _, matrix in candidates]
@@ -384,6 +404,8 @@ def _optimize(
     counts = np.array([len(orb) for orb in orbits])
     n_cand, n_cls = len(candidates), counts.max()
     own_class = np.arange(n_cls) < counts[:, None]
+    bound = params.pulse_rate * _mode_sum(rate_bound(problem[1], params, opts.mu_min, opts.mu_max))
+    ceiling = bound * (1.0 + _BOUND_REL_TOL)
 
     def totals(cand: np.ndarray, v: np.ndarray) -> np.ndarray:
         """The (r,) totals of the class values ``v`` (r, K) of candidates ``cand``."""
@@ -436,11 +458,38 @@ def _optimize(
     sweeps = np.zeros(len(v), dtype=int)
     before = current.copy()
     active = has_start.copy()
-    for _ in range(opts.max_sweeps):
+    pruned = np.zeros(n_cand, dtype=bool)
+    label = np.asarray(groups)
+
+    def cut(sweep: int) -> None:
+        """Check every row against its bound, then prune the candidates
+        that cannot reach their group's best total."""
+        over = np.flatnonzero(current > ceiling[cand])
+        if over.size:
+            b = cand[over[0]]
+            raise RuntimeError(
+                f"optimize_allocation: mode set {candidates[b][0]!r}, config "
+                f"{candidates[b][1]!r}: total {current[over[0]]!r} bits/s exceeds "
+                f"its rate bound {bound[b]!r} bits/s"
+            )
+        best = np.full(label.max() + 1, -np.inf)
+        np.maximum.at(best, label[cand], current)
+        doomed = ~pruned & (ceiling < best[label])
+        for b in np.flatnonzero(doomed):
+            log.debug(
+                "optimize_allocation: mode set %r, config %r pruned at sweep %d: rate "
+                "bound %.6g bits/s is below its group's best total %.6g bits/s",
+                candidates[b][0], candidates[b][1], sweep, bound[b], best[label[b]],
+            )
+        pruned[doomed] = True
+        active[pruned[cand]] = False
+
+    cut(0)
+    for sweep in range(1, opts.max_sweeps + 1):
         rows = np.flatnonzero(active)
         before[rows] = current[rows]
         for k in range(n_cls):
-            step = rows[counts[cand[rows]] > k]
+            step = rows[active[rows] & (counts[cand[rows]] > k)]
             if not step.size:
                 break
             f = line(cand[step], v[step], k)
@@ -448,13 +497,14 @@ def _optimize(
             better = val >= current[step]
             v[step[better], k] = x_star[better]
             current[step[better]] = val[better]
+            cut(sweep)
         sweeps[rows] += 1
         gain = current[rows] - before[rows]
         active[rows[gain <= opts.rel_tol * np.maximum(np.abs(before[rows]), 1e-300)]] = False
         if not active.any():
             break
 
-    results = []
+    results: List[Optional[Tuple[PowerAllocation, float]]] = []
     cls = problem[2]
     for b, ((mode_set, config, matrix), orb) in enumerate(zip(candidates, orbits)):
         first = b * len(_START_NAMES)
@@ -470,10 +520,13 @@ def _optimize(
         best = own[np.argmax(current[own])]
         log.debug(
             "optimize_allocation: mode set %r, config %r: %d modes in %d classes, "
-            "sweeps per start %s, winning start %r",
+            "sweeps per start %s, %s",
             mode_set, config, len(matrix.modes), counts[b], sweeps[own].tolist(),
-            _START_NAMES[best - first],
+            "pruned" if pruned[b] else f"winning start {_START_NAMES[best - first]!r}",
         )
+        if pruned[b]:
+            results.append(None)
+            continue
         alloc = PowerAllocation(
             modes=matrix.modes,
             mu=v[best][cls[b, : len(matrix.modes)]],
@@ -503,13 +556,14 @@ def optimize_allocation(
     reachable.  Ties go to the earliest start in that order.  The starts
     run in lockstep as the rows of one array, each taking the steps it
     would take alone; the envelopes run every configuration's starts in
-    the same array.  The problem is nonconvex, so this is a heuristic; it
-    is validated against small brute-force grids.
+    the same array and stop those of a configuration that cannot win.
+    The problem is nonconvex, so this is a heuristic; it is validated
+    against small brute-force grids.
 
     A start that uses all ``max_sweeps`` without meeting ``rel_tol`` is
     logged as a warning on the ``fsoqkd.planner`` logger.
     """
-    return _optimize([(None, None, matrix)], params, opts)[0]
+    return _optimize([(None, None, matrix)], params, opts, [0])[0]
 
 
 # --------------------------------------------------------------------------
@@ -535,19 +589,33 @@ def _envelopes(
     config, matrix)`` candidates, as the :class:`RatePoint` fields
     ``(mode_set, config, total_rate_bps, allocation)``.
 
-    Every candidate of every group is optimized in one lockstep ascent.
-    Within a group a later candidate replaces the best only when higher by
-    more than ``_TIE_REL_TOL`` relative, so ties, roundoff ties included,
-    go to the earliest.  A winner that is its group's last sized candidate
-    (the N or Q budget cap) is logged as a warning: a larger cap may do
-    better."""
-    results = iter(_optimize([c for group in groups for c in group], params, opts))
+    Every candidate of every group is optimized in one lockstep ascent,
+    which prunes a candidate once its rate bound falls below the best
+    total of its group (see :func:`_optimize`).  Within a group a later
+    candidate replaces the best only when higher by more than
+    ``_TIE_REL_TOL`` relative, so ties, roundoff ties included, go to the
+    earliest.  A winner that is its group's last sized candidate (the N or
+    Q budget cap) is logged as a warning: a larger cap may do better.
+
+    Pruning changes no winner.  A pruned candidate ends below the group's
+    maximum M by more than ``_BOUND_REL_TOL`` = 1e-9 relative, a thousand
+    tie tolerances, so it cannot win, and it is skipped.  Nor can it
+    change which candidate wins.  Whatever its rate, the best so far can
+    differ from that of the unpruned run only while both are below M / (1
+    + 1e-9), raised by one tie tolerance per candidate since; the first
+    candidate within ``_TIE_REL_TOL`` of M replaces either, and from then
+    on the two runs agree.  This needs fewer than about a thousand
+    candidates per group."""
+    labels = [g for g, candidates in enumerate(groups) for _ in candidates]
+    results = iter(_optimize([c for group in groups for c in group], params, opts, labels))
     winners = []
     for candidates in groups:
         own = [next(results) for _ in candidates]
-        best = 0
-        for i, (_, rate) in enumerate(own):
-            if rate > own[best][1] * (1.0 + _TIE_REL_TOL):
+        best = None
+        for i, result in enumerate(own):
+            if result is not None and (
+                best is None or result[1] > own[best][1] * (1.0 + _TIE_REL_TOL)
+            ):
                 best = i
         mode_set, config, _ = candidates[best]
         if config is not None and all(later[1] is None for later in candidates[best + 1 :]):
@@ -653,8 +721,9 @@ def scan(
     order: a batch takes links while their candidates stay within
     ``_SCAN_BATCH_ENTRIES`` class-space coupling entries (3 links at
     ``n_max = q_max = 8``, 1 from ``q_max = 10``), and at least one.  Every
-    FB link pads to ``n_max``'s grid and every LG link to ``q_max``'s, so
-    each row is bit for bit the row of a one-link scan.  A link's rate and
+    FB link pads to ``n_max``'s grid and every LG link to ``q_max``'s, and
+    each link prunes its configurations against its own best, so each row
+    is bit for bit the row of a one-link scan.  A link's rate and
     bound are computed independently, and a failure of either (a
     :class:`RuntimeError` such as a :class:`QuadratureError`, or a
     :class:`ValueError`, in its matrix builds, its bound or its

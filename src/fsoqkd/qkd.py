@@ -25,6 +25,7 @@ __all__ = [
     "QkdSystemParams",
     "binary_entropy",
     "rate_and_slopes",
+    "rate_bound",
     "rate_per_pulse",
 ]
 
@@ -113,10 +114,67 @@ def rate_and_slopes(eta, mu, mu_c, params: QkdSystemParams):
     return _decoy_rate(eta, mu, mu_c, params, slopes=True)
 
 
+def rate_bound(eta, params: QkdSystemParams, mu_min: float, mu_max: float):
+    """Upper bound on :func:`rate_per_pulse` of transmissivity ``eta`` over
+    every mu in [mu_min, mu_max] and every cross-talk mu_c >= 0:
+
+        B(eta) = sift * g * Y_1 (1 - H2(e_1)),  Y_1 and e_1 at y0 = p_dc,
+
+    with g = max mu exp(-mu) on [mu_min, mu_max] (1/e when 1 is inside).
+    This is the decoy-state single-photon term (Lo, Ma & Chen, PRL 94,
+    230504, 2005) without its error-correction leakage and cross-talk.
+
+    Proof, for eta in [0, 1].  The rate is sift * max(0, raw), raw = mu
+    exp(-mu) phi - leak, with phi = Y_1 (1 - H2(e_1)) and leak = f_ec Q_mu
+    H2(E_mu) >= 0.  Cross-talk enters only through the background y0 =
+    p_dc + 1 - exp(-mu_c) >= p_dc.  Write Y_1 = y0 (1 - eta) + eta and
+    e_1 Y_1 = y0 / 2 + e_det eta; then 1/2 - e_1 = eta (V - y0) / (2 Y_1),
+    so e_1 <= 1/2 exactly when y0 <= V.
+
+    * On p_dc <= y0 <= V, phi is non-increasing in y0.  With u = 1 - eta,
+      d phi/d y0 = u (1 - H2(e_1)) - H2'(e_1) (1/2 - e_1 u), linear in u
+      for any fixed e_1 in [0, 1/2].  At u = 0 it is -H2'(e_1) / 2 <= 0.
+      At u = 1 it is 1 - [H2(e_1) + H2'(e_1) (1/2 - e_1)] <= 0, because
+      H2 is concave and its tangent at e_1 lies above H2(1/2) = 1.  So
+      rate <= sift * g * phi(p_dc) = B.
+    * On y0 > V the rate is 0.  1 - H2(x) is a series in (1 - 2x)^2 with
+      nonnegative coefficients summing to 1, so 1 - H2(x) <= (1 - 2x)^2
+      on [0, 1].  With the clip of e_1 at 1 only moving it toward 1/2, mu
+      exp(-mu) phi is at most exp(-1) (y0 - V)^2 / Y_1.  That is below
+      y0: Y_1 >= y0 when y0 <= 1, and Y_1 >= 1 with (y0 - V)^2 < y0^2 <
+      2 y0 when 1 < y0 < 2.  The same inequality gives H2(E_mu) >= 1 -
+      (V a / (y0 + a))^2, with a = 1 - exp(-eta mu) and Q_mu = y0 + a, so
+      leak >= ((y0 + a)^2 - V^2 a^2) / (y0 + a) >= y0.  So raw < 0.
+    * With eta = 0, e_1 = 1/2 (or Y_1 = 0), so phi = 0 and the rate is 0.
+
+    The bound is finite on the whole :class:`QkdSystemParams` domain.  It
+    shares the kernel's Y_1 and e_1 arithmetic, with y0 computed as the
+    kernel computes it at mu_c = 0, and is itself clipped at 0.
+    """
+    eta = np.asarray(eta, dtype=float)
+    _, _, y1, e1 = _single_photon(eta, 1.0, params)
+    mu = min(max(1.0, mu_min), mu_max)
+    gain = mu * np.exp(-mu)
+    h1 = _entropy_and_slope(e1)[0]
+    return params.sifting_factor * np.maximum(gain * y1 * (1.0 - h1), 0.0)
+
+
 # Divisor floor, the smallest positive double.  A yield is never negative
 # and a zero yield has a zero numerator, so num / max(yield, _TINY) is 0
 # there and the plain quotient elsewhere.
 _TINY = np.finfo(float).smallest_subnormal
+
+
+def _single_photon(eta: np.ndarray, no_cross, params: QkdSystemParams):
+    """The background yield y0 = p_dc + 1 - no_cross under cross-talk
+    no_cross = exp(-mu_c), the misalignment error e_det, and the
+    single-photon yield Y_1 and error rate e_1.  With eta in [0, 1] and
+    mu_c >= 0 every numerator is >= 0, so e_1 needs only its upper clip."""
+    y0 = params.dark_count + 1.0 - no_cross
+    e_det = 0.5 * (1.0 - params.visibility)
+    y1 = y0 + eta - y0 * eta
+    e1 = np.minimum((0.5 * y0 + e_det * eta) / np.maximum(y1, _TINY), 1.0)
+    return y0, e_det, y1, e1
 
 
 def _decoy_rate(eta, mu, mu_c, params: QkdSystemParams, slopes: bool):
@@ -126,20 +184,15 @@ def _decoy_rate(eta, mu, mu_c, params: QkdSystemParams, slopes: bool):
     mu_c = np.asarray(mu_c, dtype=float)
 
     no_cross = np.exp(-mu_c)
-    y0 = params.dark_count + 1.0 - no_cross
-    e_det = 0.5 * (1.0 - params.visibility)
+    y0, e_det, y1, e1 = _single_photon(eta, no_cross, params)
     e0 = 0.5
     f_ec = params.error_correction_factor
 
-    # With eta in [0, 1] and mu, mu_c >= 0 every numerator below is >= 0,
-    # so each error rate needs only its upper clip at 1.
     decay = np.exp(-eta * mu)
     q_mu = y0 + 1.0 - decay
     e_mu = np.minimum((e0 * y0 + e_det * (1.0 - decay)) / np.maximum(q_mu, _TINY), 1.0)
-    y1 = y0 + eta - y0 * eta
     poisson0 = np.exp(-mu)
     q1 = mu * poisson0 * y1
-    e1 = np.minimum((e0 * y0 + e_det * eta) / np.maximum(y1, _TINY), 1.0)
     (h1, slope1), (h_mu, slope_mu) = _entropy_and_slope(e1), _entropy_and_slope(e_mu)
     raw = q1 * (1.0 - h1) - f_ec * q_mu * h_mu
     rate = params.sifting_factor * np.maximum(raw, 0.0)

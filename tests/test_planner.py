@@ -3,6 +3,7 @@
 import functools
 import logging
 import math
+import re
 
 import numpy as np
 import pytest
@@ -22,7 +23,7 @@ from fsoqkd.planner import (
     scan,
     total_rate,
 )
-from fsoqkd.qkd import QkdSystemParams, rate_and_slopes, rate_per_pulse
+from fsoqkd.qkd import QkdSystemParams, rate_and_slopes, rate_bound, rate_per_pulse
 from fsoqkd.turbulence import fb_turb_matrix, gaussian_pib_turb, lg_turb_matrix
 from fsoqkd.vacuum import (
     CouplingMatrix,
@@ -470,12 +471,14 @@ def test_lg_envelope_vacuum_prefers_more_orders():
 def test_envelopes_keep_first_of_tied_configurations(monkeypatch):
     # Every configuration gets a scripted rate; a later one replaces the
     # best only when higher by more than planner._TIE_REL_TOL (1e-12)
-    # relative, and the PIB fallback comes last.
+    # relative, and the PIB fallback comes last.  Each configuration is
+    # optimized as its own group, so none is pruned and each keeps its
+    # scripted rate.
     real = planner._optimize
     rates = []
 
-    def scripted(candidates, params, opts):
-        results = real(candidates, params, opts)
+    def scripted(candidates, params, opts, groups):
+        results = real(candidates, params, opts, range(len(candidates)))
         return [(alloc, rates.pop(0)) for alloc, _ in results]
 
     monkeypatch.setattr(planner, "_optimize", scripted)
@@ -511,16 +514,25 @@ def test_vacuum_lg_q1_keeps_its_roundoff_tie_with_the_pib(path_length):
     assert (point.mode_set, point.config) == ("lg", 1)
 
 
+def _config_bound(matrix, params, opts=OptimizerOptions()):
+    """A configuration's rate bound U, bits/s, computed on its own."""
+    diag = np.diag(matrix.eta)
+    return params.pulse_rate * float(np.sum(rate_bound(diag, params, opts.mu_min, opts.mu_max)))
+
+
 @pytest.mark.parametrize(
     "family,path_length,cn2,cap",
     [("fb", 1e3, 0.0, 8), ("fb", 1.75e3, 1e-14, 8), ("lg", 10e3, 1e-14, 5)],
 )
 def test_envelope_lockstep_equals_per_candidate(monkeypatch, family, path_length, cn2, cap):
+    # Every candidate left standing ends on its solo optimum.  Each pruned
+    # one (some are at each of these links) has a solo optimum within its
+    # rate bound and below the winner by more than the tie tolerance.
     real = planner._optimize
     seen = []
 
-    def spy(candidates, params, opts):
-        results = real(candidates, params, opts)
+    def spy(candidates, params, opts, groups):
+        results = real(candidates, params, opts, groups)
         seen.append((candidates, results))
         return results
 
@@ -532,11 +544,80 @@ def test_envelope_lockstep_equals_per_candidate(monkeypatch, family, path_length
         point = lg_envelope(gauss_channel(path_length, cn2), params, q_max=cap)
     ((candidates, results),) = seen
     assert len(candidates) == cap + (family == "lg")
+    assert None in results
     solo = [optimize_allocation(matrix, params)[1] for _, _, matrix in candidates]
-    for (_, rate), expected in zip(results, solo):
-        assert rate == pytest.approx(expected, rel=1e-12, abs=0.0)
+    for (_, _, matrix), result, expected in zip(candidates, results, solo):
+        if result is None:
+            assert expected <= _config_bound(matrix, params)
+            assert expected * (1.0 + planner._TIE_REL_TOL) < point.total_rate_bps
+        else:
+            assert result[1] == pytest.approx(expected, rel=1e-12, abs=0.0)
     mode_set, config, _ = candidates[solo.index(max(solo))]
     assert (point.mode_set, point.config) == (mode_set, config)
+
+
+def _no_bound(eta, *args):
+    return np.full(np.shape(eta), np.inf)
+
+
+@pytest.mark.parametrize("cn2", [0.0, 1e-15, 1e-14, 1e-13])
+def test_pruning_changes_no_envelope_point(monkeypatch, caplog, cn2):
+    # Against envelopes whose bounds are infinite, so that nothing is
+    # pruned, every point keeps its winner and its bits.
+    params = QkdSystemParams()
+
+    def points():
+        return [
+            envelope(channel(path_length, cn2), params)
+            for path_length in (1e3, 3e3, 10e3, 40e3)
+            for envelope, channel in ((fb_envelope, square_channel), (lg_envelope, gauss_channel))
+        ]
+
+    with caplog.at_level(logging.DEBUG, logger="fsoqkd.planner"):
+        pruned = points()
+    assert " pruned at sweep " in caplog.text
+    monkeypatch.setattr(planner, "rate_bound", _no_bound)
+    for got, want in zip(pruned, points()):
+        assert (got.mode_set, got.config) == (want.mode_set, want.config)
+        assert got.total_rate_bps == want.total_rate_bps
+        np.testing.assert_array_equal(got.allocation.mu, want.allocation.mu)
+    winners = {(p.mode_set, p.config) for p in pruned}
+    if cn2 >= 1e-14:
+        assert ("gaussian-pib", None) in winners and ("fb", 1) in winners
+
+
+def test_envelope_logs_each_pruned_configuration(caplog):
+    # Vacuum flat-top grids at 1 km: N = 1 and 2 fall below the best start
+    # total at once, N = 3 after the first sweep.
+    params = QkdSystemParams()
+    ch = square_channel(1e3, 0.0)
+    with caplog.at_level(logging.DEBUG, logger="fsoqkd.planner"):
+        point = fb_envelope(ch, params)
+    messages = [r.getMessage() for r in caplog.records if r.levelno == logging.DEBUG]
+    dropped = [m for m in messages if " pruned at sweep " in m]
+    assert len(dropped) == 3
+    for n_grid, sweep, message in zip((1, 2, 3), (0, 0, 1), dropped):
+        head = f"mode set 'fb', config {n_grid} pruned at sweep {sweep}: rate bound "
+        assert head in message
+        bound, best = (float(x) for x in re.findall(r"([0-9.e+]+) bits/s", message))
+        assert f"{bound:.6g}" == f"{_config_bound(fb_turb_matrix(n_grid, ch), params):.6g}"
+        assert bound < best <= point.total_rate_bps
+    summaries = [m for m in messages if "sweeps per start" in m]
+    assert len(summaries) == 8
+    assert all(m.endswith(", pruned") for m in summaries[:3])
+    assert all("winning start" in m for m in summaries[3:])
+
+
+def test_rate_bound_violation_raises(monkeypatch):
+    # A bound below a reachable total is a broken proof: it must surface,
+    # not be clamped or turned into a pruned configuration.
+    real = planner.rate_bound
+    monkeypatch.setattr(planner, "rate_bound", lambda *args: 0.5 * real(*args))
+    mat = CouplingMatrix(modes=(LGMode(0, 0),), eta=np.array([[0.37]]))
+    with pytest.raises(RuntimeError, match="exceeds its rate bound"):
+        optimize_allocation(mat, QkdSystemParams())
+    with pytest.raises(RuntimeError, match="mode set 'lg', config 1: total"):
+        lg_envelope(gauss_channel(10e3, 1e-14), QkdSystemParams(), q_max=2)
 
 
 @pytest.mark.parametrize(
@@ -594,6 +675,27 @@ def test_fb_envelope_rate_kernel_call_budget(monkeypatch):
     fb_envelope(square_channel(1e3, 0.0), QkdSystemParams())
     assert len(calls) <= 900
     assert 0 < calls.count("rate_and_slopes") < calls.count("rate_per_pulse")
+
+
+def test_lg_turb_rate_kernel_call_budget(monkeypatch):
+    # The turbulent LG benchmark point: 14.6 km at cn2 1e-14 and 1e-13,
+    # q_max = 8 with single flat-top beams, in one scan.  The PIB fallback
+    # wins both LG envelopes and every order cap is pruned before its
+    # first sweep: 82 kernel calls, against 405 without pruning.
+    calls = _kernel_calls(monkeypatch)
+    links = [
+        family(14.6e3, cn2).config
+        for cn2 in (1e-14, 1e-13)
+        for family in (gauss_channel, square_channel)
+    ]
+    rows = scan(links, QkdSystemParams(), n_max=1, q_max=8)
+    assert [row.point.mode_set for row in rows] == ["gaussian-pib", "fb"] * 2
+    budget = 90
+    assert len(calls) <= budget
+    calls.clear()
+    monkeypatch.setattr(planner, "rate_bound", _no_bound)
+    scan(links, QkdSystemParams(), n_max=1, q_max=8)
+    assert len(calls) > 4 * budget
 
 
 def test_envelope_warns_when_cut_off_by_its_budget(caplog):

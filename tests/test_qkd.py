@@ -7,7 +7,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from fsoqkd.qkd import QkdSystemParams, binary_entropy, rate_and_slopes, rate_per_pulse
+from fsoqkd.qkd import (
+    QkdSystemParams,
+    binary_entropy,
+    rate_and_slopes,
+    rate_bound,
+    rate_per_pulse,
+)
 
 import oracles
 
@@ -108,6 +114,60 @@ def test_rate_kernel_bitwise_matches_frozen_kernel(
     np.testing.assert_array_equal(
         rate_per_pulse(eta, mu, mu_c, params), oracles.decoy_rate_frozen(eta, mu, mu_c, params, False)
     )
+
+
+def _system_params():
+    """Every corner of the QkdSystemParams domain: visibility toward 0,
+    dark counts toward 1, f_ec above 1, any sifting factor."""
+    return st.builds(
+        QkdSystemParams,
+        visibility=st.one_of(st.just(1.0), _unit_or_zero(-12.0).filter(lambda v: v > 0.0)),
+        dark_count=st.one_of(
+            st.just(0.0),
+            st.floats(-12.0, -0.01).map(lambda e: 10.0**e),
+            st.floats(-12.0, -0.01).map(lambda e: 1.0 - 10.0**e),
+        ),
+        error_correction_factor=st.one_of(st.just(1.0), st.floats(1.0, 10.0)),
+        sifting_factor=st.floats(1e-3, 1.0),
+    )
+
+
+@st.composite
+def _mu_window(draw):
+    """An optimizer window [mu_min, mu_max] and an array of mu in it: its
+    ends, the peak of mu exp(-mu) when inside, and interior points."""
+    lo, hi = sorted(draw(st.lists(st.floats(-8.0, 1.0), min_size=2, max_size=2, unique=True)))
+    mu_min, mu_max = 10.0**lo, 10.0**hi
+    inside = draw(st.lists(st.floats(0.0, 1.0), max_size=6))
+    mu = [mu_min, mu_max, min(max(1.0, mu_min), mu_max)]
+    mu += [min(mu_min + t * (mu_max - mu_min), mu_max) for t in inside]
+    return mu_min, mu_max, np.array(mu)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    params=_system_params(),
+    window=_mu_window(),
+    eta=st.lists(_unit_or_zero(-14.0), min_size=1, max_size=4),
+    mu_c=st.one_of(st.just(0.0), st.floats(-20.0, 3.0).map(lambda e: 10.0**e)),
+)
+@example(
+    params=QkdSystemParams(visibility=1.0, dark_count=0.0),
+    window=(1e-6, 1.5, np.array([1.0, 0.5])),
+    eta=[1.0, 0.3, 1e-310, 0.0],
+    mu_c=0.0,
+)
+def test_rate_bound_holds_and_crosstalk_only_lowers_the_rate(params, window, eta, mu_c):
+    # The cross-talk-free single-photon term bounds the rate at every mu of
+    # the window and every mu_c, to the bit; the rate's mu_c slope is never
+    # positive, as the bound's proof needs.
+    mu_min, mu_max, mu = window
+    eta = np.array(eta)[:, None]
+    bound = rate_bound(eta, params, mu_min, mu_max)
+    assert bound.shape == eta.shape and np.all(np.isfinite(bound)) and np.all(bound >= 0.0)
+    rate, _, d_mu_c = rate_and_slopes(eta, mu, mu_c, params)
+    assert np.all(rate <= bound)
+    assert np.all(d_mu_c <= 0.0)
 
 
 def test_rate_slopes_match_central_differences():
