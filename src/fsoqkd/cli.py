@@ -19,10 +19,10 @@ Config keys are listed once, in ``_KEYS``: each names its parser and the
 :class:`RunConfig` field it sets, and both the unknown-key check and the
 parsing read that table.  Every config error carries a ``file:line``
 prefix and exits 2.  A ``transmissivity`` or ``validate`` point is one
-task ``(config, L, cn2)`` for one worker; a ``rates`` task is one path
-length and mode family with a slice of the cn2 list, ``(config, L,
-cn2_values, family)``, whose links ``scan`` optimizes in lockstep
-batches.  ``_link`` alone chooses a pupil by family.
+task ``(config, L, cn2)`` for one worker.  ``rates`` deals its (L, cn2)
+points round-robin over one task per worker, ``(config, links)`` with
+both families' links of each point, whose links ``scan`` optimizes in
+lockstep batches.  ``_link`` alone chooses a pupil by family.
 
 All real CSV cells use 12-significant-digit scientific notation with LF
 line endings, so identical configurations yield byte-identical files.
@@ -323,10 +323,7 @@ def _transmissivity_point(config: RunConfig, path_length: float, cn2: float):
     return eta_fb, eta_gauss
 
 
-def _rates_task(
-    config: RunConfig, path_length: float, cn2_values: Tuple[float, ...], family: str
-) -> List[ScanRow]:
-    links = [_link(config, path_length, cn2, family) for cn2 in cn2_values]
+def _rates_task(config: RunConfig, links: List[ChannelConfig]) -> List[ScanRow]:
     return scan(links, config.qkd, config.n_max, config.q_max, config.optimizer)
 
 
@@ -371,51 +368,47 @@ def cmd_transmissivity(config: RunConfig, jobs: int = 1) -> str:
 def cmd_rates(config: RunConfig, jobs: int = 1) -> Tuple[str, bool]:
     """Optimized rate envelopes; returns (CSV text, all rows succeeded).
 
-    A task is one path length and family with a slice of the cn2 list.
-    Slices hold at most ceil(rows / jobs) values, so a pool gets about one
-    task per worker or more, and a single worker gets whole lists.  The CSV lists rows by
-    path length, then cn2, then family.
+    The (L, cn2) points are dealt round-robin over min(jobs, points)
+    tasks.  A task is one :func:`scan` call on both families' links of its
+    points, so ``scan`` fills its batches across path lengths, and dealing
+    spreads near- and far-field points evenly over the workers.  The CSV
+    lists rows by path length, then cn2, then family.
     """
     families = ("lg", "fb")
-    path_lengths = config.resolved_path_lengths()
-    cn2_values = config.resolved_cn2(include_vacuum=False)
-    n_rows = len(path_lengths) * len(cn2_values) * len(families)
-    size = max(1, -(-n_rows // max(jobs, 1)))
+    points = [
+        (path_length, cn2)
+        for path_length in config.resolved_path_lengths()
+        for cn2 in config.resolved_cn2(include_vacuum=False)
+    ]
+    n_tasks = min(max(jobs, 1), len(points))
     keys = [
-        (i, start, family)
-        for i in range(len(path_lengths))
-        for family in families
-        for start in range(0, len(cn2_values), size)
+        [(p, family) for p in range(t, len(points), n_tasks) for family in families]
+        for t in range(n_tasks)
     ]
-    tasks = [
-        (config, path_lengths[i], cn2_values[start : start + size], family)
-        for i, start, family in keys
-    ]
-    log.info("rates: %d scan rows in %d tasks", n_rows, len(tasks))
-    rows: Dict[Tuple[int, int, str], ScanRow] = {}
-    for (i, start, family), task_rows in zip(keys, _pool_map(_rates_task, tasks, jobs)):
-        for j, row in enumerate(task_rows, start):
-            rows[i, j, family] = row
+    tasks = [(config, [_link(config, *points[p], family) for p, family in own]) for own in keys]
+    log.info("rates: %d scan rows in %d tasks", len(points) * len(families), len(tasks))
+    rows: Dict[Tuple[int, str], ScanRow] = {}
+    for own, task_rows in zip(keys, _pool_map(_rates_task, tasks, jobs)):
+        rows.update(zip(own, task_rows))
     lines = ["L_m,cn2,mode_set,config,rate_bps,capacity_bps"]
     clean = True
-    for i, path_length in enumerate(path_lengths):
-        for j, cn2 in enumerate(cn2_values):
-            for family in families:
-                row = rows[i, j, family]
-                if row.error is not None:
-                    clean = False
-                    log.error(
-                        "rates point L=%g cn2=%g %s failed: %s",
-                        path_length, cn2, family, row.error,
-                    )
-                point = row.point
-                if point is None:
-                    cells = f"{family},,"
-                else:
-                    config_cell = "" if point.config is None else str(point.config)
-                    cells = f"{point.mode_set},{config_cell},{_REAL % point.total_rate_bps}"
-                capacity = "" if row.capacity_bps is None else _REAL % row.capacity_bps
-                lines.append(f"{_REAL % path_length},{_REAL % cn2},{cells},{capacity}")
+    for p, (path_length, cn2) in enumerate(points):
+        for family in families:
+            row = rows[p, family]
+            if row.error is not None:
+                clean = False
+                log.error(
+                    "rates point L=%g cn2=%g %s failed: %s",
+                    path_length, cn2, family, row.error,
+                )
+            point = row.point
+            if point is None:
+                cells = f"{family},,"
+            else:
+                config_cell = "" if point.config is None else str(point.config)
+                cells = f"{point.mode_set},{config_cell},{_REAL % point.total_rate_bps}"
+            capacity = "" if row.capacity_bps is None else _REAL % row.capacity_bps
+            lines.append(f"{_REAL % path_length},{_REAL % cn2},{cells},{capacity}")
     return "\n".join(lines) + "\n", clean
 
 

@@ -8,7 +8,9 @@ of modes, restarted from a few spread initial points.  Each line search
 narrows its bracket by value comparisons, which chooses the basin, then
 finishes with a secant on the closed-form slope of the total.  The
 objective is evaluated in class space: one value per class, with
-cross-talk aggregated by source class.
+cross-talk aggregated by source class.  A line search lays out the real
+modes of its rows once, and each probe evaluates only the rows still
+searching.
 
 The envelope operations additionally maximize over the mode-set
 configuration itself: the focused-beam grid size N, or the LG order cap Q
@@ -187,16 +189,17 @@ def orbit_classes(modes: Sequence[ModeId]) -> Tuple[Tuple[int, ...], ...]:
 
 def _class_space(
     problems: Sequence[Tuple[CouplingMatrix, Tuple[Tuple[int, ...], ...]]],
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+) -> Tuple[np.ndarray, ...]:
     """The rate objective of each ``(matrix, classes)`` problem in class space.
 
-    Returns ``(coupling, eta_diag, cls)`` of shapes (B, K, n), (B, n) and
-    (B, n), padded to the largest class count K and mode count n.
+    Returns ``(coupling, eta_diag, cls, size)`` of shapes (B, K, n), (B, n),
+    (B, n) and (B,), padded to the largest class count K and mode count n.
     ``coupling[b, j, i]`` sums eta[i', i] over the modes i' != i of class j
     (the diagonal is zeroed first, so a mode's own power is left out
     exactly, not subtracted); with one value v[j] per class, mode i's
     cross-talk is ``(v @ coupling[b])[i]`` for any matrix.  ``cls`` maps
-    each mode to its class.  A padded mode has zero transmissivity and no
+    each mode to its class, and ``size`` counts each problem's real modes,
+    the first of its row.  A padded mode has zero transmissivity and no
     cross-talk, so its rate is exactly 0; a padded class couples into
     nothing.
     """
@@ -205,45 +208,29 @@ def _class_space(
     coupling = np.zeros((len(problems), n_classes, n_modes))
     eta_diag = np.zeros((len(problems), n_modes))
     cls = np.zeros((len(problems), n_modes), dtype=int)
+    size = np.array([len(matrix.modes) for matrix, _ in problems])
     for b, (matrix, orbits) in enumerate(problems):
-        size = len(matrix.modes)
         off = matrix.eta.copy()
         np.fill_diagonal(off, 0.0)
-        eta_diag[b, :size] = np.diag(matrix.eta)
+        eta_diag[b, : size[b]] = np.diag(matrix.eta)
         for j, orbit in enumerate(orbits):
-            coupling[b, j, :size] = off[list(orbit)].sum(axis=0)
+            coupling[b, j, : size[b]] = off[list(orbit)].sum(axis=0)
             cls[b, list(orbit)] = j
-    return coupling, eta_diag, cls
+    return coupling, eta_diag, cls, size
 
 
-def _class_totals(
-    v: np.ndarray,
-    problem: Tuple[np.ndarray, ...],
-    params: QkdSystemParams,
-    k: Optional[int] = None,
-):
-    """Total key rates, bits/s, of the class values ``v`` (S, m, K): m
-    points per row s, each on row s of every array of ``problem`` (see
-    :func:`_class_space`), which is gathered once and broadcast over the m
-    points.  Every mode's rate is evaluated and summed.  Given a class
-    ``k``, also returns the (S, m) slopes d total/d v[..., k] = pulse_rate
-    * (sum over the modes i of class k of d rate_i/d mu + sum over all i
-    of coupling[k, i] d rate_i/d mu_c)."""
-    coupling, eta_diag, cls = problem
-    # Each point is multiplied as its own (1, K) matrix: a stacked GEMM
-    # may sum in another order, and a point's total must not depend on how
-    # many points share the call.
-    cross = (v[:, :, None, :] @ coupling[:, None])[:, :, 0, :]
-    # mu[s, p, i] = v[s, p, cls[s, i]], read from v's flat buffer.
-    first = np.arange(0, v.size, v.shape[2]).reshape(v.shape[:2] + (1,))
-    mu = v.reshape(-1)[first + cls[:, None, :]]
-    eta = eta_diag[:, None, :]
-    if k is None:
-        return _mode_sum(params.pulse_rate * rate_per_pulse(eta, mu, cross, params))
-    rate, d_mu, d_cross = rate_and_slopes(eta, mu, cross, params)
-    own = np.sum(np.where(cls[:, None, :] == k, d_mu, 0.0), axis=2)
-    leak = (coupling[:, None, k, None, :] @ d_cross[..., None])[..., 0, 0]
-    return _mode_sum(params.pulse_rate * rate), params.pulse_rate * (own + leak)
+def _totals(
+    v: np.ndarray, problem: Tuple[np.ndarray, ...], params: QkdSystemParams
+) -> np.ndarray:
+    """Total key rates, bits/s, of the class values ``v`` (R, K), row r on
+    row r of every array of ``problem`` (see :func:`_class_space`): every
+    start, corner and reported total.  Each row's cross-talk is its own
+    (1, K) product, which a padded mode or class leaves unchanged to the
+    bit, as it does the total (:func:`_mode_sum`)."""
+    coupling, eta_diag, cls, _ = problem
+    cross = (v[:, None, :] @ coupling)[:, 0, :]
+    mu = np.take_along_axis(v, cls, axis=1)
+    return _mode_sum(params.pulse_rate * rate_per_pulse(eta_diag, mu, cross, params))
 
 
 def _mode_sum(rates: np.ndarray) -> np.ndarray:
@@ -253,6 +240,67 @@ def _mode_sum(rates: np.ndarray) -> np.ndarray:
     return np.cumsum(rates, axis=-1)[..., -1]
 
 
+def _line(
+    problem: Tuple[np.ndarray, ...], base: np.ndarray, k: int, params: QkdSystemParams
+) -> Callable[..., object]:
+    """The line evaluator of class ``k`` through the class values ``base``
+    (R, K), row r on row r of ``problem``, for :func:`_line_max`.
+
+    The real modes of every row are laid out once, as one element each:
+    its row, transmissivity, base mu, whether it is in class k, its
+    coupling from class k and its cross-talk from the other classes (one
+    product per row, with class k zeroed).  ``f(rows, x)`` maps the (r, m)
+    values x of class k on the rows ``rows`` (ascending) to their totals,
+    and ``f(rows, x, True)`` returns ``(totals, slopes)``, the slopes
+    d total/d v[k] = pulse_rate * (sum over the modes of class k of d
+    rate/d mu + sum over all modes of coupling[k] d rate/d mu_c).  A probe
+    costs one multiply-add for the cross-talk and the rate kernel on the
+    elements of its rows.  Values and slopes are summed per row in mode
+    order, as :func:`_mode_sum` adds them.
+    """
+    coupling, eta_diag, cls, size = problem
+    row = np.repeat(np.arange(len(size)), size)
+    mode = np.arange(row.size) - (np.cumsum(size) - size)[row]
+    rest = base.copy()
+    rest[:, k] = 0.0
+    in_k = cls[row, mode] == k
+    # The per-element quantities, one row each, so a probe gathers them in one take.
+    table = np.stack(
+        [
+            eta_diag[row, mode],
+            base[row, cls[row, mode]],
+            (rest[:, None, :] @ coupling)[:, 0, :][row, mode],
+            coupling[row, k, mode],
+        ]
+    )
+
+    def f(rows: np.ndarray, x: np.ndarray, slopes: bool = False):
+        if rows.size == len(size):
+            own, lit, (eta, base_mu, other, from_k) = row, in_k, table
+        else:
+            keep = np.zeros(len(size), dtype=bool)
+            keep[rows] = True
+            at = np.flatnonzero(keep[row])
+            own = (np.cumsum(keep) - 1)[row[at]]
+            lit, (eta, base_mu, other, from_k) = in_k[at], table[:, at]
+        m = x.shape[1]
+        xe = x[own]
+        mu = np.where(lit[:, None], xe, base_mu[:, None])
+        cross = other[:, None] + xe * from_k[:, None]
+        bins = own if m == 1 else (own[:, None] * m + np.arange(m)).ravel()
+
+        def total(per_mode: np.ndarray) -> np.ndarray:
+            sums = np.bincount(bins, params.pulse_rate * per_mode.ravel(), x.size)
+            return sums.reshape(x.shape)
+
+        if not slopes:
+            return total(rate_per_pulse(eta[:, None], mu, cross, params))
+        rate, d_mu, d_cross = rate_and_slopes(eta[:, None], mu, cross, params)
+        return total(rate), total(np.where(lit[:, None], d_mu, 0.0) + from_k[:, None] * d_cross)
+
+    return f
+
+
 def total_rate(
     alloc: PowerAllocation, matrix: CouplingMatrix, params: QkdSystemParams
 ) -> float:
@@ -260,8 +308,7 @@ def total_rate(
     if alloc.modes != matrix.modes:
         raise ValueError("allocation and matrix cover different mode lists")
     v = alloc.mu[[orbit[0] for orbit in alloc.orbits]]
-    problem = _class_space([(matrix, alloc.orbits)])
-    return float(_class_totals(v[None, None], problem, params)[0, 0])
+    return float(_totals(v[None], _class_space([(matrix, alloc.orbits)]), params)[0])
 
 
 # --------------------------------------------------------------------------
@@ -282,85 +329,85 @@ def _line_max(
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Maximizers of S scalar functions, run in lockstep.
 
-    Row s searches [lo[s], hi[s]].  ``f(x)`` maps an (S, m) array of
-    candidates, m per row, to their (S, m) values, and ``f(x, True)``
-    returns ``(values, slopes)``.  Each row takes golden-section steps
-    until its bracket is at most ``_COARSE_WIDTH`` (or ``tol``) wide,
-    which chooses its basin.  One call then evaluates value and slope at
-    both bracket ends.  A row stops at ``lo`` or ``hi`` when the slope
-    there points out of the interval (a zero slope points toward the best
-    point evaluated); the others run a secant on the slope inside the
-    bracket, bisecting when the secant step leaves the bracket or is more
-    than half as long as the last step, and probing at least ``tol``/2
-    inside either end, until the bracket is <= ``tol`` wide.  Each row
-    takes exactly the steps a scalar search takes on its own function.
-    Returns each row's best evaluated point, ties going to the smaller
-    point, and its value.
+    Row s searches [lo[s], hi[s]].  ``f(rows, x)`` maps an (r, m) array of
+    candidates, m for each of the rows ``rows`` (ascending indices), to
+    their (r, m) values, and ``f(rows, x, True)`` returns ``(values,
+    slopes)``; a call passes only the rows still searching.  Each row
+    takes golden-section steps until its bracket is at most
+    ``_COARSE_WIDTH`` (or ``tol``) wide, which chooses its basin.  One call
+    then evaluates value and slope at both bracket ends.  A row stops at
+    ``lo`` or ``hi`` when the slope there points out of the interval (a
+    zero slope points toward the best point evaluated); the others run a
+    secant on the slope inside the bracket, bisecting when the secant step
+    leaves the bracket or is more than half as long as the last step, and
+    probing at least ``tol``/2 inside either end, until the bracket is <=
+    ``tol`` wide.  Each row takes exactly the steps a scalar search takes
+    on its own function.  Returns each row's best evaluated point, ties
+    going to the smaller point, and its value.
     """
     lo = np.array(lo, dtype=float)
     hi = np.array(hi, dtype=float)
     a, b = lo.copy(), hi.copy()
     c = b - _INVPHI * (b - a)
     d = a + _INVPHI * (b - a)
-    fc, fd = f(np.stack([c, d], axis=1)).T
+    fc, fd = f(np.arange(len(a)), np.stack([c, d], axis=1)).T
     best_x, best_f = np.where(fd > fc, d, c), np.maximum(fc, fd)
 
-    def consider(x: np.ndarray, fx: np.ndarray, rows: np.ndarray) -> None:
-        take = rows & ((fx > best_f) | ((fx == best_f) & (x < best_x)))
-        best_x[take], best_f[take] = x[take], fx[take]
+    def consider(rows: np.ndarray, x: np.ndarray, fx: np.ndarray) -> None:
+        top = best_f[rows]
+        take = (fx > top) | ((fx == top) & (x < best_x[rows]))
+        best_x[rows[take]], best_f[rows[take]] = x[take], fx[take]
 
     coarse = max(tol, _COARSE_WIDTH)
-    live = b - a > coarse
-    while live.any():
-        keep_left = fc >= fd
-        left = live & keep_left
-        right = live & ~keep_left
-        a, b, c, d, fc, fd = (
-            np.where(right, c, a),
-            np.where(left, d, b),
-            np.where(right, d, c),
-            np.where(left, c, d),
-            np.where(right, fd, fc),
-            np.where(left, fc, fd),
-        )
-        probe = np.where(left, b - _INVPHI * (b - a), a + _INVPHI * (b - a))
-        value = f(probe[:, None])[:, 0]
-        consider(probe, value, live)
-        c, fc = np.where(left, probe, c), np.where(left, value, fc)
-        d, fd = np.where(right, probe, d), np.where(right, value, fd)
-        live = b - a > coarse
+    # The live rows' brackets [ra, rb], each with its probes c < d; every
+    # step keeps the half holding the better probe, and with it that probe.
+    go = b - a > coarse
+    live, ra, rb, c, d, fc, fd = (v[go] for v in (np.arange(len(a)), a, b, c, d, fc, fd))
+    while live.size:
+        left = fc >= fd
+        ra, rb = np.where(left, ra, c), np.where(left, d, rb)
+        kept, f_kept = np.where(left, c, d), np.where(left, fc, fd)
+        probe = np.where(left, rb - _INVPHI * (rb - ra), ra + _INVPHI * (rb - ra))
+        value = f(live, probe[:, None])[:, 0]
+        consider(live, probe, value)
+        c, fc = np.where(left, probe, kept), np.where(left, value, f_kept)
+        d, fd = np.where(left, kept, probe), np.where(left, f_kept, value)
+        a[live], b[live] = ra, rb
+        go = rb - ra > coarse
+        live, ra, rb, c, d, fc, fd = (v[go] for v in (live, ra, rb, c, d, fc, fd))
 
-    live = b - a > tol
-    if not live.any():
+    live = np.flatnonzero(b - a > tol)
+    if not live.size:
         return best_x, best_f
-    ends, slope = f(np.stack([a, b], axis=1), True)
-    consider(a, ends[:, 0], live)
-    consider(b, ends[:, 1], live)
+    a, b = a[live], b[live]
+    ends, slope = f(live, np.stack([a, b], axis=1), True)
+    consider(live, a, ends[:, 0])
+    consider(live, b, ends[:, 1])
     ga, gb = slope.T
 
-    def rising(x: np.ndarray, g: np.ndarray) -> np.ndarray:
+    def rising(rows: np.ndarray, x: np.ndarray, g: np.ndarray) -> np.ndarray:
         # The maximum lies right of x; a zero slope (a clipped, flat
         # stretch) points toward the best point evaluated.
-        return (g > 0.0) | ((g == 0.0) & (best_x > x))
+        return (g > 0.0) | ((g == 0.0) & (best_x[rows] > x))
 
-    live &= ~(((a == lo) & ~rising(a, ga)) | ((b == hi) & rising(b, gb)))
-    # The secant runs through the last two probes, (x0, g0) then (x1, g1).
-    x0, g0, x1, g1 = a, ga, b, gb
-    last = np.full(len(a), np.inf)  # length of the last step, x1 - x0
-    while live.any():
+    go = ~(((a == lo[live]) & ~rising(live, a, ga)) | ((b == hi[live]) & rising(live, b, gb)))
+    # The secant runs through the last two probes, (x0, g0) then (x1, g1);
+    # ``last`` is the length of the last step, x1 - x0.
+    state = (live, a, b, a, ga, b, gb, np.full(len(a), np.inf))
+    live, a, b, x0, g0, x1, g1, last = (v[go] for v in state)
+    while live.size:
         with np.errstate(divide="ignore", invalid="ignore"):
             s = x1 - g1 * (x1 - x0) / (g1 - g0)
         secant = (s > a) & (s < b) & (np.abs(s - x1) <= 0.5 * last)
         x = np.where(secant, s, 0.5 * (a + b))
         x = np.minimum(np.maximum(x, a + 0.5 * tol), b - 0.5 * tol)
-        fx, gx = (out[:, 0] for out in f(x[:, None], True))
-        consider(x, fx, live)
-        up = live & rising(x, gx)
-        a, b = np.where(up, x, a), np.where(live & ~up, x, b)
-        last = np.where(live, np.abs(x - x1), last)
-        x0, g0 = np.where(live, x1, x0), np.where(live, g1, g0)
-        x1, g1 = np.where(live, x, x1), np.where(live, gx, g1)
-        live &= b - a > tol
+        fx, gx = (out[:, 0] for out in f(live, x[:, None], True))
+        consider(live, x, fx)
+        up = rising(live, x, gx)
+        a, b = np.where(up, x, a), np.where(up, b, x)
+        go = b - a > tol
+        state = (live, a, b, x1, g1, x, gx, np.abs(x - x1))
+        live, a, b, x0, g0, x1, g1, last = (v[go] for v in state)
     return best_x, best_f
 
 
@@ -385,7 +432,10 @@ def _optimize(
     exactly the steps it would take alone: the line search of class k runs
     on the live rows of candidates with more than k classes.  A
     one-class candidate has no corner start; that row starts at -inf, so
-    it never runs or wins.
+    it never runs or wins.  The corners, the starts and each candidate's
+    returned total are :func:`_totals` of their allocations; a line
+    search's values (:func:`_line`) add class k's cross-talk last, so they
+    may differ from these in the last bits.
 
     Each candidate's total is bounded by U = pulse_rate * sum of
     :func:`rate_bound` over its diagonal transmissivities, whatever its
@@ -407,22 +457,12 @@ def _optimize(
     bound = params.pulse_rate * _mode_sum(rate_bound(problem[1], params, opts.mu_min, opts.mu_max))
     ceiling = bound * (1.0 + _BOUND_REL_TOL)
 
+    def rows_of(cand: np.ndarray) -> Tuple[np.ndarray, ...]:
+        return tuple(x[cand] for x in problem)
+
     def totals(cand: np.ndarray, v: np.ndarray) -> np.ndarray:
         """The (r,) totals of the class values ``v`` (r, K) of candidates ``cand``."""
-        return _class_totals(v[:, None], tuple(x[cand] for x in problem), params)[:, 0]
-
-    def line(cand: np.ndarray, base: np.ndarray, k: int) -> Callable[..., object]:
-        """The totals of the rows ``base`` with class k set to each of m
-        values per row, and with ``slopes`` their slopes in class k, for
-        :func:`_line_max`."""
-        rows = tuple(x[cand] for x in problem)
-
-        def f(x: np.ndarray, slopes: bool = False):
-            trial = np.repeat(base[:, None, :], x.shape[1], axis=1)
-            trial[:, :, k] = x
-            return _class_totals(trial, rows, params, k if slopes else None)
-
-        return f
+        return _totals(v, rows_of(cand), params)
 
     def bracket(rows: int) -> Tuple[np.ndarray, np.ndarray]:
         return np.full(rows, opts.mu_min), np.full(rows, opts.mu_max)
@@ -431,10 +471,10 @@ def _optimize(
         [np.diag(m.eta)[[o[0] for o in orb]] for (_, _, m), orb in zip(candidates, orbits)]
     )[:, None]
 
-    def lone(x: np.ndarray, slopes: bool = False):
+    def lone(rows: np.ndarray, x: np.ndarray, slopes: bool = False):
         if not slopes:
-            return rate_per_pulse(lead_eta, x, 0.0, params)
-        return rate_and_slopes(lead_eta, x, 0.0, params)[:2]
+            return rate_per_pulse(lead_eta[rows], x, 0.0, params)
+        return rate_and_slopes(lead_eta[rows], x, 0.0, params)[:2]
 
     single_k, _ = _line_max(lone, *bracket(len(lead_eta)), opts.line_tol)
     single = np.full((n_cand, n_cls), opts.mu_min)
@@ -492,7 +532,7 @@ def _optimize(
             step = rows[active[rows] & (counts[cand[rows]] > k)]
             if not step.size:
                 break
-            f = line(cand[step], v[step], k)
+            f = _line(rows_of(cand[step]), v[step], k, params)
             x_star, val = _line_max(f, *bracket(len(step)), opts.line_tol)
             better = val >= current[step]
             v[step[better], k] = x_star[better]
@@ -504,6 +544,10 @@ def _optimize(
         if not active.any():
             break
 
+    # Each candidate's best start (a missing corner is at -inf) reports the
+    # total of its allocation, computed as every start's total is.
+    best = np.arange(0, len(v), len(_START_NAMES)) + np.argmax(current.reshape(n_cand, -1), axis=1)
+    reported = totals(cand[best], v[best])
     results: List[Optional[Tuple[PowerAllocation, float]]] = []
     cls = problem[2]
     for b, ((mode_set, config, matrix), orb) in enumerate(zip(candidates, orbits)):
@@ -517,23 +561,22 @@ def _optimize(
                 mode_set, config, _START_NAMES[s - first], sweeps[s], len(matrix.modes),
                 opts.rel_tol, (float(current[s]) - base) / max(abs(base), 1e-300),
             )
-        best = own[np.argmax(current[own])]
         log.debug(
             "optimize_allocation: mode set %r, config %r: %d modes in %d classes, "
             "sweeps per start %s, %s",
             mode_set, config, len(matrix.modes), counts[b], sweeps[own].tolist(),
-            "pruned" if pruned[b] else f"winning start {_START_NAMES[best - first]!r}",
+            "pruned" if pruned[b] else f"winning start {_START_NAMES[best[b] - first]!r}",
         )
         if pruned[b]:
             results.append(None)
             continue
         alloc = PowerAllocation(
             modes=matrix.modes,
-            mu=v[best][cls[b, : len(matrix.modes)]],
+            mu=v[best[b]][cls[b, : len(matrix.modes)]],
             orbits=orb,
             pulse_rate=params.pulse_rate,
         )
-        results.append((alloc, float(current[best])))
+        results.append((alloc, float(reported[b])))
     return results
 
 
@@ -683,11 +726,12 @@ def lg_envelope(
 
 
 # Class-space coupling entries per lockstep ascent in ``scan``.  A batch's
-# working set grows by about 200 bytes per entry (measured from n_max = 8
-# to q_max = 16), while the gain of one more link shrinks as the arrays
-# grow.  At n_max = q_max = 8 a batch holds 3 links (5,120 and 6,480
-# entries each), the default scan's cn2 count; from q_max = 10 (18,150) on
-# it holds one.
+# working set grows by about 130 bytes per entry at n_max = 8, 140 at
+# q_max = 8 and 280 at q_max = 16 (traced peaks of the ascent), most of it
+# in the padded couplings gathered for the start and corner totals, while
+# the gain of one more link shrinks as the arrays grow.  At n_max = q_max
+# = 8 a batch holds 3 links (5,120 and 6,480 entries each); from q_max =
+# 10 (18,150) on it holds one.
 _SCAN_BATCH_ENTRIES = 20_000
 
 
@@ -718,12 +762,13 @@ def scan(
     Fresnel product, so the link's own channel serves at any cn2.
 
     The links of one family are optimized in lockstep batches, in link
-    order: a batch takes links while their candidates stay within
-    ``_SCAN_BATCH_ENTRIES`` class-space coupling entries (3 links at
-    ``n_max = q_max = 8``, 1 from ``q_max = 10``), and at least one.  Every
-    FB link pads to ``n_max``'s grid and every LG link to ``q_max``'s, and
-    each link prunes its configurations against its own best, so each row
-    is bit for bit the row of a one-link scan.  A link's rate and
+    order, whatever their path lengths: a batch takes links while their
+    candidates stay within ``_SCAN_BATCH_ENTRIES`` class-space coupling
+    entries (3 links at ``n_max = q_max = 8``, 1 from ``q_max = 10``),
+    and at least one.  Every FB link pads to ``n_max``'s grid and every LG
+    link to ``q_max``'s, padding changes no total, and each link prunes
+    its configurations against its own best, so each row is bit for bit
+    the row of a one-link scan.  A link's rate and
     bound are computed independently, and a failure of either (a
     :class:`RuntimeError` such as a :class:`QuadratureError`, or a
     :class:`ValueError`, in its matrix builds, its bound or its

@@ -1,9 +1,13 @@
 """Shared fixtures and channel builders for the test suite."""
 
 import math
+from dataclasses import dataclass, field
+from typing import List
 
+import numpy as np
 import pytest
 
+import fsoqkd.planner as planner
 from fsoqkd.channel import (
     ChannelConfig,
     HardSquare,
@@ -57,3 +61,38 @@ def ch_gauss_10km():
 @pytest.fixture(scope="session")
 def ch_square_10km():
     return square_channel(10e3)
+
+
+@dataclass
+class KernelWork:
+    """Work counts of the power optimizer: ``_optimize`` calls, rate-kernel
+    calls by name in call order, and the elements those calls evaluate."""
+
+    optimize: int = 0
+    calls: List[str] = field(default_factory=list)
+    elements: int = 0
+
+
+@pytest.fixture
+def kernel_work(monkeypatch):
+    """A :class:`KernelWork` that counts through the ``planner`` globals
+    for the rest of the test."""
+    work = KernelWork()
+    for name in ("rate_per_pulse", "rate_and_slopes"):
+        kernel = getattr(planner, name)
+
+        def counted(*args, _kernel=kernel, _name=name):
+            out = _kernel(*args)
+            work.calls.append(_name)
+            work.elements += np.size(out[0] if isinstance(out, tuple) else out)
+            return out
+
+        monkeypatch.setattr(planner, name, counted)
+    optimize = planner._optimize
+
+    def counted_optimize(*args):
+        work.optimize += 1
+        return optimize(*args)
+
+    monkeypatch.setattr(planner, "_optimize", counted_optimize)
+    return work

@@ -393,10 +393,12 @@ def scalar_coordinate_ascent(matrix, params, opts):
 
     Same starts, sweep rule and tie rule as ``planner.optimize_allocation``
     (strict ``>`` keeps the earliest best start); the objective is the
-    package's class-space total on one allocation at a time.  Returns
-    ``(mu, total rate)``.
+    package's, on one allocation at a time: ``planner._totals`` for the
+    corners, the starts and the returned total, and each line search on
+    ``planner._line``'s evaluator through the allocation it starts from.
+    Returns ``(mu, total rate)``.
     """
-    from fsoqkd.planner import _class_space, _class_totals, orbit_classes
+    from fsoqkd.planner import _class_space, _line, _totals, orbit_classes
     from fsoqkd.qkd import rate_and_slopes
 
     orbits = orbit_classes(matrix.modes)
@@ -404,10 +406,10 @@ def scalar_coordinate_ascent(matrix, params, opts):
     n = len(matrix.modes)
     problem = _class_space([(matrix, orbits)])
     leads = [orbit[0] for orbit in orbits]
+    row = np.array([0])
 
-    def total(mu, k=0):
-        value, slope = _class_totals(mu[leads][None, None], problem, params, k)
-        return float(value[0, 0]), float(slope[0, 0])
+    def total(mu):
+        return float(_totals(mu[leads][None], problem, params)[0])
 
     single = np.empty(n)
     for orbit in orbits:
@@ -424,7 +426,7 @@ def scalar_coordinate_ascent(matrix, params, opts):
         for orbit in orbits:
             corner = np.full(n, opts.mu_min)
             corner[list(orbit)] = single[orbit[0]]
-            val = total(corner)[0]
+            val = total(corner)
             if val > best_corner_val:
                 best_corner, best_corner_val = corner, val
         starts.append(best_corner)
@@ -432,25 +434,24 @@ def scalar_coordinate_ascent(matrix, params, opts):
     best_mu, best_val = None, -math.inf
     for start in starts:
         mu = np.clip(start, opts.mu_min, opts.mu_max)
-        current = total(mu)[0]
+        current = total(mu)
         for _ in range(opts.max_sweeps):
             before = current
             for k, orbit in enumerate(orbits):
-                idx = list(orbit)
+                f = _line(problem, mu[leads][None], k, params)
 
-                def line(v):
-                    trial = mu.copy()
-                    trial[idx] = v
-                    return total(trial, k)
+                def line(v, f=f):
+                    value, slope = f(row, np.array([[v]]), True)
+                    return float(value[0, 0]), float(slope[0, 0])
 
                 v_star, val = scalar_line_max(
                     line, opts.mu_min, opts.mu_max, opts.line_tol
                 )
                 if val >= current:
-                    mu[idx] = v_star
+                    mu[list(orbit)] = v_star
                     current = val
             if current - before <= opts.rel_tol * max(abs(before), 1e-300):
                 break
         if current > best_val:
             best_mu, best_val = mu, current
-    return best_mu, best_val
+    return best_mu, total(best_mu)

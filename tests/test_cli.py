@@ -304,8 +304,8 @@ def test_cmd_rates_small_grid_and_determinism():
 
 
 def test_cmd_rates_lists_rows_by_length_then_cn2_then_family():
-    # One worker gets one task per (L, family) with every cn2; the CSV
-    # order is unchanged.
+    # One worker gets one task holding every link; the CSV order is
+    # unchanged.
     cfg = small_config(path_lengths=(20e3, 10e3), cn2_values=(1e-14, 1e-15), n_max=1, q_max=1)
     text, clean = cmd_rates(cfg)
     assert clean
@@ -321,27 +321,50 @@ def test_cmd_rates_lists_rows_by_length_then_cn2_then_family():
     ]
 
 
-def test_cmd_rates_splits_cn2_lists_to_fill_workers(monkeypatch):
-    # 6 rows over 4 workers: cn2 slices of at most ceil(6 / 4) = 2 values
-    # give 4 tasks; one worker gets whole lists.  The CSV is the same.
-    cfg = small_config(path_lengths=(10e3,), cn2_values=(1e-15, 1e-14, 1e-13), n_max=1, q_max=1)
-    slices = []
+def test_cmd_rates_deals_points_round_robin(monkeypatch):
+    # A task holds both families' links of its (L, cn2) points, and the
+    # points are dealt round-robin over min(jobs, points) tasks.
+    cfg = small_config(path_lengths=(10e3, 20e3), cn2_values=(1e-15, 1e-14), n_max=1, q_max=1)
+    shapes = []
 
     def serial(worker, tasks, jobs):
-        slices.append([(family, cn2_values) for _, _, cn2_values, family in tasks])
+        shapes.append(
+            [
+                [(ch.path_length, ch.cn2, type(ch.pupil).__name__) for ch in links]
+                for _, links in tasks
+            ]
+        )
         return [worker(*task) for task in tasks]
 
     monkeypatch.setattr(cli, "_pool_map", serial)
-    assert cmd_rates(cfg, jobs=4) == cmd_rates(cfg, jobs=1)
-    assert slices == [
-        [
-            ("lg", (1e-15, 1e-14)),
-            ("lg", (1e-13,)),
-            ("fb", (1e-15, 1e-14)),
-            ("fb", (1e-13,)),
-        ],
-        [("lg", (1e-15, 1e-14, 1e-13)), ("fb", (1e-15, 1e-14, 1e-13))],
-    ]
+    points = [(10e3, 1e-15), (10e3, 1e-14), (20e3, 1e-15), (20e3, 1e-14)]
+
+    def links(*indices):
+        return [(*points[i], pupil) for i in indices for pupil in ("SoftGaussian", "HardSquare")]
+
+    expected = cmd_rates(cfg, jobs=1)
+    assert shapes.pop() == [links(0, 1, 2, 3)]
+    cmd_rates(cfg, jobs=3)
+    assert shapes.pop() == [links(0, 3), links(1), links(2)]
+    for jobs in (2, 3, 4):
+        assert cmd_rates(cfg, jobs=jobs) == expected
+    assert [len(shape) for shape in shapes] == [2, 3, 4]
+
+
+def test_cmd_rates_work_budget(kernel_work):
+    # Deterministic work of one worker on 3 lengths x 2 cn2 at n_max = 4,
+    # q_max = 1: one batch per family (2 ascents, against 6 with a task
+    # per path length), whose line-search probes evaluate only the real
+    # modes of the rows still searching.  Measured: 254 kernel calls on
+    # 57,980 elements; the budgets allow 10% more.
+    cfg = small_config(
+        path_lengths=(1e3, 3e3, 10e3), cn2_values=(0.0, 1e-14), n_max=4, q_max=1
+    )
+    text, clean = cmd_rates(cfg, jobs=1)
+    assert clean and len(text.splitlines()) == 1 + 3 * 2 * 2
+    assert kernel_work.optimize == 2
+    assert len(kernel_work.calls) <= 1.1 * 254
+    assert kernel_work.elements <= 1.1 * 57_980
 
 
 def test_cmd_rates_records_failures(monkeypatch, caplog):
@@ -452,10 +475,10 @@ def test_cmd_validate_small_grid():
     "command,overrides",
     [
         (cmd_transmissivity, dict(path_lengths=(1e3, 3e3), cn2_values=(0.0,))),
-        # Two links per (L, family) task and more tasks (4) than workers.
+        # Three points over two workers: tasks of two points and one.
         (
             cmd_rates,
-            dict(path_lengths=(10e3, 20e3), cn2_values=(1e-15, 1e-14), n_max=2, q_max=2),
+            dict(path_lengths=(10e3, 20e3, 30e3), cn2_values=(1e-14,), n_max=2, q_max=2),
         ),
         (cmd_validate, dict(path_lengths=(10e3,), cn2_values=(0.0, 1e-14))),
     ],
