@@ -192,93 +192,95 @@ def _class_space(
 ) -> Tuple[np.ndarray, ...]:
     """The rate objective of each ``(matrix, classes)`` problem in class space.
 
-    Returns ``(coupling, eta_diag, cls, size)`` of shapes (B, K, n), (B, n),
-    (B, n) and (B,), padded to the largest class count K and mode count n.
-    ``coupling[b, j, i]`` sums eta[i', i] over the modes i' != i of class j
-    (the diagonal is zeroed first, so a mode's own power is left out
-    exactly, not subtracted); with one value v[j] per class, mode i's
-    cross-talk is ``(v @ coupling[b])[i]`` for any matrix.  ``cls`` maps
-    each mode to its class, and ``size`` counts each problem's real modes,
-    the first of its row.  A padded mode has zero transmissivity and no
-    cross-talk, so its rate is exactly 0; a padded class couples into
-    nothing.
+    Returns ``(offset, cls, eta, coupling)``, one entry per real mode,
+    problem by problem in mode order: problem b holds entries
+    ``offset[b]:offset[b + 1]``, and entry e is a mode of class ``cls[e]``
+    with transmissivity ``eta[e]``.  ``coupling[e, j]`` (E, K) sums eta[i',
+    i] over the modes i' != i of class j (the diagonal is zeroed first, so
+    a mode's own power is left out exactly, not subtracted); only the class
+    axis is padded, to the largest class count K, and a padded class
+    couples into nothing.
     """
-    n_modes = max(len(matrix.modes) for matrix, _ in problems)
-    n_classes = max(len(orbits) for _, orbits in problems)
-    coupling = np.zeros((len(problems), n_classes, n_modes))
-    eta_diag = np.zeros((len(problems), n_modes))
-    cls = np.zeros((len(problems), n_modes), dtype=int)
-    size = np.array([len(matrix.modes) for matrix, _ in problems])
+    sizes = [len(matrix.modes) for matrix, _ in problems]
+    offset = np.concatenate([[0], np.cumsum(sizes)])
+    coupling = np.zeros((offset[-1], max(len(orbits) for _, orbits in problems)))
+    cls = np.empty(offset[-1], dtype=int)
+    eta = np.empty(offset[-1])
     for b, (matrix, orbits) in enumerate(problems):
+        own = slice(offset[b], offset[b + 1])
         off = matrix.eta.copy()
         np.fill_diagonal(off, 0.0)
-        eta_diag[b, : size[b]] = np.diag(matrix.eta)
+        eta[own] = np.diag(matrix.eta)
         for j, orbit in enumerate(orbits):
-            coupling[b, j, : size[b]] = off[list(orbit)].sum(axis=0)
-            cls[b, list(orbit)] = j
-    return coupling, eta_diag, cls, size
+            coupling[own, j] = off[list(orbit)].sum(axis=0)
+            cls[own][list(orbit)] = j
+    return offset, cls, eta, coupling
+
+
+def _modes(
+    problem: Tuple[np.ndarray, ...], of: np.ndarray, v: np.ndarray
+) -> Tuple[np.ndarray, ...]:
+    """The real modes of the rows of class values ``v`` (R, K), row r on
+    problem ``of[r]`` of ``problem`` (see :func:`_class_space`), one element
+    each, row by row in mode order.  Returns each element's row, its entry
+    and its cross-talk, the sum over the classes j in order of v[row, j]
+    coupling[entry, j]: no term depends on another row or on the padding,
+    which adds exact zeros last."""
+    offset, coupling = problem[0], problem[3]
+    size = offset[of + 1] - offset[of]
+    row = np.repeat(np.arange(len(of)), size)
+    entry = np.arange(row.size) + (offset[of] - np.cumsum(size) + size)[row]
+    cross = sum(v[row, j] * coupling[entry, j] for j in range(coupling.shape[1]))
+    return row, entry, cross
 
 
 def _totals(
-    v: np.ndarray, problem: Tuple[np.ndarray, ...], params: QkdSystemParams
+    problem: Tuple[np.ndarray, ...], of: np.ndarray, v: np.ndarray, params: QkdSystemParams
 ) -> np.ndarray:
     """Total key rates, bits/s, of the class values ``v`` (R, K), row r on
-    row r of every array of ``problem`` (see :func:`_class_space`): every
-    start, corner and reported total.  Each row's cross-talk is its own
-    (1, K) product, which a padded mode or class leaves unchanged to the
-    bit, as it does the total (:func:`_mode_sum`)."""
-    coupling, eta_diag, cls, _ = problem
-    cross = (v[:, None, :] @ coupling)[:, 0, :]
-    mu = np.take_along_axis(v, cls, axis=1)
-    return _mode_sum(params.pulse_rate * rate_per_pulse(eta_diag, mu, cross, params))
-
-
-def _mode_sum(rates: np.ndarray) -> np.ndarray:
-    """Sums of mode rates over the last axis, added in mode order: the
-    zero rates of padded modes then leave a total unchanged to the bit,
-    where a pairwise sum would regroup it by the padded length."""
-    return np.cumsum(rates, axis=-1)[..., -1]
+    problem ``of[r]`` (see :func:`_modes`): every start, corner and
+    reported total.  A ``bincount`` adds each row's mode rates in mode
+    order."""
+    _, cls, eta, _ = problem
+    row, entry, cross = _modes(problem, of, v)
+    rates = rate_per_pulse(eta[entry], v[row, cls[entry]], cross, params)
+    return np.bincount(row, params.pulse_rate * rates, len(of))
 
 
 def _line(
-    problem: Tuple[np.ndarray, ...], base: np.ndarray, k: int, params: QkdSystemParams
+    problem: Tuple[np.ndarray, ...],
+    of: np.ndarray,
+    base: np.ndarray,
+    k: int,
+    params: QkdSystemParams,
 ) -> Callable[..., object]:
     """The line evaluator of class ``k`` through the class values ``base``
-    (R, K), row r on row r of ``problem``, for :func:`_line_max`.
+    (R, K), row r on problem ``of[r]``, for :func:`_line_max`.
 
-    The real modes of every row are laid out once, as one element each:
-    its row, transmissivity, base mu, whether it is in class k, its
-    coupling from class k and its cross-talk from the other classes (one
-    product per row, with class k zeroed).  ``f(rows, x)`` maps the (r, m)
-    values x of class k on the rows ``rows`` (ascending) to their totals,
-    and ``f(rows, x, True)`` returns ``(totals, slopes)``, the slopes
-    d total/d v[k] = pulse_rate * (sum over the modes of class k of d
-    rate/d mu + sum over all modes of coupling[k] d rate/d mu_c).  A probe
-    costs one multiply-add for the cross-talk and the rate kernel on the
-    elements of its rows.  Values and slopes are summed per row in mode
-    order, as :func:`_mode_sum` adds them.
+    The real modes of every row are laid out once (:func:`_modes`), as one
+    element each: its row, transmissivity, base mu, whether it is in class
+    k, its coupling from class k and its cross-talk from the other classes.
+    ``f(rows, x)`` maps the (r, m) values x of class k on the rows ``rows``
+    (ascending) to their totals, and ``f(rows, x, True)`` returns
+    ``(totals, slopes)``, the slopes d total/d v[k] = pulse_rate * (sum
+    over the modes of class k of d rate/d mu + sum over all modes of
+    coupling[k] d rate/d mu_c).  A probe costs one multiply-add for the
+    cross-talk and the rate kernel on the elements of its rows.  Values and
+    slopes are summed per row in mode order, as :func:`_totals` adds them.
     """
-    coupling, eta_diag, cls, size = problem
-    row = np.repeat(np.arange(len(size)), size)
-    mode = np.arange(row.size) - (np.cumsum(size) - size)[row]
+    _, cls, eta_all, coupling = problem
     rest = base.copy()
     rest[:, k] = 0.0
-    in_k = cls[row, mode] == k
+    row, entry, other = _modes(problem, of, rest)
+    in_k = cls[entry] == k
     # The per-element quantities, one row each, so a probe gathers them in one take.
-    table = np.stack(
-        [
-            eta_diag[row, mode],
-            base[row, cls[row, mode]],
-            (rest[:, None, :] @ coupling)[:, 0, :][row, mode],
-            coupling[row, k, mode],
-        ]
-    )
+    table = np.stack([eta_all[entry], base[row, cls[entry]], other, coupling[entry, k]])
 
     def f(rows: np.ndarray, x: np.ndarray, slopes: bool = False):
-        if rows.size == len(size):
+        if rows.size == len(of):
             own, lit, (eta, base_mu, other, from_k) = row, in_k, table
         else:
-            keep = np.zeros(len(size), dtype=bool)
+            keep = np.zeros(len(of), dtype=bool)
             keep[rows] = True
             at = np.flatnonzero(keep[row])
             own = (np.cumsum(keep) - 1)[row[at]]
@@ -308,7 +310,8 @@ def total_rate(
     if alloc.modes != matrix.modes:
         raise ValueError("allocation and matrix cover different mode lists")
     v = alloc.mu[[orbit[0] for orbit in alloc.orbits]]
-    return float(_totals(v[None], _class_space([(matrix, alloc.orbits)]), params)[0])
+    problem = _class_space([(matrix, alloc.orbits)])
+    return float(_totals(problem, np.array([0]), v[None], params)[0])
 
 
 # --------------------------------------------------------------------------
@@ -430,7 +433,9 @@ def _optimize(
     :func:`optimize_allocation`.  Its starts are rows of one array of
     class values, padded to the largest class count, and each row takes
     exactly the steps it would take alone: the line search of class k runs
-    on the live rows of candidates with more than k classes.  A
+    on the live rows of candidates with more than k classes, and every
+    total and probe evaluates only the real modes of its rows
+    (:func:`_modes`), whatever the other candidates.  A
     one-class candidate has no corner start; that row starts at -inf, so
     it never runs or wins.  The corners, the starts and each candidate's
     returned total are :func:`_totals` of their allocations; a line
@@ -454,15 +459,11 @@ def _optimize(
     counts = np.array([len(orb) for orb in orbits])
     n_cand, n_cls = len(candidates), counts.max()
     own_class = np.arange(n_cls) < counts[:, None]
-    bound = params.pulse_rate * _mode_sum(rate_bound(problem[1], params, opts.mu_min, opts.mu_max))
+    offset, cls, eta, _ = problem
+    per_mode = rate_bound(eta, params, opts.mu_min, opts.mu_max)
+    of_mode = np.repeat(np.arange(n_cand), np.diff(offset))
+    bound = params.pulse_rate * np.bincount(of_mode, per_mode)
     ceiling = bound * (1.0 + _BOUND_REL_TOL)
-
-    def rows_of(cand: np.ndarray) -> Tuple[np.ndarray, ...]:
-        return tuple(x[cand] for x in problem)
-
-    def totals(cand: np.ndarray, v: np.ndarray) -> np.ndarray:
-        """The (r,) totals of the class values ``v`` (r, K) of candidates ``cand``."""
-        return _totals(v, rows_of(cand), params)
 
     def bracket(rows: int) -> Tuple[np.ndarray, np.ndarray]:
         return np.full(rows, opts.mu_min), np.full(rows, opts.mu_max)
@@ -482,7 +483,7 @@ def _optimize(
     # Corners: one class lit at its single-mode optimum, the rest floored.
     corner_cand, corner_k = np.nonzero(own_class & (counts > 1)[:, None])
     corners = np.where(np.arange(n_cls) == corner_k[:, None], single[corner_cand], opts.mu_min)
-    corner_val = totals(corner_cand, corners)
+    corner_val = _totals(problem, corner_cand, corners, params)
 
     start = np.empty((n_cand, len(_START_NAMES), n_cls))
     start[:, 0], start[:, 1], start[:, 2], start[:, 3] = 0.05, 0.5, single, opts.mu_min
@@ -494,7 +495,7 @@ def _optimize(
     cand = np.repeat(np.arange(n_cand), len(_START_NAMES))
 
     v = np.clip(start.reshape(-1, n_cls), opts.mu_min, opts.mu_max)
-    current = np.where(has_start, totals(cand, v), -np.inf)
+    current = np.where(has_start, _totals(problem, cand, v, params), -np.inf)
     sweeps = np.zeros(len(v), dtype=int)
     before = current.copy()
     active = has_start.copy()
@@ -532,7 +533,7 @@ def _optimize(
             step = rows[active[rows] & (counts[cand[rows]] > k)]
             if not step.size:
                 break
-            f = _line(rows_of(cand[step]), v[step], k, params)
+            f = _line(problem, cand[step], v[step], k, params)
             x_star, val = _line_max(f, *bracket(len(step)), opts.line_tol)
             better = val >= current[step]
             v[step[better], k] = x_star[better]
@@ -547,9 +548,8 @@ def _optimize(
     # Each candidate's best start (a missing corner is at -inf) reports the
     # total of its allocation, computed as every start's total is.
     best = np.arange(0, len(v), len(_START_NAMES)) + np.argmax(current.reshape(n_cand, -1), axis=1)
-    reported = totals(cand[best], v[best])
+    reported = _totals(problem, cand[best], v[best], params)
     results: List[Optional[Tuple[PowerAllocation, float]]] = []
-    cls = problem[2]
     for b, ((mode_set, config, matrix), orb) in enumerate(zip(candidates, orbits)):
         first = b * len(_START_NAMES)
         own = np.arange(first, first + n_starts[b])
@@ -572,7 +572,7 @@ def _optimize(
             continue
         alloc = PowerAllocation(
             modes=matrix.modes,
-            mu=v[best[b]][cls[b, : len(matrix.modes)]],
+            mu=v[best[b]][cls[offset[b] : offset[b + 1]]],
             orbits=orb,
             pulse_rate=params.pulse_rate,
         )
@@ -725,19 +725,19 @@ def lg_envelope(
 # --------------------------------------------------------------------------
 
 
-# Class-space coupling entries per lockstep ascent in ``scan``.  A batch's
-# working set grows by about 130 bytes per entry at n_max = 8, 140 at
-# q_max = 8 and 280 at q_max = 16 (traced peaks of the ascent), most of it
-# in the padded couplings gathered for the start and corner totals, while
-# the gain of one more link shrinks as the arrays grow.  At n_max = q_max
-# = 8 a batch holds 3 links (5,120 and 6,480 entries each); from q_max =
-# 10 (18,150) on it holds one.
+# Class-space coupling entries per lockstep ascent in ``scan``, counted
+# by :func:`_class_space_entries`.  The traced peak of an ascent grows by
+# about 70 bytes per entry at n_max = 8, 50 at q_max = 8 and 45 at q_max =
+# 16, while the gain of one more link shrinks as the arrays grow.  At
+# n_max = q_max = 8 a batch holds 3 links (5,120 and 6,480 entries each);
+# from q_max = 10 (18,150) on it holds one.
 _SCAN_BATCH_ENTRIES = 20_000
 
 
 def _class_space_entries(candidates: Sequence[_Candidate]) -> int:
-    """Coupling entries of one link's candidates in ``_optimize``'s class
-    space, each padded to the largest class and mode counts."""
+    """The size of one link's candidates for the batch budget: candidates
+    x largest class count x largest mode count.  The class space itself
+    holds one row of K couplings per real mode, fewer entries than this."""
     matrices = [matrix for _, _, matrix in candidates]
     n_classes = max(len(orbit_classes(m.modes)) for m in matrices)
     return len(matrices) * n_classes * max(len(m.modes) for m in matrices)
@@ -765,10 +765,10 @@ def scan(
     order, whatever their path lengths: a batch takes links while their
     candidates stay within ``_SCAN_BATCH_ENTRIES`` class-space coupling
     entries (3 links at ``n_max = q_max = 8``, 1 from ``q_max = 10``),
-    and at least one.  Every FB link pads to ``n_max``'s grid and every LG
-    link to ``q_max``'s, padding changes no total, and each link prunes
-    its configurations against its own best, so each row is bit for bit
-    the row of a one-link scan.  A link's rate and
+    and at least one.  Every total and line search of a link evaluates its
+    own modes only, each class-space sum runs in a fixed order, and each
+    link prunes its configurations against its own best, so each row is
+    bit for bit the row of a one-link scan.  A link's rate and
     bound are computed independently, and a failure of either (a
     :class:`RuntimeError` such as a :class:`QuadratureError`, or a
     :class:`ValueError`, in its matrix builds, its bound or its

@@ -409,7 +409,7 @@ def scalar_coordinate_ascent(matrix, params, opts):
     row = np.array([0])
 
     def total(mu):
-        return float(_totals(mu[leads][None], problem, params)[0])
+        return float(_totals(problem, row, mu[leads][None], params)[0])
 
     single = np.empty(n)
     for orbit in orbits:
@@ -438,7 +438,7 @@ def scalar_coordinate_ascent(matrix, params, opts):
         for _ in range(opts.max_sweeps):
             before = current
             for k, orbit in enumerate(orbits):
-                f = _line(problem, mu[leads][None], k, params)
+                f = _line(problem, row, mu[leads][None], k, params)
 
                 def line(v, f=f):
                     value, slope = f(row, np.array([[v]]), True)

@@ -378,7 +378,7 @@ def test_class_slopes_match_mode_space_differences(matrix, seed):
     params = QkdSystemParams()
     values = 10.0 ** np.random.default_rng(seed).uniform(-3.0, math.log10(1.4), len(orbits))
     problem = planner._class_space([(matrix, orbits)])
-    total = planner._totals(values[None], problem, params)
+    total = planner._totals(problem, np.array([0]), values[None], params)
 
     def allocation(v):
         mu = np.empty(len(matrix.modes))
@@ -391,7 +391,7 @@ def test_class_slopes_match_mode_space_differences(matrix, seed):
         return rate_per_pulse(np.diag(matrix.eta), mu, mu @ off, params) > 0.0
 
     for k in range(len(orbits)):
-        f = planner._line(problem, values[None], k, params)
+        f = planner._line(problem, np.array([0]), values[None], k, params)
         value, slope = (out[0] for out in f(np.array([0]), values[None, k : k + 1], True))
         # The line adds class k's cross-talk last, so its value may differ
         # from the total in the last bits.
@@ -404,6 +404,49 @@ def test_class_slopes_match_mode_space_differences(matrix, seed):
         lower, upper = (oracles.mode_space_total(matrix, mu, params) for mu in stencil)
         difference = (upper - lower) / (2.0 * h)
         assert slope[0] == pytest.approx(difference, rel=1e-4, abs=1e-6 * total[0])
+
+
+def test_class_space_rows_equal_their_problem_alone():
+    # One-class, 10-class and 6-class problems (FB N = 1, FB N = 8, LG
+    # Q = 4) in one class space padded to 10 classes: every cross-talk,
+    # total, line value and line slope of a row is bit for bit that of its
+    # problem in a class space of its own, whatever the other rows and the
+    # padding.
+    matrices = [
+        fb_turb_matrix(1, square_channel(2e3, 1e-14)),
+        fb_turb_matrix(8, square_channel(2e3, 1e-14)),
+        lg_turb_matrix(4, gauss_channel(2e3, 1e-14)),
+    ]
+    problems = [(m, orbit_classes(m.modes)) for m in matrices]
+    assert [len(orbits) for _, orbits in problems] == [1, 10, 6]
+    params = QkdSystemParams()
+    rng = np.random.default_rng(5)
+    of = np.array([2, 0, 1, 1, 2])
+    # Values on padded classes too: they must couple into nothing.
+    v = 10.0 ** rng.uniform(-3.0, 0.0, (len(of), 10))
+    x = 10.0 ** rng.uniform(-3.0, 0.0, (len(of), 2))
+    batch = planner._class_space(problems)
+    alone = [planner._class_space([p]) for p in problems]
+    row, _, cross = planner._modes(batch, of, v)
+    totals = planner._totals(batch, of, v, params)
+    for r, b in enumerate(of):
+        own = v[r : r + 1, : len(problems[b][1])]
+        _, _, solo = planner._modes(alone[b], np.array([0]), own)
+        np.testing.assert_array_equal(cross[row == r], solo)
+        assert totals[r] == planner._totals(alone[b], np.array([0]), own, params)[0]
+    for k in range(10):
+        rows = np.flatnonzero([len(problems[b][1]) > k for b in of])
+        f = planner._line(batch, of[rows], v[rows], k, params)
+        live = np.arange(0, len(rows), 2)
+        values, slopes = f(live, x[rows[live]], True)
+        for at, (i, r) in enumerate(zip(live, rows[live])):
+            b = of[r]
+            own = v[r : r + 1, : len(problems[b][1])]
+            solo = planner._line(alone[b], np.array([0]), own, k, params)
+            solo_values, solo_slopes = solo(np.array([0]), x[r : r + 1], True)
+            np.testing.assert_array_equal(values[at], solo_values[0])
+            np.testing.assert_array_equal(slopes[at], solo_slopes[0])
+            np.testing.assert_array_equal(f(np.array([i]), x[r : r + 1]), solo_values)
 
 
 @settings(max_examples=25, deadline=None)
