@@ -222,15 +222,15 @@ def _modes(
 ) -> Tuple[np.ndarray, ...]:
     """The real modes of the rows of class values ``v`` (R, K), row r on
     problem ``of[r]`` of ``problem`` (see :func:`_class_space`), one element
-    each, row by row in mode order.  Returns each element's row, its entry
-    and its cross-talk, the sum over the classes j in order of v[row, j]
-    coupling[entry, j]: no term depends on another row or on the padding,
-    which adds exact zeros last."""
-    offset, coupling = problem[0], problem[3]
+    each, row by row in mode order.  Returns each element's row, entry and
+    cross-talk, added class by class in order (a NumPy sum may pair terms
+    by K): no term depends on another row or on the padding, which adds
+    exact zeros last."""
+    offset, _, _, coupling = problem
     size = offset[of + 1] - offset[of]
     row = np.repeat(np.arange(len(of)), size)
     entry = np.arange(row.size) + (offset[of] - np.cumsum(size) + size)[row]
-    cross = sum(v[row, j] * coupling[entry, j] for j in range(coupling.shape[1]))
+    cross = sum(vj[row] * cj[entry] for vj, cj in zip(v.T, coupling.T))
     return row, entry, cross
 
 
