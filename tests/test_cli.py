@@ -457,6 +457,29 @@ def test_cli_import_loads_no_scipy():
     assert out.stdout.strip() == "[]"
 
 
+def test_cli_run_loads_no_numpy_polynomial(tmp_path):
+    # A fresh process builds its quadrature nodes without numpy.polynomial,
+    # whose import alone costs milliseconds of every CLI run.
+    root = Path(cli.__file__).resolve().parent.parent.parent
+    code = (
+        "import sys, fsoqkd.cli; "
+        "status = fsoqkd.cli.main(sys.argv[1:]); "
+        "print(status, sorted(m for m in sys.modules if m.startswith('numpy.polynomial')))"
+    )
+    argv = [
+        "--jobs", "1",
+        "--config", str(root / "tests" / "data" / "single-beam.ini"),
+        "--out", str(tmp_path / "transmissivity.csv"),
+        "transmissivity",
+    ]
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    out = subprocess.run(
+        [sys.executable, "-c", code, *argv], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "0 []"
+    assert (tmp_path / "transmissivity.csv").read_text().startswith("L_m,cn2,eta_fb,eta_gauss")
+
+
 def test_cmd_validate_small_grid():
     cfg = small_config(path_lengths=(10e3,), cn2_values=(0.0, 1e-14))
     text, all_pass = cmd_validate(cfg)

@@ -1,6 +1,7 @@
 """Hermite-Gauss samples, the Gauss-Legendre rule, and the LG-HG basis change."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ import scipy.special
 
 from fsoqkd.numerics import (
     QuadratureError,
+    _leggauss,
     hg_sample,
     integrate_1d,
     lg_hg_unitary,
@@ -58,6 +60,45 @@ def test_integrate_1d_known_values():
 def test_integrate_1d_raises_on_budget_exhaustion():
     with pytest.raises(QuadratureError):
         integrate_1d(lambda x: np.cos(5000.0 * x), 0.0, 1000.0, budget=2)
+
+
+EPS = np.finfo(float).eps
+
+
+@pytest.mark.parametrize("order", [*range(1, 129), 256, 512, 1024])
+def test_leggauss_matches_numpy_oracle(order):
+    nodes, weights = _leggauss(order)
+    ref_nodes, ref_weights = np.polynomial.legendre.leggauss(order)
+    np.testing.assert_allclose(nodes, ref_nodes, rtol=0, atol=4 * EPS)
+    np.testing.assert_allclose(weights, ref_weights, rtol=0, atol=128 * EPS)
+    np.testing.assert_array_equal(nodes, -nodes[::-1])
+    np.testing.assert_array_equal(weights, weights[::-1])
+    if order % 2:
+        mid = nodes[order // 2]
+        assert mid == 0.0 and math.copysign(1.0, mid) == 1.0
+    # The rule is exact for every even monomial of degree < 2n.
+    k = np.arange(0, 2 * order, 2)
+    moments = (nodes[None, :] ** k[:, None]) @ weights
+    np.testing.assert_allclose(moments, 2.0 / (k + 1), rtol=0, atol=64 * EPS)
+
+
+def test_leggauss_top_order_working_set():
+    # The Newton rule holds about two (n/2 x n/2) float arrays at a time.
+    tracemalloc.start()
+    try:
+        _leggauss.__wrapped__(1024)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8e6
+
+
+def test_leggauss_cached_arrays_are_read_only():
+    nodes, weights = _leggauss(16)
+    with pytest.raises(ValueError):
+        nodes[0] = 0.0
+    with pytest.raises(ValueError):
+        weights *= 2.0
 
 
 def test_oracle_4d_cubature_gaussian_product():
