@@ -18,11 +18,13 @@ validate
 Config keys are listed once, in ``_KEYS``: each names its parser and the
 :class:`RunConfig` field it sets, and both the unknown-key check and the
 parsing read that table.  Every config error carries a ``file:line``
-prefix and exits 2.  A ``transmissivity`` or ``validate`` point is one
-task ``(config, L, cn2)`` for one worker.  ``rates`` deals its (L, cn2)
-points round-robin over one task per worker, ``(config, links)`` with
-both families' links of each point, whose links ``scan`` optimizes in
-lockstep batches.  ``_link`` alone chooses a pupil by family.
+prefix and exits 2.  Every subcommand deals its (L, cn2) points
+round-robin over one task ``(config, points)`` per worker
+(``_per_point``).  A ``transmissivity`` or ``validate`` task makes one
+array call per quantity on all its points; a ``rates`` task is one
+``scan`` call on both families' links of its points, which ``scan``
+optimizes in lockstep batches.  ``_link`` alone chooses a pupil by
+family.
 
 All real CSV cells use 12-significant-digit scientific notation with LF
 line endings, so identical configurations yield byte-identical files.
@@ -61,6 +63,10 @@ __all__ = ["RunConfig", "load_config", "cmd_transmissivity", "cmd_rates", "cmd_v
 log = logging.getLogger("fsoqkd")
 
 _REAL = "%.11e"
+
+# The mode families of a ``rates`` point, in CSV order: soft Gaussian
+# pupils for LG modes, then hard square pupils for flat-top beams.
+_FAMILIES = ("lg", "fb")
 
 _LENGTH_UNITS = {
     "nm": 1e-9,
@@ -316,23 +322,29 @@ def _link(config: RunConfig, path_length: float, cn2: float, family: str) -> Cha
     )
 
 
-def _transmissivity_point(config: RunConfig, path_length: float, cn2: float):
+def _transmissivity_task(config: RunConfig, points: List[Tuple[float, float]]) -> List[tuple]:
     pixel = fb_pixel_grid(1)[0]
-    eta_fb = fb_turb_eta(pixel, pixel, derive(_link(config, path_length, cn2, "fb")))
-    eta_gauss = gaussian_pib_turb(derive(_link(config, path_length, cn2, "lg")))
-    return eta_fb, eta_gauss
+    fb = [derive(_link(config, *point, "fb")) for point in points]
+    eta_gauss = [gaussian_pib_turb(derive(_link(config, *point, "lg"))) for point in points]
+    return list(zip(fb_turb_eta(pixel, pixel, fb).tolist(), eta_gauss))
 
 
-def _rates_task(config: RunConfig, links: List[ChannelConfig]) -> List[ScanRow]:
-    return scan(links, config.qkd, config.n_max, config.q_max, config.optimizer)
+def _rates_task(config: RunConfig, points: List[Tuple[float, float]]) -> List[List[ScanRow]]:
+    """The rows of both families at each point, from one :func:`scan` call
+    on all their links."""
+    links = [_link(config, *point, family) for point in points for family in _FAMILIES]
+    rows = scan(links, config.qkd, config.n_max, config.q_max, config.optimizer)
+    return [rows[i : i + len(_FAMILIES)] for i in range(0, len(rows), len(_FAMILIES))]
 
 
-def _validate_point(config: RunConfig, path_length: float, cn2: float):
-    ch = derive(_link(config, path_length, cn2, "lg"))
+def _validate_task(config: RunConfig, points: List[Tuple[float, float]]) -> List[tuple]:
+    chans = [derive(_link(config, *point, "lg")) for point in points]
     # The vacuum power-in-bucket depends on the channel only through its
     # Fresnel product, which does not depend on cn2.
-    eta_vac = lg_vacuum_eta(1, ch.fresnel_product)
-    return gaussian_pib_turb(ch), gaussian_pib_53(ch), eta_vac
+    return [
+        (gaussian_pib_turb(ch), eta_53, lg_vacuum_eta(1, ch.fresnel_product))
+        for ch, eta_53 in zip(chans, gaussian_pib_53(chans).tolist())
+    ]
 
 
 def _pool_map(worker, tasks: List[tuple], jobs: int) -> List:
@@ -343,22 +355,42 @@ def _pool_map(worker, tasks: List[tuple], jobs: int) -> List:
         return list(pool.map(worker, *zip(*tasks)))
 
 
+def _per_point(worker, config: RunConfig, points: List[Tuple[float, float]], jobs: int) -> List:
+    """One result per (L, cn2) point, in point order.
+
+    The points are dealt round-robin over min(jobs, points) tasks, so
+    near- and far-field points spread evenly over the workers, and a task
+    is one ``worker(config, its points)`` call returning one result per
+    point.
+    """
+    n_tasks = min(max(jobs, 1), len(points))
+    tasks = [(config, points[t::n_tasks]) for t in range(n_tasks)]
+    results: List = [None] * len(points)
+    for t, task_results in enumerate(_pool_map(worker, tasks, jobs)):
+        results[t::n_tasks] = task_results
+    return results
+
+
 # --------------------------------------------------------------------------
 # Subcommands
 # --------------------------------------------------------------------------
 
 
 def cmd_transmissivity(config: RunConfig, jobs: int = 1) -> str:
-    """Single-beam average transmissivities; CSV text."""
-    tasks = [
-        (config, path_length, cn2)
+    """Single-beam average transmissivities; CSV text.
+
+    The (L, cn2) points are dealt round-robin over min(jobs, points)
+    tasks, and a task integrates all its flat-top points in one call.
+    """
+    points = [
+        (path_length, cn2)
         for path_length in config.resolved_path_lengths()
         for cn2 in config.resolved_cn2(include_vacuum=True)
     ]
-    log.info("transmissivity: %d points", len(tasks))
-    results = _pool_map(_transmissivity_point, tasks, jobs)
+    log.info("transmissivity: %d points", len(points))
+    results = _per_point(_transmissivity_task, config, points, jobs)
     lines = ["L_m,cn2,eta_fb,eta_gauss"]
-    for (_, path_length, cn2), (eta_fb, eta_gauss) in zip(tasks, results):
+    for (path_length, cn2), (eta_fb, eta_gauss) in zip(points, results):
         lines.append(
             f"{_REAL % path_length},{_REAL % cn2},{_REAL % eta_fb},{_REAL % eta_gauss}"
         )
@@ -374,27 +406,17 @@ def cmd_rates(config: RunConfig, jobs: int = 1) -> Tuple[str, bool]:
     spreads near- and far-field points evenly over the workers.  The CSV
     lists rows by path length, then cn2, then family.
     """
-    families = ("lg", "fb")
     points = [
         (path_length, cn2)
         for path_length in config.resolved_path_lengths()
         for cn2 in config.resolved_cn2(include_vacuum=False)
     ]
-    n_tasks = min(max(jobs, 1), len(points))
-    keys = [
-        [(p, family) for p in range(t, len(points), n_tasks) for family in families]
-        for t in range(n_tasks)
-    ]
-    tasks = [(config, [_link(config, *points[p], family) for p, family in own]) for own in keys]
-    log.info("rates: %d scan rows in %d tasks", len(points) * len(families), len(tasks))
-    rows: Dict[Tuple[int, str], ScanRow] = {}
-    for own, task_rows in zip(keys, _pool_map(_rates_task, tasks, jobs)):
-        rows.update(zip(own, task_rows))
+    log.info("rates: %d scan rows", len(points) * len(_FAMILIES))
+    results = _per_point(_rates_task, config, points, jobs)
     lines = ["L_m,cn2,mode_set,config,rate_bps,capacity_bps"]
     clean = True
-    for p, (path_length, cn2) in enumerate(points):
-        for family in families:
-            row = rows[p, family]
+    for (path_length, cn2), point_rows in zip(points, results):
+        for family, row in zip(_FAMILIES, point_rows):
             if row.error is not None:
                 clean = False
                 log.error(
@@ -420,22 +442,24 @@ def cmd_validate(config: RunConfig, jobs: int = 1) -> Tuple[str, bool]:
     Where rho_0 exceeds them the square law is the milder model and the
     point fails: 18 of the 60 turbulent points of the default ``rates``
     lengths do (cn2 1e-15 up to 8.9 km, 1e-14 up to 3.4 km, 1e-13 up to
-    1.3 km), hence the far-field default grid.
+    1.3 km), hence the far-field default grid.  The points are dealt as
+    in :func:`cmd_transmissivity`, and a task integrates all its 5/3-law
+    points in one call.
     """
     if config.path_lengths is not None:
         path_lengths = config.path_lengths
     else:
         path_lengths = (10e3, 30e3, 100e3)
-    tasks = [
-        (config, path_length, cn2)
+    points = [
+        (path_length, cn2)
         for path_length in path_lengths
         for cn2 in config.resolved_cn2(include_vacuum=True)
     ]
-    log.info("validate: %d points", len(tasks))
-    results = _pool_map(_validate_point, tasks, jobs)
+    log.info("validate: %d points", len(points))
+    results = _per_point(_validate_task, config, points, jobs)
     lines = ["L_m,cn2,eta_square_law,eta_five_thirds,eta_vacuum,rel_gap,status"]
     all_pass = True
-    for (_, path_length, cn2), (eta_sq, eta_53, eta_vac) in zip(tasks, results):
+    for (path_length, cn2), (eta_sq, eta_53, eta_vac) in zip(points, results):
         rel_gap = (eta_53 - eta_sq) / eta_53 if eta_53 > 0 else 0.0
         if cn2 == 0.0:
             ok = abs(eta_53 - eta_sq) <= 1e-4 * eta_sq and eta_53 <= eta_vac * (1 + 1e-9)

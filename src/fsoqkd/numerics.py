@@ -2,7 +2,11 @@
 
 Every 1-D integral in the package runs on one Gauss-Legendre rule with an
 order-doubling error check: callers state a tolerance and get either a
-value that met it or a :class:`QuadratureError`.  The nodes come from a
+value that met it or a :class:`QuadratureError`.  A call integrates a
+batch of rows, each over its own interval: a row's error is measured
+against its own largest entry, its sum is reduced apart from the other
+rows, so its bits do not depend on the batch, and the integrand sees at
+most ``_CHUNK_NODES`` (row, node) pairs at a time.  The nodes come from a
 Newton rule on Legendre's cosine series, in numpy alone: no eigensolve and
 no ``numpy.polynomial`` import, which a fresh CLI process would otherwise
 pay for on every run.  LG modes are enumerated
@@ -93,37 +97,73 @@ def _leggauss(order: int) -> Tuple[np.ndarray, np.ndarray]:
     return nodes, weights
 
 
+# Rows are integrated in chunks of at most this many (row, node) pairs per
+# integrand call, so the working set stays flat however many rows a call holds.
+_CHUNK_NODES = 8192
+
+
 def integrate_1d(
-    f: Callable[[np.ndarray], np.ndarray],
-    a: float,
-    b: float,
+    f: Callable[[np.ndarray, np.ndarray], np.ndarray],
+    a,
+    b,
     rel_tol: float = 1e-10,
     budget: int = 1024,
-):
-    """Gauss-Legendre quadrature of a vectorized integrand over [a, b].
+) -> np.ndarray:
+    """Gauss-Legendre quadrature of a batch of rows, row i over [a[i], b[i]].
 
-    ``f`` maps the (n,) node array to values of shape (..., n), and the
-    result has shape (...).  The order doubles from 8 until two successive
-    orders agree within ``rel_tol`` times the largest entry of the result;
-    the higher-order sum is returned.  ``budget`` caps the order: reaching
-    it without agreement raises :class:`QuadratureError`.
+    ``a`` and ``b`` are (P,) arrays.  ``f(rows, x)`` maps the indices
+    ``rows`` (r,) of the rows still live and their (r, n) nodes ``x`` to
+    values of shape (r, ..., n), and the result has shape (P, ...).  Each
+    row doubles its order from 8 until its two successive orders agree
+    within ``rel_tol`` times the largest entry of that row; its
+    higher-order sum is then frozen and the row leaves the evaluation, so
+    no other row's scale enters its test.  Each row is reduced on its own,
+    ``(f * w).sum(-1)``, never by a matrix product whose bits depend on
+    the batch: a row's value is the same bit for bit alone or in any
+    batch.  ``f`` sees at most ``_CHUNK_NODES`` (row, node) pairs per
+    call.  ``budget`` caps the order: a row that reaches it without
+    agreement raises :class:`QuadratureError` naming its interval.
     """
-    if not b >= a:
-        raise ValueError(f"need b >= a, got [{a}, {b}]")
-    mid, half = 0.5 * (a + b), 0.5 * (b - a)
-    prev, order, last = None, 8, 0
-    while order <= budget:
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    if a.ndim != 1 or a.shape != b.shape:
+        raise ValueError(f"need two (P,) interval ends, got {a.shape} and {b.shape}")
+    if not (b >= a).all():
+        i = np.argmin(b >= a)
+        raise ValueError(f"need b >= a, got [{a[i]}, {b[i]}]")
+    # The live rows, and their interval midpoints and half-widths as (r, 1).
+    live = np.arange(a.size)
+    mid, half = 0.5 * (a + b)[:, None], 0.5 * (b - a)[:, None]
+    out, prev, order, last = None, None, 8, 0
+    while live.size and order <= budget:
         nodes, weights = _leggauss(order)
-        val = half * (f(mid + half * nodes) @ weights)
-        scale = np.abs(val).max()
-        if prev is not None and np.abs(val - prev).max() <= rel_tol * scale:
-            return val
+        step = max(1, _CHUNK_NODES // order)
+        parts = []
+        for start in range(0, live.size, step):
+            part = slice(start, start + step)
+            vals = f(live[part], mid[part] + half[part] * nodes)
+            scale = half[part].reshape((-1,) + (1,) * (vals.ndim - 2))
+            parts.append(scale * (vals * weights).sum(-1))
+        val = parts[0] if len(parts) == 1 else np.concatenate(parts)
+        if out is None:
+            out = np.empty((a.size,) + val.shape[1:], dtype=val.dtype)
+        if prev is not None:
+            err, size = np.abs(val - prev), np.abs(val)
+            if val.ndim > 1:  # the largest entry of each row
+                err = err.reshape(len(val), -1).max(1)
+                size = size.reshape(len(val), -1).max(1)
+            done = err <= rel_tol * size
+            if done.any():
+                out[live[done]] = val[done]
+                keep = ~done
+                live, mid, half, val = live[keep], mid[keep], half[keep], val[keep]
         prev, last = val, order
         order *= 2
-    raise QuadratureError(
-        f"integrate_1d did not converge on [{a}, {b}]: "
-        f"last order {last}, node cap {budget}"
-    )
+    if live.size:
+        raise QuadratureError(
+            f"integrate_1d did not converge on [{a[live[0]]}, {b[live[0]]}]: "
+            f"last order {last}, node cap {budget}"
+        )
+    return out if out is not None else np.empty(0)
 
 
 def lg_modes_of_order(order: int) -> Tuple[Tuple[int, int], ...]:

@@ -50,7 +50,7 @@ from __future__ import annotations
 
 import enum
 import math
-from typing import Tuple
+from typing import Sequence, Tuple, Union
 
 import numpy as np
 
@@ -115,14 +115,13 @@ def structure_fn(
         span = dx * dx + dy * dy
         xi0 = min(max(-(ix * dx + iy * dy) / span, 0.0), 1.0) if span > 0.0 else 0.0
 
-        def integrand(xi: np.ndarray) -> np.ndarray:
+        def integrand(rows: np.ndarray, xi: np.ndarray) -> np.ndarray:
             vx = ix + dx * xi
             vy = iy + dy * xi
             return (vx * vx + vy * vy) ** (5.0 / 6.0)
 
-        path = integrate_1d(integrand, 0.0, xi0, rel_tol=1e-9) + integrate_1d(
-            integrand, xi0, 1.0, rel_tol=1e-9
-        )
+        halves = integrate_1d(integrand, [0.0, xi0], [xi0, 1.0], rel_tol=1e-9)
+        path = halves[0] + halves[1]
         return 2.91 * ch.wave_number ** 2 * ch.cn2 * ch.path_length * float(path)
     raise ValueError(f"unknown structure function kind: {kind!r}")
 
@@ -152,7 +151,9 @@ def gaussian_pib_turb(ch: DerivedChannel) -> float:
     return eta0 * (tee / (tee + ratio2))
 
 
-def gaussian_pib_53(ch: DerivedChannel) -> float:
+def gaussian_pib_53(
+    ch: Union[DerivedChannel, Sequence[DerivedChannel]],
+) -> Union[float, np.ndarray]:
     """Average captured power of the focused Gaussian under the 5/3 law.
 
     Because both receiver-plane field points of the power integral
@@ -168,7 +169,27 @@ def gaussian_pib_53(ch: DerivedChannel) -> float:
     function.  The substitution r = s^3 makes the radial integrand smooth.
     With the square-law model in place of the 5/3 law this reduction
     reproduces the closed form of :func:`gaussian_pib_turb` exactly.
+
+    One channel gives a float.  A sequence of channels gives a (P,) array
+    from one quadrature call, each entry the same bit for bit as its
+    channel alone.
     """
+    chans = [ch] if isinstance(ch, DerivedChannel) else list(ch)
+    prefactor, beta, half_strength, s_max = np.array([_pib_53_terms(c) for c in chans]).T
+
+    def integrand(rows: np.ndarray, s: np.ndarray) -> np.ndarray:
+        # r dr = 3 s^5 ds, and r^(5/3) = s^5.
+        s5 = s ** 5
+        return 3.0 * s5 * np.exp(-beta[rows, None] * s5 * s - half_strength[rows, None] * s5)
+
+    radial = integrate_1d(integrand, np.zeros(len(chans)), s_max, rel_tol=1e-12)
+    eta = prefactor * 2.0 * math.pi * radial
+    return float(eta[0]) if isinstance(ch, DerivedChannel) else eta
+
+
+def _pib_53_terms(ch: DerivedChannel) -> Tuple[float, float, float, float]:
+    """(C, beta, half the 5/3 strength, radial cutoff in s) of one channel
+    for :func:`gaussian_pib_53`."""
     if not isinstance(ch.pupil, SoftGaussian):
         raise ValueError("Gaussian power-in-bucket requires soft Gaussian pupils")
     lam, big_l = ch.wavelength, ch.path_length
@@ -187,15 +208,7 @@ def gaussian_pib_53(ch: DerivedChannel) -> float:
         * (math.pi / (2.0 / r_pupil ** 2 + 1.0 / sigma2))
     )
     half_strength = 0.5 * 2.91 * 0.375 * k ** 2 * ch.cn2 * big_l
-
-    def integrand(s: np.ndarray) -> np.ndarray:
-        # r dr = 3 s^5 ds, and r^(5/3) = s^5.
-        s5 = s ** 5
-        return 3.0 * s5 * np.exp(-beta * s5 * s - half_strength * s5)
-
-    s_max = (60.0 / beta) ** (1.0 / 6.0)
-    radial = integrate_1d(integrand, 0.0, s_max, rel_tol=1e-12)
-    return prefactor * 2.0 * math.pi * float(radial)
+    return prefactor, beta, half_strength, (60.0 / beta) ** (1.0 / 6.0)
 
 
 # --------------------------------------------------------------------------
@@ -332,24 +345,35 @@ def lg_turb_matrix(q_max: int, ch: DerivedChannel) -> CouplingMatrix:
 # --------------------------------------------------------------------------
 
 
-def _fb_turb_axis(n_grid: int, ch: DerivedChannel) -> np.ndarray:
-    """Per-axis factors of the N x N focused-beam set under turbulence.
+def _fb_turb_axis(
+    n_grid: int, ch: Union[DerivedChannel, Sequence[DerivedChannel]]
+) -> np.ndarray:
+    """Per-axis factors of the N x N focused-beam set under turbulence, (N,)
+    for one channel and (P, N) for a sequence.
 
     The square-law structure function damps the pixel autocorrelation by
     exp(-xi^2 s^2 / 2 rho_0^2) (:func:`fb_axis`); infinite rho_0 is vacuum.
     """
-    if not isinstance(ch.pupil, HardSquare):
+    chans = [ch] if isinstance(ch, DerivedChannel) else list(ch)
+    if not all(isinstance(c.pupil, HardSquare) for c in chans):
         raise ValueError("focused-beam modes require hard square pupils")
-    return fb_axis(n_grid, ch, (ch.pupil.side / ch.coherence_length) ** 2 / 2.0)
+    return fb_axis(n_grid, ch, [(c.pupil.side / c.coherence_length) ** 2 / 2.0 for c in chans])
 
 
-def fb_turb_eta(pixel_from: FBPixel, pixel_to: FBPixel, ch: DerivedChannel) -> float:
-    """Average power coupling between focused-beam pixels under turbulence."""
+def fb_turb_eta(
+    pixel_from: FBPixel,
+    pixel_to: FBPixel,
+    ch: Union[DerivedChannel, Sequence[DerivedChannel]],
+) -> Union[float, np.ndarray]:
+    """Average power coupling between focused-beam pixels under turbulence:
+    a float for one channel, a (P,) array from one quadrature call for a
+    sequence of channels."""
     if pixel_from.grid != pixel_to.grid:
         raise ValueError("pixels belong to different grids")
     axis = _fb_turb_axis(pixel_from.grid, ch)
     dn, dm = abs(pixel_from.n - pixel_to.n), abs(pixel_from.m - pixel_to.m)
-    return float(axis[dn] * axis[dm])
+    eta = axis[..., dn] * axis[..., dm]
+    return float(eta) if isinstance(ch, DerivedChannel) else eta
 
 
 def fb_turb_matrix(n_grid: int, ch: DerivedChannel) -> CouplingMatrix:

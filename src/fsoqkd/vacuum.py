@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Tuple, Union
+from typing import Iterable, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -238,7 +238,9 @@ def fb_coupling_matrix(axis: np.ndarray) -> CouplingMatrix:
     return CouplingMatrix(modes=fb_pixel_grid(len(axis)), eta=np.kron(toeplitz, toeplitz))
 
 
-def fb_axis(n_grid: int, ch: DerivedChannel, damp: float = 0.0) -> np.ndarray:
+def fb_axis(
+    n_grid: int, ch: Union[DerivedChannel, Sequence[DerivedChannel]], damp=0.0
+) -> np.ndarray:
     """Per-axis focused-beam coupling factors for index differences d = 0..N-1.
 
     I(d) = 2c * integral_0^1 (1 - xi) sinc(c xi) exp(-damp xi^2) cos(2 pi c xi d) dxi,
@@ -246,17 +248,25 @@ def fb_axis(n_grid: int, ch: DerivedChannel, damp: float = 0.0) -> np.ndarray:
     with c = sqrt(D_f) / N and sinc(x) = sin(pi x) / (pi x): the pixel
     autocorrelation of the far-field pattern, damped by turbulence.  With
     ``damp`` = 0 it is the vacuum overlap of the sinc^2 pattern with pixel d.
+    A sequence of channels, with ``damp`` one value for all or one per
+    channel, gives a (P, N) array from one quadrature call, each row the
+    same bit for bit as its channel alone.
     """
     if n_grid < 1:
         raise ValueError(f"n_grid must be >= 1, got {n_grid}")
-    c = math.sqrt(ch.fresnel_product) / n_grid
+    chans = [ch] if isinstance(ch, DerivedChannel) else list(ch)
+    c = np.array([math.sqrt(x.fresnel_product) for x in chans]) / n_grid
+    damp = np.broadcast_to(np.asarray(damp, dtype=float), c.shape)
+    phase = 2.0 * np.pi * c
     d = np.arange(n_grid)[:, None]
 
-    def integrand(xi: np.ndarray) -> np.ndarray:
-        envelope = (1.0 - xi) * np.sinc(c * xi) * np.exp(-damp * xi * xi)
-        return envelope * np.cos(2.0 * np.pi * c * d * xi)
+    def integrand(rows: np.ndarray, xi: np.ndarray) -> np.ndarray:
+        envelope = (1.0 - xi) * np.sinc(c[rows, None] * xi) * np.exp(-damp[rows, None] * xi * xi)
+        return envelope[:, None, :] * np.cos(phase[rows, None, None] * d * xi[:, None, :])
 
-    return 2.0 * c * integrate_1d(integrand, 0.0, 1.0, rel_tol=1e-12)
+    overlap = integrate_1d(integrand, np.zeros(c.size), np.ones(c.size), rel_tol=1e-12)
+    axis = (2.0 * c)[:, None] * overlap
+    return axis[0] if isinstance(ch, DerivedChannel) else axis
 
 
 def fb_vacuum_matrix(n_grid: int, ch: DerivedChannel) -> CouplingMatrix:

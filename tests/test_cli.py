@@ -6,10 +6,14 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import fsoqkd.cli as cli
 import fsoqkd.planner as planner
+import fsoqkd.turbulence as turbulence
+import fsoqkd.vacuum as vacuum
+from fsoqkd import numerics
 from fsoqkd.channel import matched_square_side
 from fsoqkd.cli import (
     ConfigError,
@@ -326,17 +330,18 @@ def test_cmd_rates_deals_points_round_robin(monkeypatch):
     # points are dealt round-robin over min(jobs, points) tasks.
     cfg = small_config(path_lengths=(10e3, 20e3), cn2_values=(1e-15, 1e-14), n_max=1, q_max=1)
     shapes = []
+    scan = cli.scan
 
     def serial(worker, tasks, jobs):
-        shapes.append(
-            [
-                [(ch.path_length, ch.cn2, type(ch.pupil).__name__) for ch in links]
-                for _, links in tasks
-            ]
-        )
+        shapes.append([])
         return [worker(*task) for task in tasks]
 
+    def recorded(links, *args):
+        shapes[-1].append([(ch.path_length, ch.cn2, type(ch.pupil).__name__) for ch in links])
+        return scan(links, *args)
+
     monkeypatch.setattr(cli, "_pool_map", serial)
+    monkeypatch.setattr(cli, "scan", recorded)
     points = [(10e3, 1e-15), (10e3, 1e-14), (20e3, 1e-15), (20e3, 1e-14)]
 
     def links(*indices):
@@ -365,6 +370,64 @@ def test_cmd_rates_work_budget(kernel_work):
     assert kernel_work.optimize == 2
     assert len(kernel_work.calls) <= 1.1 * 254
     assert kernel_work.elements <= 1.1 * 57_980
+
+
+SINGLE_BEAM = (cmd_transmissivity, cmd_validate)
+
+
+@pytest.mark.parametrize("command", SINGLE_BEAM, ids=["transmissivity", "validate"])
+def test_single_beam_work_budget(monkeypatch, command):
+    # Deterministic work of one worker on 60 L x 4 cn2: one quadrature call
+    # for the task's one integrated quantity (the flat-top axis, or the
+    # 5/3-law power-in-bucket), against one per point before.  Measured:
+    # 9 integrand calls on 41,344 (row, node) pairs for transmissivity and
+    # 12 on 78,976 for validate; the budgets allow 10% more.
+    work = {"quadratures": 0, "integrands": 0, "pairs": 0}
+
+    def counted(f, *args, **kwargs):
+        work["quadratures"] += 1
+
+        def integrand(rows, x):
+            work["integrands"] += 1
+            work["pairs"] += x.size
+            return f(rows, x)
+
+        return numerics.integrate_1d(integrand, *args, **kwargs)
+
+    monkeypatch.setattr(turbulence, "integrate_1d", counted)
+    monkeypatch.setattr(vacuum, "integrate_1d", counted)
+    cfg = small_config(
+        path_lengths=tuple(np.geomspace(10e3, 100e3, 60)), cn2_values=(0.0, 1e-15, 1e-14, 1e-13)
+    )
+    text = command(cfg, jobs=1)
+    assert len((text if isinstance(text, str) else text[0]).splitlines()) == 1 + 240
+    integrands, pairs = {cmd_transmissivity: (9, 41_344), cmd_validate: (12, 78_976)}[command]
+    assert work["quadratures"] == 1
+    assert work["integrands"] <= 1.1 * integrands
+    assert work["pairs"] <= 1.1 * pairs
+
+
+@pytest.mark.parametrize("command", ["transmissivity", "validate"])
+def test_single_beam_rows_are_the_same_alone_and_in_any_task(tmp_path, command):
+    # A point's cells are the same bit for bit alone and inside a 60-length
+    # grid, however its points are dealt over 1, 2 or 3 workers.
+    lengths = np.geomspace(10e3, 100e3, 60)
+
+    def rows(path_lengths, jobs):
+        ini = tmp_path / "grid.ini"
+        ini.write_text(
+            "[channel]\npath_lengths = " + ", ".join(f"{float(L)!r} m" for L in path_lengths)
+            + "\n[turbulence]\ncn2_values = 0.0, 1e-14\n"
+        )
+        out = tmp_path / "out.csv"
+        main(["--jobs", str(jobs), "--config", str(ini), "--out", str(out), command])
+        return out.read_text().splitlines()[1:]
+
+    picks = (0, 37, 59)
+    alone = [rows([lengths[i]], 1) for i in picks]
+    for jobs in (1, 2, 3):
+        grid = rows(lengths, jobs)
+        assert [grid[2 * i : 2 * i + 2] for i in picks] == alone
 
 
 def test_cmd_rates_records_failures(monkeypatch, caplog):

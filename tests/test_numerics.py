@@ -16,6 +16,7 @@ from fsoqkd.numerics import (
     lg_modes_of_order,
 )
 
+import fsoqkd.numerics as numerics
 import oracles
 
 
@@ -44,22 +45,100 @@ def test_hg_sample_high_order_stays_finite():
 
 
 def test_integrate_1d_known_values():
-    assert integrate_1d(np.sin, 0.0, math.pi) == pytest.approx(2.0, rel=1e-12)
-    assert integrate_1d(lambda x: np.exp(-x * x), -8.0, 8.0) == pytest.approx(
-        math.sqrt(math.pi), rel=1e-12
+    got = integrate_1d(lambda rows, x: np.sin(x), [0.0, 0.0], [math.pi, math.pi / 2])
+    np.testing.assert_allclose(got, [2.0, 1.0], rtol=1e-12, atol=0.0)
+    got = integrate_1d(lambda rows, x: np.exp(-x * x), [-8.0], [8.0])
+    assert got[0] == pytest.approx(math.sqrt(math.pi), rel=1e-12)
+    # An integrand may return several values per row: (r, ..., n) -> (P, ...).
+    got = integrate_1d(
+        lambda rows, x: np.cos(np.arange(3)[:, None] * x[:, None, :]), [0.0], [math.pi / 2]
     )
-    # A vectorized integrand returns one value per leading entry.
-    got = integrate_1d(lambda x: np.cos(np.arange(3)[:, None] * x), 0.0, math.pi / 2)
-    np.testing.assert_allclose(got, [math.pi / 2, 1.0, 0.0], rtol=0, atol=1e-14)
+    assert got.shape == (1, 3)
+    np.testing.assert_allclose(got[0], [math.pi / 2, 1.0, 0.0], rtol=0, atol=1e-14)
     # An integrable endpoint singularity defeats a fixed polynomial rule; it
     # must raise rather than return an unconverged value.
     with pytest.raises(QuadratureError, match=r"\[0\.0, 1\.0\].*last order 1024"):
-        integrate_1d(lambda x: 1.0 / np.sqrt(x), 0.0, 1.0)
+        integrate_1d(lambda rows, x: 1.0 / np.sqrt(x), [0.0], [1.0])
+    with pytest.raises(ValueError, match=r"need b >= a, got \[2\.0, 1\.0\]"):
+        integrate_1d(lambda rows, x: x, [0.0, 2.0], [1.0, 1.0])
 
 
 def test_integrate_1d_raises_on_budget_exhaustion():
     with pytest.raises(QuadratureError):
-        integrate_1d(lambda x: np.cos(5000.0 * x), 0.0, 1000.0, budget=2)
+        integrate_1d(lambda rows, x: np.cos(5000.0 * x), [0.0], [1000.0], budget=2)
+
+
+def test_integrate_1d_rows_meet_their_own_scale():
+    # Row 1 is 1e-30 times an oscillation that needs order 32 or more; a
+    # test against the batch's largest entry would accept its order-16 sum.
+    scale = np.array([1.0, 1e-30])
+    got = integrate_1d(
+        lambda rows, x: scale[rows, None] * np.cos(40.0 * x), [0.0, 0.0], [1.0, 1.0]
+    )
+    exact = scale * math.sin(40.0) / 40.0
+    np.testing.assert_allclose(got, exact, rtol=1e-10, atol=0.0)
+
+
+def _pib_like_rows(count):
+    """Per-row parameters and integrand in the shape of the 5/3-law
+    power-in-bucket: rows converge at different orders."""
+    rng = np.random.default_rng(3)
+    beta = 10.0 ** rng.uniform(-1.0, 1.0, count)
+    strength = 10.0 ** rng.uniform(-3.0, 1.0, count)
+
+    def f(rows, s):
+        s5 = s ** 5
+        return 3.0 * s5 * np.exp(-beta[rows, None] * s5 * s - strength[rows, None] * s5)
+
+    return f, np.zeros(count), (60.0 / beta) ** (1.0 / 6.0)
+
+
+@pytest.mark.parametrize("chunk", [8, 100, 8192])
+def test_integrate_1d_row_is_the_same_alone_and_in_any_batch(monkeypatch, chunk):
+    # Each row's sum is reduced on its own, so neither the batch nor the
+    # chunking changes a bit of it.
+    f, a, b = _pib_like_rows(240)
+    alone = [
+        integrate_1d(lambda rows, s: f(rows + i, s), a[i : i + 1], b[i : i + 1])[0]
+        for i in range(240)
+    ]
+    monkeypatch.setattr(numerics, "_CHUNK_NODES", chunk)
+    batch = integrate_1d(f, a, b)
+    np.testing.assert_array_equal(batch, alone)
+    odd = np.arange(1, 240, 2)
+    part = integrate_1d(lambda rows, s: f(odd[rows], s), a[odd], b[odd])
+    np.testing.assert_array_equal(part, batch[odd])
+
+
+def test_integrate_1d_chunks_bound_each_integrand_call(monkeypatch):
+    f, a, b = _pib_like_rows(240)
+    shapes = []
+
+    def recorded(rows, s):
+        shapes.append(s.shape)
+        return f(rows, s)
+
+    monkeypatch.setattr(numerics, "_CHUNK_NODES", 1024)
+    integrate_1d(recorded, a, b)
+    # Full chunks of 1024 (row, node) pairs at every order the rows reach.
+    assert all(r * n <= 1024 for r, n in shapes)
+    assert {(1024 // n, n) for n in (8, 16, 32, 64, 128)} <= set(shapes)
+
+
+def test_integrate_1d_names_the_row_that_does_not_converge():
+    # Row 1 has an endpoint singularity; rows 0 and 2 converge and leave
+    # the evaluation long before row 1 reaches the order cap.
+    top = {}
+
+    def f(rows, x):
+        for row in rows.tolist():
+            top[row] = x.shape[1]
+        singular = 1.0 / np.sqrt(np.abs(x - 2.0))
+        return np.where((rows == 1)[:, None], singular, np.exp(-x))
+
+    with pytest.raises(QuadratureError, match=r"on \[2\.0, 3\.0\]: last order 1024"):
+        integrate_1d(f, [0.0, 2.0, 5.0], [1.0, 3.0, 6.0])
+    assert top[1] == 1024 and top[0] <= 32 and top[2] <= 32
 
 
 EPS = np.finfo(float).eps

@@ -7,7 +7,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import fsoqkd.planner as planner
@@ -370,10 +370,15 @@ def test_objective_matches_mode_space_oracle(matrix, seed):
     ),
     seed=st.integers(0, 2**32 - 1),
 )
+# A draw whose 3.1e6 total put a central difference at h = 1e-5 v 4e-4 off.
+@example(matrix=random_matrix(lg_modes_up_to(2), 156, -5, -4), seed=156)
 def test_class_slopes_match_mode_space_differences(matrix, seed):
-    # d total/d v[k] against a central difference of the mode-space oracle.
-    # A class whose stencil moves some mode across the rate's clip at 0
-    # has no derivative there and is skipped.
+    # d total/d v[k] against Richardson's combination of two central
+    # differences of the mode-space oracle, at h = 1e-3 v[k] and h / 2: its
+    # truncation error is O(h^4), while a plain central difference at
+    # h = 1e-5 v[k] is swamped by roundoff, eps * total / h, on totals of
+    # 1e6 and more.  A class whose stencil moves some mode across the
+    # rate's clip at 0 has no derivative there and is skipped.
     orbits = orbit_classes(matrix.modes)
     params = QkdSystemParams()
     values = 10.0 ** np.random.default_rng(seed).uniform(-3.0, math.log10(1.4), len(orbits))
@@ -390,19 +395,29 @@ def test_class_slopes_match_mode_space_differences(matrix, seed):
         off = matrix.eta - np.diag(np.diag(matrix.eta))
         return rate_per_pulse(np.diag(matrix.eta), mu, mu @ off, params) > 0.0
 
+    def line_order_total(k):
+        # The total with class k's cross-talk added last, as the line adds it.
+        _, cls, eta, coupling = problem
+        others = sum(values[j] * coupling[:, j] for j in range(len(orbits)) if j != k)
+        rates = rate_per_pulse(eta, values[cls], others + values[k] * coupling[:, k], params)
+        return math.fsum(params.pulse_rate * rates)
+
     for k in range(len(orbits)):
         f = planner._line(problem, np.array([0]), values[None], k, params)
         value, slope = (out[0] for out in f(np.array([0]), values[None, k : k + 1], True))
-        # The line adds class k's cross-talk last, so its value may differ
-        # from the total in the last bits.
-        assert value[0] == pytest.approx(total[0], rel=1e-14, abs=0.0)
-        h = 1e-5 * values[k]
+        assert value[0] == pytest.approx(line_order_total(k), rel=1e-14, abs=0.0)
+        h = 1e-3 * values[k]
         step = h * (np.arange(len(orbits)) == k)
-        stencil = [allocation(values - step), allocation(values + step)]
-        if np.any(lit(stencil[0]) != lit(stencil[1])):
+        stencil = [allocation(values + s * step) for s in (-1.0, -0.5, 0.5, 1.0)]
+        pattern = lit(stencil[0])
+        if any(np.any(lit(mu) != pattern) for mu in stencil[1:]):
             continue
-        lower, upper = (oracles.mode_space_total(matrix, mu, params) for mu in stencil)
-        difference = (upper - lower) / (2.0 * h)
+        lower, half_lower, half_upper, upper = (
+            oracles.mode_space_total(matrix, mu, params) for mu in stencil
+        )
+        wide = (upper - lower) / (2.0 * h)
+        narrow = (half_upper - half_lower) / h
+        difference = (4.0 * narrow - wide) / 3.0
         assert slope[0] == pytest.approx(difference, rel=1e-4, abs=1e-6 * total[0])
 
 

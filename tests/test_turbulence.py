@@ -451,6 +451,25 @@ def test_gaussian_pib_53_matches_nested_oracle(path_length):
         assert gaussian_pib_53(ch) == pytest.approx(expected, rel=1e-9)
 
 
+def test_single_beam_batches_equal_their_channels_alone():
+    # One quadrature call over many channels gives each channel the bits
+    # of its own call; one channel still gives a float.
+    lengths = (1e3, 7e3, 40e3, 100e3)
+    cn2s = (0.0, 1e-15, 1e-14, 1e-13)
+    gauss = [gauss_channel(L, c) for L in lengths for c in cn2s]
+    pib = gaussian_pib_53(gauss)
+    assert pib.shape == (len(gauss),)
+    assert pib.tolist() == [gaussian_pib_53(ch) for ch in gauss]
+    assert type(gaussian_pib_53(gauss[0])) is float
+    square = [square_channel(L, c) for L in lengths for c in cn2s]
+    pixels = FBPixel(1, 1, 3), FBPixel(2, 3, 3)
+    eta = fb_turb_eta(*pixels, square)
+    assert eta.tolist() == [fb_turb_eta(*pixels, ch) for ch in square]
+    assert type(fb_turb_eta(*pixels, square[0])) is float
+    alone = [_fb_turb_axis(3, ch) for ch in square]
+    np.testing.assert_array_equal(_fb_turb_axis(3, square), alone)
+
+
 def test_gaussian_pib_ordering_single_point():
     ch = gauss_channel(10e3, 1e-14)
     sq = gaussian_pib_turb(ch)
