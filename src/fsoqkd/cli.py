@@ -35,6 +35,7 @@ from __future__ import annotations
 import argparse
 import concurrent.futures
 import configparser
+import io
 import logging
 import math
 import os
@@ -233,25 +234,21 @@ _KEYS: Dict[str, Dict[str, Tuple[Callable[[str, str], object], str]]] = {
 }
 
 
-def _key_line_numbers(path: str) -> Dict[str, int]:
-    """Best-effort map from section/key tokens to 1-based line numbers."""
+def _key_line_numbers(text: str) -> Dict[str, int]:
+    """Map from section/key tokens to their 1-based line numbers in ``text``."""
     numbers: Dict[str, int] = {}
     section = ""
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            for lineno, line in enumerate(handle, start=1):
-                stripped = line.strip()
-                head = re.match(r"\[([^\]]+)\]", stripped)
-                if head:
-                    section = head.group(1).strip().lower()
-                    numbers.setdefault(f"[{section}]", lineno)
-                    continue
-                pair = re.match(r"([^=:#;]+)[=:]", stripped)
-                if pair:
-                    key = pair.group(1).strip().lower()
-                    numbers.setdefault(f"{section}.{key}", lineno)
-    except OSError:
-        pass
+    for lineno, line in enumerate(text.split("\n"), start=1):
+        stripped = line.strip()
+        head = re.match(r"\[([^\]]+)\]", stripped)
+        if head:
+            section = head.group(1).strip().lower()
+            numbers.setdefault(f"[{section}]", lineno)
+            continue
+        pair = re.match(r"([^=:#;]+)[=:]", stripped)
+        if pair:
+            key = pair.group(1).strip().lower()
+            numbers.setdefault(f"{section}.{key}", lineno)
     return numbers
 
 
@@ -260,17 +257,25 @@ def load_config(path: Optional[str]) -> RunConfig:
     cfg = RunConfig()
     if path is None:
         return cfg
+    try:
+        with open(path, "rb") as handle:
+            raw = handle.read()
+    except OSError as exc:
+        raise ConfigError(f"cannot read config {path}: {exc}") from exc
+    try:
+        # Universal newlines, so a CRLF or CR line end counts as one line.
+        text = io.StringIO(raw.decode("utf-8"), newline=None).getvalue()
+    except UnicodeDecodeError as exc:
+        lineno = len(re.split(rb"\r\n?|\n", raw[: exc.start]))
+        raise ConfigError(f"{path}:{lineno}: not UTF-8: {exc.reason}") from exc
     # No default section: a [DEFAULT] would fill every section; it is unknown.
     parser = configparser.ConfigParser(interpolation=None, default_section="")
     try:
-        with open(path, "r", encoding="utf-8") as handle:
-            parser.read_file(handle)
-    except OSError as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
+        parser.read_string(text, source=path)
     except configparser.Error as exc:
         raise ConfigError(f"{path}: {exc}") from exc
 
-    lines = _key_line_numbers(path)
+    lines = _key_line_numbers(text)
     for section in parser.sections():
         name = section.lower()
         head = f"{path}:{lines.get(f'[{name}]', 0)}"

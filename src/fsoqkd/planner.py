@@ -674,8 +674,6 @@ def _envelopes(
 
 def _fb_candidates(ch: DerivedChannel, n_max: int) -> List[_Candidate]:
     """The focused-beam grids N = 1..n_max of one link."""
-    if not isinstance(ch.pupil, HardSquare):
-        raise ValueError("focused-beam envelope requires hard square pupils")
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
     return [("fb", n_grid, fb_turb_matrix(n_grid, ch)) for n_grid in range(1, n_max + 1)]

@@ -9,7 +9,8 @@ function.  Two structure-function models are supported:
 * its square-law approximation D = (|dr'|^2 + dr'.dr + |dr|^2) / rho_0^2,
   which factorizes the four-dimensional coupling integrals into products
   of per-axis Hermite-Gauss second moments and is what every coupling
-  matrix here is built from.
+  matrix here is built from.  The flat-top per-axis factor is
+  :func:`fsoqkd.vacuum.fb_axis` at every cn2 (its damping is 0 in vacuum).
 
 With the square-law model every average transmissivity between LG modes
 reduces to sums of products of two 4-D integrals, one per transverse
@@ -54,7 +55,7 @@ from typing import Sequence, Tuple, Union
 
 import numpy as np
 
-from .channel import DerivedChannel, HardSquare, SoftGaussian
+from .channel import DerivedChannel, SoftGaussian
 from .numerics import QuadratureError, integrate_1d, lg_hg_unitary
 # Unused here; the benchmark tracer wraps fsoqkd.turbulence.hg_sample by name.
 from .numerics import hg_sample  # noqa: F401
@@ -345,39 +346,23 @@ def lg_turb_matrix(q_max: int, ch: DerivedChannel) -> CouplingMatrix:
 # --------------------------------------------------------------------------
 
 
-def _fb_turb_axis(
-    n_grid: int, ch: Union[DerivedChannel, Sequence[DerivedChannel]]
-) -> np.ndarray:
-    """Per-axis factors of the N x N focused-beam set under turbulence, (N,)
-    for one channel and (P, N) for a sequence.
-
-    The square-law structure function damps the pixel autocorrelation by
-    exp(-xi^2 s^2 / 2 rho_0^2) (:func:`fb_axis`); infinite rho_0 is vacuum.
-    """
-    chans = [ch] if isinstance(ch, DerivedChannel) else list(ch)
-    if not all(isinstance(c.pupil, HardSquare) for c in chans):
-        raise ValueError("focused-beam modes require hard square pupils")
-    return fb_axis(n_grid, ch, [(c.pupil.side / c.coherence_length) ** 2 / 2.0 for c in chans])
-
-
 def fb_turb_eta(
     pixel_from: FBPixel,
     pixel_to: FBPixel,
     ch: Union[DerivedChannel, Sequence[DerivedChannel]],
 ) -> Union[float, np.ndarray]:
-    """Average power coupling between focused-beam pixels under turbulence:
-    a float for one channel, a (P,) array from one quadrature call for a
-    sequence of channels."""
+    """Average power coupling between focused-beam pixels, the product of
+    their two :func:`fb_axis` factors: a float for one channel, a (P,)
+    array from one quadrature call for a sequence of channels."""
     if pixel_from.grid != pixel_to.grid:
         raise ValueError("pixels belong to different grids")
-    axis = _fb_turb_axis(pixel_from.grid, ch)
+    axis = fb_axis(pixel_from.grid, ch)
     dn, dm = abs(pixel_from.n - pixel_to.n), abs(pixel_from.m - pixel_to.m)
     eta = axis[..., dn] * axis[..., dm]
     return float(eta) if isinstance(ch, DerivedChannel) else eta
 
 
 def fb_turb_matrix(n_grid: int, ch: DerivedChannel) -> CouplingMatrix:
-    """Average coupling matrix over the N x N focused-beam set (the vacuum
-    matrix, bit for bit, at cn2 = 0)."""
-    axis = _fb_turb_axis(n_grid, ch)
-    return fb_coupling_matrix(axis)
+    """Average coupling matrix over the N x N focused-beam set from its
+    :func:`fb_axis` factors; at cn2 = 0 it is ``fb_vacuum_matrix``."""
+    return fb_coupling_matrix(fb_axis(n_grid, ch))

@@ -7,9 +7,9 @@ Two families of spatial modes are modeled over the same pupil pair:
   transmissivity depending only on the mode order q = 2p + |l| + 1.
 * Focused-beam (FB) tiles over hard square pupils: an N x N grid of
   flat-top beams, each focused onto the matching receiver pixel.  The
-  vacuum coupling factorizes into per-axis overlap integrals that depend
-  only on the pixel-index differences, so matrices are Toeplitz in each
-  axis.
+  coupling factorizes into per-axis integrals of the pixel-index
+  differences, so matrices are Toeplitz in each axis.  :func:`fb_axis` is
+  that integral at every cn2; the turbulent FB builders call it too.
 """
 
 from __future__ import annotations
@@ -239,24 +239,27 @@ def fb_coupling_matrix(axis: np.ndarray) -> CouplingMatrix:
 
 
 def fb_axis(
-    n_grid: int, ch: Union[DerivedChannel, Sequence[DerivedChannel]], damp=0.0
+    n_grid: int, ch: Union[DerivedChannel, Sequence[DerivedChannel]]
 ) -> np.ndarray:
     """Per-axis focused-beam coupling factors for index differences d = 0..N-1.
 
-    I(d) = 2c * integral_0^1 (1 - xi) sinc(c xi) exp(-damp xi^2) cos(2 pi c xi d) dxi,
+    I(d) = 2c * integral_0^1 (1 - xi) sinc(c xi) exp(-g xi^2) cos(2 pi c xi d) dxi,
 
     with c = sqrt(D_f) / N and sinc(x) = sin(pi x) / (pi x): the pixel
-    autocorrelation of the far-field pattern, damped by turbulence.  With
-    ``damp`` = 0 it is the vacuum overlap of the sinc^2 pattern with pixel d.
-    A sequence of channels, with ``damp`` one value for all or one per
-    channel, gives a (P, N) array from one quadrature call, each row the
-    same bit for bit as its channel alone.
+    autocorrelation of the far-field pattern of a hard square pupil of
+    side s, damped by square-law turbulence with g = (s / rho_0)^2 / 2.
+    Vacuum's rho_0 = inf makes g = 0.0 exactly: I(d) is then the overlap
+    of the sinc^2 pattern with pixel d.  A sequence of channels gives a
+    (P, N) array from one quadrature call, each row the same bit for bit
+    as its channel alone.
     """
     if n_grid < 1:
         raise ValueError(f"n_grid must be >= 1, got {n_grid}")
     chans = [ch] if isinstance(ch, DerivedChannel) else list(ch)
+    if not all(isinstance(x.pupil, HardSquare) for x in chans):
+        raise ValueError("focused-beam modes require hard square pupils")
     c = np.array([math.sqrt(x.fresnel_product) for x in chans]) / n_grid
-    damp = np.broadcast_to(np.asarray(damp, dtype=float), c.shape)
+    damp = np.array([(x.pupil.side / x.coherence_length) ** 2 / 2.0 for x in chans])
     phase = 2.0 * np.pi * c
     d = np.arange(n_grid)[:, None]
 
@@ -270,10 +273,10 @@ def fb_axis(
 
 
 def fb_vacuum_matrix(n_grid: int, ch: DerivedChannel) -> CouplingMatrix:
-    """Vacuum coupling matrix over the full N x N focused-beam set: the
-    reference for ``fb_turb_matrix`` at cn2 = 0."""
-    if not isinstance(ch.pupil, HardSquare):
-        raise ValueError("focused-beam modes require hard square pupils")
+    """Vacuum flat-top coupling matrix: the cn2 = 0 call of :func:`fb_axis`,
+    kept under its name for the tests and the benchmark tracer.  Its independent
+    oracles are ``tests/oracles.py`` ``fb_axis_fft``, ``fb_axis_quadpack`` and
+    ``fb_axis_vacuum_overlap``."""
     return fb_coupling_matrix(fb_axis(n_grid, ch))
 
 

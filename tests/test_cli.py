@@ -117,6 +117,23 @@ def test_unknown_key_reports_line(tmp_path):
     assert f"{path}:3: unknown key 'bogus' in section [channel]" in str(err.value)
 
 
+def test_non_utf8_config_exits_2_with_its_line(tmp_path, capsys):
+    path = tmp_path / "bad.ini"
+    path.write_bytes(b"[channel]\nwavelength = 1.55 um\n# caf\xe9\n")
+    assert main(["--config", str(path), "transmissivity"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"fsoqkd: {path}:3: ")
+    assert "Traceback" not in err
+
+
+def test_crlf_config_keeps_line_numbers(tmp_path):
+    path = tmp_path / "crlf.ini"
+    path.write_bytes(b"[channel]\r\nbogus = 1\r\n")
+    with pytest.raises(ConfigError) as err:
+        load_config(str(path))
+    assert f"{path}:2: unknown key 'bogus' in section [channel]" in str(err.value)
+
+
 def test_section_names_ignore_case(tmp_path):
     path = tmp_path / "run.ini"
     path.write_text("[Channel]\npath_lengths = 3 km\n")

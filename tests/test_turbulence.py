@@ -10,9 +10,10 @@ from hypothesis import strategies as st
 
 from fsoqkd.channel import ChannelConfig, SoftGaussian, cn2_for_coherence_length, derive
 from fsoqkd.numerics import lg_hg_unitary
+from fsoqkd.planner import fb_envelope
+from fsoqkd.qkd import QkdSystemParams
 from fsoqkd.turbulence import (
     StructureFunctionKind,
-    _fb_turb_axis,
     fb_turb_eta,
     fb_turb_matrix,
     gaussian_pib_53,
@@ -24,6 +25,7 @@ from fsoqkd.turbulence import (
 from fsoqkd.vacuum import (
     FBPixel,
     LGMode,
+    fb_axis,
     fb_vacuum_matrix,
     lg_mode_scale,
     lg_vacuum_eta,
@@ -363,12 +365,30 @@ def test_fb_turb_matrix_invariants(path_length, cn2, n_grid):
         np.testing.assert_allclose(mat.eta, vac.eta, rtol=1e-10, atol=0)
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda soft, square: fb_axis(2, soft),
+        lambda soft, square: fb_axis(2, [square, soft, square]),
+        lambda soft, square: fb_turb_eta(FBPixel(1, 1, 2), FBPixel(1, 2, 2), soft),
+        lambda soft, square: fb_turb_matrix(2, soft),
+        lambda soft, square: fb_vacuum_matrix(2, soft),
+        lambda soft, square: fb_envelope(soft, QkdSystemParams(), n_max=2),
+    ],
+    ids=["fb_axis", "fb_axis-batch", "fb_turb_eta", "fb_turb_matrix", "fb_vacuum_matrix", "fb_envelope"],
+)
+def test_flat_top_entry_points_reject_soft_pupils(call):
+    soft, square = gauss_channel(10e3, 1e-14), square_channel(10e3, 1e-14)
+    with pytest.raises(ValueError, match="hard square pupils"):
+        call(soft, square)
+
+
 @pytest.mark.parametrize("path_length", [1e3, 3e3, 10e3, 30e3, 100e3])
 def test_fb_axis_matches_quadpack_oracle(path_length):
     for cn2 in (0.0, 1e-15, 1e-14, 1e-13):
         ch = square_channel(path_length, cn2)
         for n_grid in range(1, 9):
-            axis = _fb_turb_axis(n_grid, ch)
+            axis = fb_axis(n_grid, ch)
             ref = [oracles.fb_axis_quadpack(d, n_grid, ch) for d in range(n_grid)]
             np.testing.assert_allclose(axis, ref, rtol=0, atol=1e-12 * axis.max())
 
@@ -466,8 +486,8 @@ def test_single_beam_batches_equal_their_channels_alone():
     eta = fb_turb_eta(*pixels, square)
     assert eta.tolist() == [fb_turb_eta(*pixels, ch) for ch in square]
     assert type(fb_turb_eta(*pixels, square[0])) is float
-    alone = [_fb_turb_axis(3, ch) for ch in square]
-    np.testing.assert_array_equal(_fb_turb_axis(3, square), alone)
+    alone = [fb_axis(3, ch) for ch in square]
+    np.testing.assert_array_equal(fb_axis(3, square), alone)
 
 
 def test_gaussian_pib_ordering_single_point():

@@ -121,7 +121,7 @@ def test_fb_vacuum_eta_factorizes_over_axes():
 
 @pytest.mark.parametrize("path_length", [100.0, 300.0, 1e3, 10e3, 100e3])
 def test_fb_axis_matches_pixel_overlap_oracle(path_length):
-    # The autocorrelation form at damp = 0 against the sinc^2 pixel overlap,
+    # The autocorrelation form at cn2 = 0 against the sinc^2 pixel overlap,
     # a different integral of the same vacuum quantity, on QUADPACK.
     ch = square_channel(path_length)
     for n_grid in range(1, 9):
