@@ -17,9 +17,10 @@ validate
 
 Config keys are listed once, in ``_KEYS``: each names its parser and the
 :class:`RunConfig` field it sets, and both the unknown-key check and the
-parsing read that table.  Every config error carries a ``file:line``
-prefix and exits 2.  Every subcommand deals its (L, cn2) points
-round-robin over one task ``(config, points)`` per worker
+parsing read that table.  :func:`load_config` checks each line of the
+file as it reads it, in one pass, so every config error carries a
+``file:line`` prefix and exits 2.  Every subcommand deals its (L, cn2)
+points round-robin over one task ``(config, points)`` per worker
 (``_per_point``).  A ``transmissivity`` or ``validate`` task makes one
 array call per quantity on all its points; a ``rates`` task is one
 ``scan`` call on both families' links of its points, which ``scan``
@@ -34,8 +35,6 @@ from __future__ import annotations
 
 import argparse
 import concurrent.futures
-import configparser
-import io
 import logging
 import math
 import os
@@ -234,26 +233,16 @@ _KEYS: Dict[str, Dict[str, Tuple[Callable[[str, str], object], str]]] = {
 }
 
 
-def _key_line_numbers(text: str) -> Dict[str, int]:
-    """Map from section/key tokens to their 1-based line numbers in ``text``."""
-    numbers: Dict[str, int] = {}
-    section = ""
-    for lineno, line in enumerate(text.split("\n"), start=1):
-        stripped = line.strip()
-        head = re.match(r"\[([^\]]+)\]", stripped)
-        if head:
-            section = head.group(1).strip().lower()
-            numbers.setdefault(f"[{section}]", lineno)
-            continue
-        pair = re.match(r"([^=:#;]+)[=:]", stripped)
-        if pair:
-            key = pair.group(1).strip().lower()
-            numbers.setdefault(f"{section}.{key}", lineno)
-    return numbers
-
-
 def load_config(path: Optional[str]) -> RunConfig:
-    """Parse an INI-style config file; None means all defaults."""
+    """Parse an INI-style config file; None means all defaults.
+
+    One pass reads the lines, ended by CRLF, CR or LF, after an optional
+    UTF-8 byte-order mark.  A stripped line is blank, a ``;`` or ``#``
+    comment, a ``[section]`` header or a ``key = value`` (or ``key: value``)
+    entry; names ignore case and appear once.  Each entry is checked and
+    parsed as it is read, so an error cites its line.  Whole-section checks
+    cite the header line; those of [qkd] and [planner] run at the end.
+    """
     cfg = RunConfig()
     if path is None:
         return cfg
@@ -263,49 +252,58 @@ def load_config(path: Optional[str]) -> RunConfig:
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     try:
-        # Universal newlines, so a CRLF or CR line end counts as one line.
-        text = io.StringIO(raw.decode("utf-8"), newline=None).getvalue()
+        text = raw.decode("utf-8-sig")
     except UnicodeDecodeError as exc:
-        lineno = len(re.split(rb"\r\n?|\n", raw[: exc.start]))
+        lineno = len(re.split(rb"\r\n?|\n", exc.object[: exc.start]))
         raise ConfigError(f"{path}:{lineno}: not UTF-8: {exc.reason}") from exc
-    # No default section: a [DEFAULT] would fill every section; it is unknown.
-    parser = configparser.ConfigParser(interpolation=None, default_section="")
-    try:
-        parser.read_string(text, source=path)
-    except configparser.Error as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
 
-    lines = _key_line_numbers(text)
-    for section in parser.sections():
-        name = section.lower()
-        head = f"{path}:{lines.get(f'[{name}]', 0)}"
-        if name not in _KEYS:
-            raise ConfigError(f"{head}: unknown section [{section}]")
-        set_by: Dict[str, str] = {}
-        options: Dict[str, dict] = {}
-        for key, text in parser.items(section):
-            lineno = lines.get(f"{name}.{key}", 0)
+    seen: Dict[str, int] = {}  # "[section]" or "section.key" -> its line
+    set_by: Dict[str, str] = {}  # target -> the key that set it
+    options: Dict[Tuple[str, str], dict] = {}  # (section, group) -> changes
+    name = None
+    for lineno, line in enumerate(re.split(r"\r\n?|\n", text), start=1):
+        here = f"{path}:{lineno}"
+        entry = line.strip()
+        if not entry or entry[0] in ";#":
+            continue
+        if entry[0] == "[" and entry[-1] == "]":
+            section = entry[1:-1].strip()
+            name, key = section.lower(), None
+            if name not in _KEYS:
+                raise ConfigError(f"{here}: unknown section [{section}]")
+            token = f"[{name}]"
+        else:
+            pair = re.match(r"([^=:]*)[=:](.*)", entry)
+            if pair is None:
+                raise ConfigError(f"{here}: expected [section] or key = value, got {entry!r}")
+            key = pair.group(1).strip().lower()
+            if name is None:
+                raise ConfigError(f"{here}: key {key!r} comes before any [section]")
             if key not in _KEYS[name]:
-                raise ConfigError(
-                    f"{path}:{lineno}: unknown key {key!r} in section [{section}]"
-                )
-            parse, target = _KEYS[name][key]
-            if target in set_by:
-                raise ConfigError(
-                    f"{head}: {name}.{set_by[target]} and {name}.{key} are exclusive"
-                )
-            set_by[target] = key
-            value = parse(text, f"{path}:{lineno}: {name}.{key}")
-            group, _, attr = target.rpartition(".")
-            if group:
-                options.setdefault(group, {})[attr] = value
-            else:
-                setattr(cfg, attr, value)
-        for group, changes in options.items():
-            try:
-                setattr(cfg, group, replace(getattr(cfg, group), **changes))
-            except ValueError as exc:
-                raise ConfigError(f"{head}: [{name}] {exc}") from exc
+                raise ConfigError(f"{here}: unknown key {key!r} in section [{section}]")
+            token = f"{name}.{key}"
+        if token in seen:
+            raise ConfigError(f"{here}: {token} repeats line {seen[token]}")
+        seen[token] = lineno
+        if key is None:
+            continue
+        parse, target = _KEYS[name][key]
+        if target in set_by:
+            raise ConfigError(
+                f"{path}:{seen[f'[{name}]']}: {name}.{set_by[target]} and {token} are exclusive"
+            )
+        set_by[target] = key
+        value = parse(pair.group(2).strip(), f"{here}: {token}")
+        group, _, attr = target.rpartition(".")
+        if group:
+            options.setdefault((name, group), {})[attr] = value
+        else:
+            setattr(cfg, attr, value)
+    for (name, group), changes in options.items():
+        try:
+            setattr(cfg, group, replace(getattr(cfg, group), **changes))
+        except ValueError as exc:
+            raise ConfigError(f"{path}:{seen[f'[{name}]']}: [{name}] {exc}") from exc
     return cfg
 
 

@@ -40,7 +40,6 @@ from .channel import (
     ChannelConfig,
     DerivedChannel,
     HardSquare,
-    SoftGaussian,
     derive,
 )
 from .qkd import QkdSystemParams, rate_and_slopes, rate_bound, rate_per_pulse
@@ -682,8 +681,6 @@ def _fb_candidates(ch: DerivedChannel, n_max: int) -> List[_Candidate]:
 def _lg_candidates(ch: DerivedChannel, q_max: int) -> List[_Candidate]:
     """The LG order caps Q = 1..q_max of one link, then its single-beam
     power-in-bucket fallback."""
-    if not isinstance(ch.pupil, SoftGaussian):
-        raise ValueError("LG envelope requires soft Gaussian pupils")
     if q_max < 1:
         raise ValueError(f"q_max must be >= 1, got {q_max}")
     full = lg_turb_matrix(q_max, ch)

@@ -144,7 +144,7 @@ def gaussian_pib_turb(ch: DerivedChannel) -> float:
     result is the vacuum fundamental-mode transmissivity to the bit.
     """
     if not isinstance(ch.pupil, SoftGaussian):
-        raise ValueError("Gaussian power-in-bucket requires soft Gaussian pupils")
+        raise ValueError("LG modes require soft Gaussian pupils")
     df = ch.fresnel_product
     eta0 = lg_vacuum_eta(1, df)
     tee = 1.0 + 4.0 * df + math.sqrt(1.0 + 4.0 * df)
@@ -191,12 +191,10 @@ def gaussian_pib_53(
 def _pib_53_terms(ch: DerivedChannel) -> Tuple[float, float, float, float]:
     """(C, beta, half the 5/3 strength, radial cutoff in s) of one channel
     for :func:`gaussian_pib_53`."""
-    if not isinstance(ch.pupil, SoftGaussian):
-        raise ValueError("Gaussian power-in-bucket requires soft Gaussian pupils")
+    sigma2 = lg_mode_scale(ch) ** 2
     lam, big_l = ch.wavelength, ch.path_length
     r_pupil = ch.pupil.radius
     k = ch.wave_number
-    sigma2 = lg_mode_scale(ch) ** 2
     beta = (
         1.0 / (2.0 * r_pupil ** 2)
         + 1.0 / (4.0 * sigma2)
@@ -256,8 +254,6 @@ def hg_second_moments(ch: DerivedChannel, shape: Tuple[int, int, int, int]) -> n
     closed form (module docstring); odd total orders are exactly zero and
     M[a, b, c, d] == conj(M[b, a, d, c]) holds exactly.
     """
-    if not isinstance(ch.pupil, SoftGaussian):
-        raise ValueError("HG second moments require soft Gaussian pupils")
     if len(shape) != 4 or min(shape) < 1:
         raise ValueError(f"moment shape must be four sizes >= 1, got {shape!r}")
     sigma2 = lg_mode_scale(ch) ** 2

@@ -193,7 +193,7 @@ def lg_mode_scale(ch: DerivedChannel) -> float:
         sigma^2 = gamma^2 R^2 / (2 (R^2 - gamma^2)).
     """
     if not isinstance(ch.pupil, SoftGaussian):
-        raise ValueError("LG mode scale requires soft Gaussian pupils")
+        raise ValueError("LG modes require soft Gaussian pupils")
     r2 = ch.pupil.radius ** 2
     gamma2 = r2 / (1.0 + math.sqrt(1.0 + 4.0 * ch.fresnel_product))
     return math.sqrt(gamma2 * r2 / (2.0 * (r2 - gamma2)))

@@ -8,6 +8,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 import fsoqkd.cli as cli
 import fsoqkd.planner as planner
@@ -152,11 +154,141 @@ def test_unknown_section_reports_line(tmp_path):
     "text", ["[DEFAULT]\nq_max = 2\n", "[DEFAULT]\nq_max = 2\n[channel]\npath_lengths = 1 km\n"]
 )
 def test_default_section_is_unknown(tmp_path, capsys, text):
-    # configparser would copy [DEFAULT] keys into every section.
+    # No section fills in the keys of others: [DEFAULT] is a name like any
+    # other, and no section has that name.
     path = tmp_path / "bad.ini"
     path.write_text(text)
     assert main(["--config", str(path), "validate"]) == 2
     assert f"{path}:1: unknown section [DEFAULT]" in capsys.readouterr().err
+
+
+def _config_error(path, n_lines):
+    """None when ``path`` loads, else its ConfigError message, which must
+    start with ``path:N: `` for a line N in 1..n_lines; any other exception
+    propagates."""
+    try:
+        load_config(str(path))
+    except ConfigError as exc:
+        match = re.match(rf"{re.escape(str(path))}:(\d+): ", str(exc))
+        assert match and 1 <= int(match.group(1)) <= n_lines, str(exc)
+        return str(exc)
+    return None
+
+
+@pytest.mark.parametrize(
+    "text,error",
+    [
+        ("[ channel ]\npath_lengths = 1 km\n", None),
+        ("[channel]\nfoo;bar = 1\n", "2: unknown key 'foo;bar'"),
+        (
+            "[Channel]\npath_lengths = 1 km\n[channel]\npath_lengths = 2 km\n",
+            "3: [channel] repeats line 1",
+        ),
+        ("[planner]\nq_max = 2\nQ_MAX = 3\n", "3: planner.q_max repeats line 2"),
+        ("[planner]\nq_max = 2\n[planner]\nn_max = 2\n", "3: [planner] repeats line 1"),
+        ("q_max = 2\n[planner]\n", "1: key 'q_max' comes before any [section]"),
+        ("[planner]\nq_max\n", "2: expected [section] or key = value"),
+        # An indented line is no continuation of the value above it.
+        ("[channel]\npath_lengths = 1 km,\n  2 km\n", "3: expected [section] or key = value"),
+    ],
+    ids=[
+        "padded-header",
+        "semicolon-key",
+        "case-variant-section",
+        "repeated-key",
+        "repeated-section",
+        "key-before-section",
+        "no-delimiter",
+        "indented-value",
+    ],
+)
+def test_config_errors_name_their_line(tmp_path, text, error):
+    path = tmp_path / "run.ini"
+    path.write_text(text)
+    message = _config_error(path, text.count("\n"))
+    if error is None:
+        assert message is None
+    else:
+        assert message.startswith(f"{path}:{error}"), message
+
+
+def test_case_variant_section_repeat_runs_no_grid(tmp_path, capsys, monkeypatch):
+    calls = []
+    monkeypatch.setattr(cli, "cmd_transmissivity", lambda *args: calls.append(args))
+    path = tmp_path / "run.ini"
+    path.write_text("[Channel]\npath_lengths = 1 km\n[channel]\npath_lengths = 2 km\n")
+    assert main(["--config", str(path), "transmissivity"]) == 2
+    assert f"{path}:3: [channel] repeats line 1" in capsys.readouterr().err
+    assert calls == []
+
+
+@pytest.mark.parametrize(
+    "raw,lineno",
+    [
+        (b"\xef\xbb\xbf[channel]\nbogus = 1\n", 2),
+        (b"[channel]\rbogus = 1\r", 2),
+        # Only CRLF, CR and LF end a line: not a form feed or a separator.
+        ("[channel]\n; a\x0c; b\x1c; c\u2028; d\nbogus = 1\n".encode("utf-8"), 3),
+    ],
+    ids=["bom", "cr", "form-feed"],
+)
+def test_bom_and_line_ends_keep_line_numbers(tmp_path, raw, lineno):
+    path = tmp_path / "run.ini"
+    path.write_bytes(raw)
+    with pytest.raises(ConfigError) as err:
+        load_config(str(path))
+    assert f"{path}:{lineno}: unknown key 'bogus' in section [channel]" in str(err.value)
+
+
+def test_indented_entries_are_plain_entries(tmp_path):
+    path = tmp_path / "run.ini"
+    path.write_text("  [channel]\n\tpath_lengths = 2 km\n    ; a comment\n")
+    assert load_config(str(path)).path_lengths == (2000.0,)
+
+
+_README_INI = re.search(
+    r"```ini\n(.*?)```", (Path(__file__).resolve().parent.parent / "README.md").read_text(), re.S
+).group(1).splitlines()
+
+# Lines to splice into the README example: each syntax the reader takes,
+# and near misses of it.
+_ODD_LINES = (
+    "[ channel ]", "[Channel]", "[DEFAULT]", "[wibble]", "[]", "[channel", "[planner] x",
+    "foo;bar = 1", "  2 km", "q_max", "= 1", "Q_MAX: 3", "n_max =", "\t; comment", "#",
+    "path_log_range = 1 km : 2 km : 2", "\ufeff[qkd]", "visibility = 2", "mu_min = 2",
+)
+_LINE = st.one_of(
+    st.sampled_from(_ODD_LINES + tuple(_README_INI)),
+    st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters="\r\n"), max_size=12),
+)
+
+
+@st.composite
+def _mutated_readme_ini(draw):
+    lines = list(_README_INI)
+    for _ in range(draw(st.integers(1, 4))):
+        i = draw(st.integers(0, len(lines)))
+        edit = draw(st.sampled_from(["insert", "replace", "delete", "indent", "upper"]))
+        if edit == "insert" or i == len(lines):
+            lines.insert(i, draw(_LINE))
+        elif edit == "replace":
+            lines[i] = draw(_LINE)
+        elif edit == "delete":
+            del lines[i]
+        elif edit == "indent":
+            lines[i] = "  " + lines[i]
+        else:
+            lines[i] = lines[i].upper()
+    return lines
+
+
+@seed(2021)
+@settings(max_examples=300, deadline=None, database=None)
+@given(lines=_mutated_readme_ini())
+def test_mutated_readme_configs_load_or_name_a_line(tmp_path_factory, lines):
+    path = tmp_path_factory.getbasetemp() / "mutated.ini"
+    path.write_bytes(("\n".join(lines) + "\n").encode("utf-8"))
+    _config_error(path, max(len(lines), 1))
 
 
 def test_exclusive_path_keys(tmp_path):
@@ -485,7 +617,7 @@ def test_quad_rel_tol_is_unknown_key(tmp_path):
     assert f"{path}:3: unknown key 'quad_rel_tol'" in str(err.value)
 
 
-def test_cmd_validate_uses_configured_quad_rel_tol(tmp_path, capsys, monkeypatch):
+def test_validate_refuses_quad_rel_tol_before_any_work(tmp_path, capsys, monkeypatch):
     # The 5/3 check runs at the rule's fixed tolerance: a configured
     # quad_rel_tol stops validate (exit 2) before any check runs.
     path = tmp_path / "run.ini"
@@ -535,6 +667,21 @@ def test_cli_import_loads_no_scipy():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
     assert out.stdout.strip() == "[]"
+
+
+def test_cli_config_load_loads_no_configparser():
+    # load_config reads the INI text itself, in one pass.
+    root = Path(cli.__file__).resolve().parent.parent.parent
+    code = (
+        "import sys, fsoqkd.cli; fsoqkd.cli.load_config(sys.argv[1]); "
+        "print('configparser' in sys.modules)"
+    )
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    out = subprocess.run(
+        [sys.executable, "-c", code, str(root / "tests" / "data" / "single-beam.ini")],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    assert out.stdout.strip() == "False"
 
 
 def test_cli_run_loads_no_numpy_polynomial(tmp_path):

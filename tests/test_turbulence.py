@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from fsoqkd.channel import ChannelConfig, SoftGaussian, cn2_for_coherence_length, derive
 from fsoqkd.numerics import lg_hg_unitary
-from fsoqkd.planner import fb_envelope
+from fsoqkd.planner import fb_envelope, lg_envelope
 from fsoqkd.qkd import QkdSystemParams
 from fsoqkd.turbulence import (
     StructureFunctionKind,
@@ -380,6 +380,35 @@ def test_fb_turb_matrix_invariants(path_length, cn2, n_grid):
 def test_flat_top_entry_points_reject_soft_pupils(call):
     soft, square = gauss_channel(10e3, 1e-14), square_channel(10e3, 1e-14)
     with pytest.raises(ValueError, match="hard square pupils"):
+        call(soft, square)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda soft, square: lg_mode_scale(square),
+        lambda soft, square: lg_vacuum_matrix(2, square),
+        lambda soft, square: hg_second_moments(square, (1, 1, 1, 1)),
+        lambda soft, square: lg_turb_matrix(2, square),
+        lambda soft, square: gaussian_pib_turb(square),
+        lambda soft, square: gaussian_pib_53(square),
+        lambda soft, square: gaussian_pib_53([soft, square, soft]),
+        lambda soft, square: lg_envelope(square, QkdSystemParams(), q_max=2),
+    ],
+    ids=[
+        "lg_mode_scale",
+        "lg_vacuum_matrix",
+        "hg_second_moments",
+        "lg_turb_matrix",
+        "gaussian_pib_turb",
+        "gaussian_pib_53",
+        "gaussian_pib_53-batch",
+        "lg_envelope",
+    ],
+)
+def test_lg_entry_points_reject_square_pupils(call):
+    soft, square = gauss_channel(10e3, 1e-14), square_channel(10e3, 1e-14)
+    with pytest.raises(ValueError, match="soft Gaussian pupils"):
         call(soft, square)
 
 
