@@ -23,9 +23,8 @@ file as it reads it, in one pass, so every config error carries a
 points round-robin over one task ``(config, points)`` per worker
 (``_per_point``).  A ``transmissivity`` or ``validate`` task makes one
 array call per quantity on all its points; a ``rates`` task is one
-``scan`` call on both families' links of its points, which ``scan``
-optimizes in lockstep batches.  ``_link`` alone chooses a pupil by
-family.
+``scan`` call on both families' links of its points, one lockstep
+ascent per family.  ``_link`` alone chooses a pupil by family.
 
 All real CSV cells use 12-significant-digit scientific notation with LF
 line endings, so identical configurations yield byte-identical files.
@@ -198,7 +197,9 @@ def _parse_log_range(text: str, where: str) -> Tuple[float, ...]:
     return _log_range(start, stop, count)
 
 
-def _parse_text(text: str, where: str) -> str:
+def _parse_path(text: str, where: str) -> str:
+    if not text:
+        raise ConfigError(f"{where}: empty path")
     return text
 
 
@@ -229,7 +230,7 @@ _KEYS: Dict[str, Dict[str, Tuple[Callable[[str, str], object], str]]] = {
         "rel_tol": (_parse_float, "optimizer.rel_tol"),
         "max_sweeps": (_parse_int, "optimizer.max_sweeps"),
     },
-    "output": {"path": (_parse_text, "output_path")},
+    "output": {"path": (_parse_path, "output_path")},
 }
 
 
@@ -405,7 +406,7 @@ def cmd_rates(config: RunConfig, jobs: int = 1) -> Tuple[str, bool]:
 
     The (L, cn2) points are dealt round-robin over min(jobs, points)
     tasks.  A task is one :func:`scan` call on both families' links of its
-    points, so ``scan`` fills its batches across path lengths, and dealing
+    points, so each family's ascent spans path lengths, and dealing
     spreads near- and far-field points evenly over the workers.  The CSV
     lists rows by path length, then cn2, then family.
     """

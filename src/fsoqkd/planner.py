@@ -23,8 +23,9 @@ fallback, the last LG candidate, wins only when better by more than
 ``_TIE_REL_TOL`` relative.  The ascent drops a configuration as soon as
 its closed-form rate bound (:func:`fsoqkd.qkd.rate_bound`, free of
 cross-talk) is below the best total its link has reached, a cut that
-changes no winner.  :func:`scan` runs the links of one family through
-such ascents in batches.
+changes no winner.  :func:`scan` runs each family's links in one such
+ascent.  Only :func:`_kernel` names the rate kernels, so no kernel call
+exceeds ``_KERNEL_CHUNK`` elements, however large the ascent.
 """
 
 from __future__ import annotations
@@ -233,6 +234,26 @@ def _modes(
     return row, entry, cross
 
 
+# Elements per rate-kernel call: near 4k the cost per element is least
+# (smaller calls pay per-call overhead, larger ones fall out of cache).
+_KERNEL_CHUNK = 4096
+
+
+def _kernel(eta, mu: np.ndarray, cross, params: QkdSystemParams, slopes: bool = False):
+    """:func:`rate_per_pulse`, or :func:`rate_and_slopes` with ``slopes``,
+    in calls of at most ``_KERNEL_CHUNK`` of the elements of ``mu`` (E,) or
+    (E, m); the kernel is elementwise, so the outputs are one call's bits."""
+    kernel = rate_and_slopes if slopes else rate_per_pulse
+    if mu.size <= _KERNEL_CHUNK:
+        return kernel(eta, mu, cross, params)
+    step = max(1, _KERNEL_CHUNK * len(mu) // mu.size)
+    parts = [
+        kernel(*(a if np.ndim(a) == 0 else a[i : i + step] for a in (eta, mu, cross)), params)
+        for i in range(0, len(mu), step)
+    ]
+    return tuple(map(np.concatenate, zip(*parts))) if slopes else np.concatenate(parts)
+
+
 def _totals(
     problem: Tuple[np.ndarray, ...], of: np.ndarray, v: np.ndarray, params: QkdSystemParams
 ) -> np.ndarray:
@@ -242,7 +263,7 @@ def _totals(
     order."""
     _, cls, eta, _ = problem
     row, entry, cross = _modes(problem, of, v)
-    rates = rate_per_pulse(eta[entry], v[row, cls[entry]], cross, params)
+    rates = _kernel(eta[entry], v[row, cls[entry]], cross, params)
     return np.bincount(row, params.pulse_rate * rates, len(of))
 
 
@@ -295,8 +316,8 @@ def _line(
             return sums.reshape(x.shape)
 
         if not slopes:
-            return total(rate_per_pulse(eta[:, None], mu, cross, params))
-        rate, d_mu, d_cross = rate_and_slopes(eta[:, None], mu, cross, params)
+            return total(_kernel(eta[:, None], mu, cross, params))
+        rate, d_mu, d_cross = _kernel(eta[:, None], mu, cross, params, slopes=True)
         return total(rate), total(np.where(lit[:, None], d_mu, 0.0) + from_k[:, None] * d_cross)
 
     return f
@@ -472,9 +493,8 @@ def _optimize(
     )[:, None]
 
     def lone(rows: np.ndarray, x: np.ndarray, slopes: bool = False):
-        if not slopes:
-            return rate_per_pulse(lead_eta[rows], x, 0.0, params)
-        return rate_and_slopes(lead_eta[rows], x, 0.0, params)[:2]
+        out = _kernel(lead_eta[rows], x, 0.0, params, slopes)
+        return out[:2] if slopes else out
 
     single_k, _ = _line_max(lone, *bracket(len(lead_eta)), opts.line_tol)
     single = np.full((n_cand, n_cls), opts.mu_min)
@@ -720,24 +740,6 @@ def lg_envelope(
 # --------------------------------------------------------------------------
 
 
-# Class-space coupling entries per lockstep ascent in ``scan``, counted
-# by :func:`_class_space_entries`.  The traced peak of an ascent grows by
-# about 70 bytes per entry at n_max = 8, 50 at q_max = 8 and 45 at q_max =
-# 16, while the gain of one more link shrinks as the arrays grow.  At
-# n_max = q_max = 8 a batch holds 3 links (5,120 and 6,480 entries each);
-# from q_max = 10 (18,150) on it holds one.
-_SCAN_BATCH_ENTRIES = 20_000
-
-
-def _class_space_entries(candidates: Sequence[_Candidate]) -> int:
-    """The size of one link's candidates for the batch budget: candidates
-    x largest class count x largest mode count.  The class space itself
-    holds one row of K couplings per real mode, fewer entries than this."""
-    matrices = [matrix for _, _, matrix in candidates]
-    n_classes = max(len(orbit_classes(m.modes)) for m in matrices)
-    return len(matrices) * n_classes * max(len(m.modes) for m in matrices)
-
-
 def scan(
     links: Sequence[ChannelConfig],
     params: QkdSystemParams,
@@ -756,14 +758,13 @@ def scan(
     binding one at every cn2.  It depends on the channel only through the
     Fresnel product, so the link's own channel serves at any cn2.
 
-    The links of one family are optimized in lockstep batches, in link
-    order, whatever their path lengths: a batch takes links while their
-    candidates stay within ``_SCAN_BATCH_ENTRIES`` class-space coupling
-    entries (3 links at ``n_max = q_max = 8``, 1 from ``q_max = 10``),
-    and at least one.  Every total and line search of a link evaluates its
-    own modes only, each class-space sum runs in a fixed order, and each
-    link prunes its configurations against its own best, so each row is
-    bit for bit the row of a one-link scan.  A link's rate and
+    The links of one family are optimized in one lockstep ascent, in link
+    order, whatever their path lengths; the rate kernel runs in chunks of
+    ``_KERNEL_CHUNK`` elements however many links it carries.  Every total
+    and line search of a link evaluates its own modes only, each
+    class-space sum runs in a fixed order, and each link prunes its
+    configurations against its own best, so each row is bit for bit the
+    row of a one-link scan.  A link's rate and
     bound are computed independently, and a failure of either (a
     :class:`RuntimeError` such as a :class:`QuadratureError`, or a
     :class:`ValueError`, in its matrix builds, its bound or its
@@ -783,14 +784,7 @@ def scan(
             errors[i].append(f"{type(exc).__name__}: {exc}")
             return None
 
-    batches: Dict[str, List[Tuple[int, List[_Candidate]]]] = {"fb": [], "lg": []}
-
-    def run(batch: List[Tuple[int, List[_Candidate]]]) -> None:
-        winners = _envelopes([candidates for _, candidates in batch], params, opts)
-        for (i, _), winner in zip(batch, winners):
-            points[i] = attempt(i, lambda: RatePoint(*winner))
-        batch.clear()
-
+    families: Dict[str, List[Tuple[int, List[_Candidate]]]] = {"fb": [], "lg": []}
     for i, link in enumerate(links):
         ch = derive(link)
         if isinstance(link.pupil, HardSquare):
@@ -798,15 +792,13 @@ def scan(
         else:
             capacity[i] = attempt(i, lambda: lg_vacuum_capacity(ch, params.pulse_rate))
             family, candidates = "lg", attempt(i, lambda: _lg_candidates(ch, q_max))
-        if candidates is None:
-            continue
-        batch = batches[family]
-        batch.append((i, candidates))
-        if (len(batch) + 1) * _class_space_entries(candidates) > _SCAN_BATCH_ENTRIES:
-            run(batch)
-    for batch in batches.values():
-        if batch:
-            run(batch)
+        if candidates is not None:
+            families[family].append((i, candidates))
+    for members in families.values():
+        if members:
+            winners = _envelopes([candidates for _, candidates in members], params, opts)
+            for (i, _), winner in zip(members, winners):
+                points[i] = attempt(i, lambda: RatePoint(*winner))
     return [
         ScanRow(point=point, capacity_bps=bound, error="; ".join(errs) or None)
         for point, bound, errs in zip(points, capacity, errors)

@@ -149,12 +149,14 @@ def rate_bound(eta, params: QkdSystemParams, mu_min: float, mu_max: float):
 
     The bound is finite on the whole :class:`QkdSystemParams` domain.  It
     shares the kernel's Y_1 and e_1 arithmetic, with y0 computed as the
-    kernel computes it at mu_c = 0, and is itself clipped at 0.
+    kernel computes it at mu_c = 0, and is itself clipped at 0.  Its g is
+    raised by 4 eps relative: rounded mu exp(-mu) is not monotone, and one
+    ulp below a mu_max under 1 it can round one ulp above g.
     """
     eta = np.asarray(eta, dtype=float)
     _, _, y1, e1 = _single_photon(eta, 1.0, params)
     mu = min(max(1.0, mu_min), mu_max)
-    gain = mu * np.exp(-mu)
+    gain = mu * np.exp(-mu) * (1.0 + 4.0 * np.finfo(float).eps)
     h1 = _entropy_and_slope(e1)[0]
     return params.sifting_factor * np.maximum(gain * y1 * (1.0 - h1), 0.0)
 

@@ -66,11 +66,13 @@ def ch_square_10km():
 @dataclass
 class KernelWork:
     """Work counts of the power optimizer: ``_optimize`` calls, rate-kernel
-    calls by name in call order, and the elements those calls evaluate."""
+    calls by name in call order, the elements those calls evaluate, and
+    the most elements of one call."""
 
     optimize: int = 0
     calls: List[str] = field(default_factory=list)
     elements: int = 0
+    largest: int = 0
 
 
 @pytest.fixture
@@ -84,7 +86,9 @@ def kernel_work(monkeypatch):
         def counted(*args, _kernel=kernel, _name=name):
             out = _kernel(*args)
             work.calls.append(_name)
-            work.elements += np.size(out[0] if isinstance(out, tuple) else out)
+            size = np.size(out[0] if isinstance(out, tuple) else out)
+            work.elements += size
+            work.largest = max(work.largest, size)
             return out
 
         monkeypatch.setattr(planner, name, counted)

@@ -798,3 +798,19 @@ def test_main_writes_config_output_path(tmp_path, monkeypatch):
     rc = main(["--config", str(ini), "transmissivity"])
     assert rc == 0
     assert out.exists()
+
+
+@pytest.mark.parametrize("value", ["", "   "], ids=["empty", "blank"])
+def test_main_rejects_empty_config_output_path(tmp_path, monkeypatch, capsys, value):
+    # An empty path would otherwise fall back to stdout, a key that does
+    # nothing; it is an error at its line, as an empty list is.
+    calls = []
+    monkeypatch.setattr(cli, "cmd_transmissivity", lambda *args: calls.append(args))
+    ini = tmp_path / "run.ini"
+    ini.write_text(
+        "[channel]\npath_lengths = 1 km\n[turbulence]\ncn2_values = 0\n"
+        f"[output]\npath ={value}\n"
+    )
+    assert main(["--config", str(ini), "transmissivity"]) == 2
+    assert capsys.readouterr().err == f"fsoqkd: {ini}:6: output.path: empty path\n"
+    assert calls == []

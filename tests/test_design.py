@@ -10,6 +10,11 @@ Each 1-D integral has one home: ``integrate_1d`` is called only by the
 5/3-law path integral (``turbulence.structure_fn``), the 5/3-law power in
 the bucket (``turbulence.gaussian_pib_53``) and the flat-top axis at every
 cn2 (``vacuum.fb_axis``).
+
+The rate kernel has one entry in the optimizer: ``planner`` names
+``rate_per_pulse`` and ``rate_and_slopes`` only in ``planner._kernel``,
+which bounds the size of every kernel call.  A call, or a reference
+passed on, anywhere else in ``planner`` fails here.
 """
 
 import ast
@@ -68,6 +73,14 @@ def _calls_to(tree: ast.AST, name: str):
             yield scope, node.lineno
 
 
+def _references_to(tree: ast.AST, name: str):
+    """Yield (qualified function name, line) of every use of ``name``:
+    a call, or a bare reference such as an argument."""
+    for scope, node in _scoped_nodes(tree):
+        if _is_named(node, name):
+            yield scope, node.lineno
+
+
 def _package_sites(find):
     """(module-qualified scope, file:line) of every site ``find`` yields
     over the package's modules."""
@@ -120,3 +133,26 @@ def test_walk_finds_every_call_form():
     )
     found = list(_calls_to(ast.parse(source), "integrate_1d"))
     assert found == [(".f", 2), (".f.inner", 4)]
+
+
+def test_rate_kernels_have_one_entry_in_planner():
+    def kernels(tree):
+        for name in ("rate_per_pulse", "rate_and_slopes"):
+            yield from _references_to(tree, name)
+
+    in_planner = [site for site in _package_sites(kernels) if site[1].startswith("planner.py:")]
+    # Both kernels are named once, in the chunking helper, and nowhere
+    # else in the planner.
+    assert [scope for scope, _ in in_planner] == ["planner._kernel"] * 2, in_planner
+
+
+def test_walk_finds_every_reference_form():
+    source = (
+        "def f(slopes):\n"
+        "    k = rate_and_slopes if slopes else rate_per_pulse\n"
+        "    def inner():\n"
+        "        return qkd.rate_per_pulse(1, 2, 3, p)\n"
+        "    return apply(rate_per_pulse, rate_per_pulse_other)\n"
+    )
+    found = list(_references_to(ast.parse(source), "rate_per_pulse"))
+    assert found == [(".f", 2), (".f.inner", 4), (".f", 5)]

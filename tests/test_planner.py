@@ -464,6 +464,65 @@ def test_class_space_rows_equal_their_problem_alone():
             np.testing.assert_array_equal(f(np.array([i]), x[r : r + 1]), solo_values)
 
 
+@pytest.mark.parametrize("chunk", [2, 3, 5, 64])
+def test_kernel_chunks_change_no_bit(monkeypatch, kernel_work, chunk):
+    # Every total and every value and slope of a line probe with one and
+    # two columns is bit for bit the unchunked call's, no call sees more
+    # than the chunk, and the call count rises as the chunk shrinks.
+    matrices = [
+        fb_turb_matrix(1, square_channel(2e3, 1e-14)),
+        fb_turb_matrix(4, square_channel(2e3, 1e-14)),
+        lg_turb_matrix(4, gauss_channel(2e3, 1e-14)),
+    ]
+    problem = planner._class_space([(m, orbit_classes(m.modes)) for m in matrices])
+    params = QkdSystemParams()
+    rng = np.random.default_rng(21)
+    of = rng.integers(0, 3, 12)
+    v = 10.0 ** rng.uniform(-3.0, 0.0, (len(of), 6))
+    x = 10.0 ** rng.uniform(-3.0, 0.0, (len(of), 2))
+    rows = np.flatnonzero(of != 0)
+    live = np.arange(0, len(rows), 2)
+
+    def evaluate():
+        out = [planner._totals(problem, of, v, params)]
+        f = planner._line(problem, of[rows], v[rows], 1, params)
+        for m in (1, 2):
+            out.append(f(live, x[rows[live], :m]))
+            out.extend(f(live, x[rows[live], :m], True))
+        return out
+
+    calls = []
+    results = []
+    for size in (10**9, 2 * chunk, chunk):
+        monkeypatch.setattr(planner, "_KERNEL_CHUNK", size)
+        kernel_work.calls.clear()
+        kernel_work.largest = 0
+        results.append(evaluate())
+        assert kernel_work.largest <= size
+        calls.append(len(kernel_work.calls))
+    assert calls[0] < calls[1] < calls[2]
+    whole = results[0]
+    for chunked in results[1:]:
+        for a, b in zip(chunked, whole):
+            np.testing.assert_array_equal(a, b)
+
+
+@pytest.mark.parametrize("chunk", [2, 7, 30])
+def test_envelope_is_the_same_in_any_kernel_chunk(monkeypatch, kernel_work, chunk):
+    # The single-mode searches, starts, corners and line searches of a
+    # whole envelope all go through the chunked kernel.
+    ch, params = gauss_channel(2e3, 1e-14), QkdSystemParams()
+    whole = lg_envelope(ch, params, q_max=3)
+    assert kernel_work.largest > chunk
+    kernel_work.largest = 0
+    monkeypatch.setattr(planner, "_KERNEL_CHUNK", chunk)
+    point = lg_envelope(ch, params, q_max=3)
+    assert kernel_work.largest <= chunk
+    assert (point.mode_set, point.config) == (whole.mode_set, whole.config)
+    assert point.total_rate_bps == whole.total_rate_bps
+    np.testing.assert_array_equal(point.allocation.mu, whole.allocation.mu)
+
+
 @settings(max_examples=25, deadline=None)
 @given(
     modes=st.sampled_from(_MODE_LISTS),
@@ -980,26 +1039,20 @@ def test_scan_batch_rows_equal_one_link_scans(monkeypatch):
             assert row.error is None and row.point.total_rate_bps > 0.0
 
 
-def test_scan_batches_stay_within_entry_budget(monkeypatch):
-    # At n_max = 4 a flat-top link holds 4 x 3 x 16 = 192 class-space
-    # entries and at q_max = 4 an LG link 5 x 6 x 10 = 300; a budget of 576
-    # fits 3 and 1 of them.  Rows keep the bits of one unbounded batch.
+def test_scan_runs_one_ascent_per_family(kernel_work):
+    # Six flat-top links at n_max = 8, vacuum and turbulent, 1 to 40 km,
+    # share one lockstep ascent, and each row keeps the bits of its own
+    # one-link scan.
     params = QkdSystemParams()
-    links = [square_channel(L, 1e-14).config for L in (1e3, 2e3, 3e3, 4e3, 5e3)]
-    links += [gauss_channel(L, 1e-14).config for L in (1e3, 2e3)]
-    whole = scan(links, params, n_max=4, q_max=4)
-    sizes = []
-    real = planner._optimize
-
-    def recorded(candidates, *args):
-        sizes.append(len(candidates))
-        return real(candidates, *args)
-
-    monkeypatch.setattr(planner, "_optimize", recorded)
-    monkeypatch.setattr(planner, "_SCAN_BATCH_ENTRIES", 576)
-    rows = scan(links, params, n_max=4, q_max=4)
-    assert sizes == [3 * 4, 5, 5, 2 * 4]
-    for row, solo in zip(rows, whole):
+    links = [
+        square_channel(L, cn2).config
+        for L, cn2 in ((1e3, 0.0), (2e3, 1e-14), (5e3, 1e-15), (10e3, 0.0), (20e3, 1e-14), (40e3, 0.0))
+    ]
+    rows = scan(links, params)
+    assert kernel_work.optimize == 1
+    for link, row in zip(links, rows):
+        assert row.error is None and row.point.total_rate_bps > 0.0
+        (solo,) = scan([link], params)
         _same_row(row, solo)
 
 

@@ -157,6 +157,14 @@ def _mu_window(draw):
     eta=[1.0, 0.3, 1e-310, 0.0],
     mu_c=0.0,
 )
+# Rounded mu exp(-mu) one ulp below mu_max rounds one ulp above its value
+# at mu_max.
+@example(
+    params=QkdSystemParams(visibility=1.0, dark_count=0.0, sifting_factor=1.0),
+    window=(0.1, 0.9821718891880378, np.array([0.1, 0.9821718891880378, 0.9821718891880377])),
+    eta=[1.0],
+    mu_c=0.0,
+)
 def test_rate_bound_holds_and_crosstalk_only_lowers_the_rate(params, window, eta, mu_c):
     # The cross-talk-free single-photon term bounds the rate at every mu of
     # the window and every mu_c, to the bit; the rate's mu_c slope is never
