@@ -352,10 +352,10 @@ def _validate_task(config: RunConfig, points: List[Tuple[float, float]]) -> List
 
 
 def _pool_map(worker, tasks: List[tuple], jobs: int) -> List:
-    """Order-preserving ``worker(*task)`` per task, inline when one worker suffices."""
+    """Order-preserving ``worker(*task)`` per task, on one worker per task at most."""
     if jobs <= 1 or len(tasks) <= 1:
         return [worker(*task) for task in tasks]
-    with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
+    with concurrent.futures.ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
         return list(pool.map(worker, *zip(*tasks)))
 
 
@@ -489,10 +489,12 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--config", help="INI config file (defaults reproduce the standard setup)")
     parser.add_argument("--out", help="output CSV path (default: stdout)")
+    # Python has sched_getaffinity on some systems only (not on macOS or Windows).
+    affinity = getattr(os, "sched_getaffinity", None)
     parser.add_argument(
         "--jobs",
         type=int,
-        default=len(os.sched_getaffinity(0)),
+        default=len(affinity(0)) if affinity else os.cpu_count() or 1,
         help="worker processes (default: available parallelism)",
     )
     parser.add_argument(

@@ -100,14 +100,11 @@ def _leggauss(order: int) -> Tuple[np.ndarray, np.ndarray]:
 # Rows are integrated in chunks of at most this many (row, node) pairs per
 # integrand call, so the working set stays flat however many rows a call holds.
 _CHUNK_NODES = 8192
+_NODE_CAP = 1024
 
 
 def integrate_1d(
-    f: Callable[[np.ndarray, np.ndarray], np.ndarray],
-    a,
-    b,
-    rel_tol: float = 1e-10,
-    budget: int = 1024,
+    f: Callable[[np.ndarray, np.ndarray], np.ndarray], a, b, rel_tol: float
 ) -> np.ndarray:
     """Gauss-Legendre quadrature of a batch of rows, row i over [a[i], b[i]].
 
@@ -121,8 +118,8 @@ def integrate_1d(
     ``(f * w).sum(-1)``, never by a matrix product whose bits depend on
     the batch: a row's value is the same bit for bit alone or in any
     batch.  ``f`` sees at most ``_CHUNK_NODES`` (row, node) pairs per
-    call.  ``budget`` caps the order: a row that reaches it without
-    agreement raises :class:`QuadratureError` naming its interval.
+    call.  A row that reaches order ``_NODE_CAP`` without agreement raises
+    :class:`QuadratureError` naming its interval.
     """
     a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
     if a.ndim != 1 or a.shape != b.shape:
@@ -134,7 +131,7 @@ def integrate_1d(
     live = np.arange(a.size)
     mid, half = 0.5 * (a + b)[:, None], 0.5 * (b - a)[:, None]
     out, prev, order, last = None, None, 8, 0
-    while live.size and order <= budget:
+    while live.size and order <= _NODE_CAP:
         nodes, weights = _leggauss(order)
         step = max(1, _CHUNK_NODES // order)
         parts = []
@@ -161,7 +158,7 @@ def integrate_1d(
     if live.size:
         raise QuadratureError(
             f"integrate_1d did not converge on [{a[live[0]]}, {b[live[0]]}]: "
-            f"last order {last}, node cap {budget}"
+            f"last order {last}, node cap {_NODE_CAP}"
         )
     return out if out is not None else np.empty(0)
 

@@ -8,9 +8,9 @@ of modes, restarted from a few spread initial points.  Each line search
 narrows its bracket by value comparisons, which chooses the basin, then
 finishes with a secant on the closed-form slope of the total.  The
 objective is evaluated in class space: one value per class, with
-cross-talk aggregated by source class.  A line search lays out the real
-modes of its rows once, and each probe evaluates only the rows still
-searching.
+cross-talk aggregated by source class, by one evaluator: a line search
+lays out the real modes of its rows once, each probe evaluates only the
+rows still searching, and a total is the line of the last class.
 
 The envelope operations additionally maximize over the mode-set
 configuration itself: the focused-beam grid size N, or the LG order cap Q
@@ -73,9 +73,8 @@ class OptimizerOptions:
     optima sit below 1, so the 1.5 ceiling leaves headroom while the floor
     keeps logarithms finite.  A sweep updates every symmetry class once;
     ascent stops when a full sweep improves the total rate by less than
-    ``rel_tol`` relative, or after ``max_sweeps``.  ``line_tol`` bounds the
-    final bracket of each line search: a class value ends within
-    ``line_tol`` of a stationary point of its line, or exactly at
+    ``rel_tol`` relative, or after ``max_sweeps``.  Each line search ends
+    within ``_LINE_TOL`` of a stationary point of its line, or exactly at
     ``mu_min`` or ``mu_max`` where the slope there points outward.
     """
 
@@ -83,16 +82,15 @@ class OptimizerOptions:
     mu_max: float = 1.5
     rel_tol: float = 1e-6
     max_sweeps: int = 100
-    line_tol: float = 1e-9
 
     def __post_init__(self) -> None:
-        for name in ("mu_min", "mu_max", "rel_tol", "line_tol"):
+        for name in ("mu_min", "mu_max", "rel_tol"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if not 0.0 < self.mu_min < self.mu_max:
             raise ValueError("need 0 < mu_min < mu_max")
-        if self.rel_tol <= 0.0 or self.line_tol <= 0.0:
-            raise ValueError("tolerances must be positive")
+        if self.rel_tol <= 0.0:
+            raise ValueError("rel_tol must be positive")
         if self.max_sweeps < 1:
             raise ValueError("need at least one sweep")
 
@@ -217,23 +215,6 @@ def _class_space(
     return offset, cls, eta, coupling
 
 
-def _modes(
-    problem: Tuple[np.ndarray, ...], of: np.ndarray, v: np.ndarray
-) -> Tuple[np.ndarray, ...]:
-    """The real modes of the rows of class values ``v`` (R, K), row r on
-    problem ``of[r]`` of ``problem`` (see :func:`_class_space`), one element
-    each, row by row in mode order.  Returns each element's row, entry and
-    cross-talk, added class by class in order (a NumPy sum may pair terms
-    by K): no term depends on another row or on the padding, which adds
-    exact zeros last."""
-    offset, _, _, coupling = problem
-    size = offset[of + 1] - offset[of]
-    row = np.repeat(np.arange(len(of)), size)
-    entry = np.arange(row.size) + (offset[of] - np.cumsum(size) + size)[row]
-    cross = sum(vj[row] * cj[entry] for vj, cj in zip(v.T, coupling.T))
-    return row, entry, cross
-
-
 # Elements per rate-kernel call: near 4k the cost per element is least
 # (smaller calls pay per-call overhead, larger ones fall out of cache).
 _KERNEL_CHUNK = 4096
@@ -254,19 +235,6 @@ def _kernel(eta, mu: np.ndarray, cross, params: QkdSystemParams, slopes: bool = 
     return tuple(map(np.concatenate, zip(*parts))) if slopes else np.concatenate(parts)
 
 
-def _totals(
-    problem: Tuple[np.ndarray, ...], of: np.ndarray, v: np.ndarray, params: QkdSystemParams
-) -> np.ndarray:
-    """Total key rates, bits/s, of the class values ``v`` (R, K), row r on
-    problem ``of[r]`` (see :func:`_modes`): every start, corner and
-    reported total.  A ``bincount`` adds each row's mode rates in mode
-    order."""
-    _, cls, eta, _ = problem
-    row, entry, cross = _modes(problem, of, v)
-    rates = _kernel(eta[entry], v[row, cls[entry]], cross, params)
-    return np.bincount(row, params.pulse_rate * rates, len(of))
-
-
 def _line(
     problem: Tuple[np.ndarray, ...],
     of: np.ndarray,
@@ -275,26 +243,33 @@ def _line(
     params: QkdSystemParams,
 ) -> Callable[..., object]:
     """The line evaluator of class ``k`` through the class values ``base``
-    (R, K), row r on problem ``of[r]``, for :func:`_line_max`.
+    (R, K), row r on problem ``of[r]`` (see :func:`_class_space`), for
+    :func:`_line_max`; the one evaluator of the objective.
 
-    The real modes of every row are laid out once (:func:`_modes`), as one
+    The real modes of every row are laid out once, in mode order, as one
     element each: its row, transmissivity, base mu, whether it is in class
-    k, its coupling from class k and its cross-talk from the other classes.
+    k, its coupling from class k and its cross-talk from the other classes,
+    added class by class in order (class k's an exact zero; a NumPy sum may
+    pair terms by K), so no term depends on another row or the padding.
     ``f(rows, x)`` maps the (r, m) values x of class k on the rows ``rows``
     (ascending) to their totals, and ``f(rows, x, True)`` returns
     ``(totals, slopes)``, the slopes d total/d v[k] = pulse_rate * (sum
     over the modes of class k of d rate/d mu + sum over all modes of
     coupling[k] d rate/d mu_c).  A probe costs one multiply-add for the
     cross-talk and the rate kernel on the elements of its rows.  Values and
-    slopes are summed per row in mode order, as :func:`_totals` adds them.
+    slopes are summed per row in mode order by a ``bincount``.
     """
-    _, cls, eta_all, coupling = problem
+    offset, cls, eta_all, coupling = problem
+    size = offset[of + 1] - offset[of]
+    row = np.repeat(np.arange(len(of)), size)
+    entry = np.arange(row.size) + (offset[of] - np.cumsum(size) + size)[row]
     rest = base.copy()
     rest[:, k] = 0.0
-    row, entry, other = _modes(problem, of, rest)
+    other = sum(vj[row] * cj[entry] for vj, cj in zip(rest.T, coupling.T))
     in_k = cls[entry] == k
-    # The per-element quantities, one row each, so a probe gathers them in one take.
-    table = np.stack([eta_all[entry], base[row, cls[entry]], other, coupling[entry, k]])
+    # The per-element quantities, kept apart: stacking them would copy all four
+    # at once, the largest allocation of a total over many rows.
+    table = (eta_all[entry], base[row, cls[entry]], other, coupling[entry, k])
 
     def f(rows: np.ndarray, x: np.ndarray, slopes: bool = False):
         if rows.size == len(of):
@@ -304,7 +279,7 @@ def _line(
             keep[rows] = True
             at = np.flatnonzero(keep[row])
             own = (np.cumsum(keep) - 1)[row[at]]
-            lit, (eta, base_mu, other, from_k) = in_k[at], table[:, at]
+            lit, (eta, base_mu, other, from_k) = in_k[at], (a[at] for a in table)
         m = x.shape[1]
         xe = x[own]
         mu = np.where(lit[:, None], xe, base_mu[:, None])
@@ -321,6 +296,17 @@ def _line(
         return total(rate), total(np.where(lit[:, None], d_mu, 0.0) + from_k[:, None] * d_cross)
 
     return f
+
+
+def _totals(
+    problem: Tuple[np.ndarray, ...], of: np.ndarray, v: np.ndarray, params: QkdSystemParams
+) -> np.ndarray:
+    """Total key rates, bits/s, of the class values ``v`` (R, K), row r on
+    problem ``of[r]``: every start, corner and reported total.  Each is the
+    line of the last class through ``v`` at its own value, whose cross-talk
+    still adds the classes in order, the last class's term last."""
+    k = v.shape[1] - 1
+    return _line(problem, of, v, k, params)(np.arange(len(of)), v[:, k:])[:, 0]
 
 
 def total_rate(
@@ -343,6 +329,9 @@ _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 # Golden steps shrink a line search's bracket to this width, choosing its
 # basin as a whole golden-section search would; the slope phase finishes.
 _COARSE_WIDTH = 0.1
+
+# Each line search ends within this width of a stationary point of its line.
+_LINE_TOL = 1e-9
 
 _START_NAMES = ("uniform 0.05", "uniform 0.5", "single-mode optima", "best corner")
 
@@ -454,13 +443,10 @@ def _optimize(
     class values, padded to the largest class count, and each row takes
     exactly the steps it would take alone: the line search of class k runs
     on the live rows of candidates with more than k classes, and every
-    total and probe evaluates only the real modes of its rows
-    (:func:`_modes`), whatever the other candidates.  A
-    one-class candidate has no corner start; that row starts at -inf, so
-    it never runs or wins.  The corners, the starts and each candidate's
-    returned total are :func:`_totals` of their allocations; a line
-    search's values (:func:`_line`) add class k's cross-talk last, so they
-    may differ from these in the last bits.
+    total and probe evaluates only the real modes of its rows, whatever
+    the other candidates.  Every value, the corners', the starts' and each
+    candidate's returned total included (:func:`_totals`), comes from one
+    evaluator, :func:`_line`.
 
     Each candidate's total is bounded by U = pulse_rate * sum of
     :func:`rate_bound` over its diagonal transmissivities, whatever its
@@ -496,28 +482,26 @@ def _optimize(
         out = _kernel(lead_eta[rows], x, 0.0, params, slopes)
         return out[:2] if slopes else out
 
-    single_k, _ = _line_max(lone, *bracket(len(lead_eta)), opts.line_tol)
+    single_k, _ = _line_max(lone, *bracket(len(lead_eta)), _LINE_TOL)
     single = np.full((n_cand, n_cls), opts.mu_min)
     single[own_class] = single_k
     # Corners: one class lit at its single-mode optimum, the rest floored.
-    corner_cand, corner_k = np.nonzero(own_class & (counts > 1)[:, None])
+    corner_cand, corner_k = np.nonzero(own_class)
     corners = np.where(np.arange(n_cls) == corner_k[:, None], single[corner_cand], opts.mu_min)
-    corner_val = _totals(problem, corner_cand, corners, params)
+    corner_val = np.full((n_cand, n_cls), -np.inf)
+    corner_val[own_class] = _totals(problem, corner_cand, corners, params)
+    lit = np.arange(n_cls) == np.argmax(corner_val, axis=1)[:, None]
 
     start = np.empty((n_cand, len(_START_NAMES), n_cls))
-    start[:, 0], start[:, 1], start[:, 2], start[:, 3] = 0.05, 0.5, single, opts.mu_min
-    for b in np.flatnonzero(counts > 1):
-        own = np.flatnonzero(corner_cand == b)
-        start[b, 3] = corners[own[np.argmax(corner_val[own])]]
-    n_starts = np.where(counts > 1, len(_START_NAMES), len(_START_NAMES) - 1)
-    has_start = (np.arange(len(_START_NAMES)) < n_starts[:, None]).ravel()
+    start[:, 0], start[:, 1], start[:, 2] = 0.05, 0.5, single
+    start[:, 3] = np.where(lit, single, opts.mu_min)
     cand = np.repeat(np.arange(n_cand), len(_START_NAMES))
 
     v = np.clip(start.reshape(-1, n_cls), opts.mu_min, opts.mu_max)
-    current = np.where(has_start, _totals(problem, cand, v, params), -np.inf)
+    current = _totals(problem, cand, v, params)
     sweeps = np.zeros(len(v), dtype=int)
     before = current.copy()
-    active = has_start.copy()
+    active = np.ones(len(v), dtype=bool)
     pruned = np.zeros(n_cand, dtype=bool)
     label = np.asarray(groups)
 
@@ -553,7 +537,7 @@ def _optimize(
             if not step.size:
                 break
             f = _line(problem, cand[step], v[step], k, params)
-            x_star, val = _line_max(f, *bracket(len(step)), opts.line_tol)
+            x_star, val = _line_max(f, *bracket(len(step)), _LINE_TOL)
             better = val >= current[step]
             v[step[better], k] = x_star[better]
             current[step[better]] = val[better]
@@ -564,14 +548,14 @@ def _optimize(
         if not active.any():
             break
 
-    # Each candidate's best start (a missing corner is at -inf) reports the
-    # total of its allocation, computed as every start's total is.
+    # Each candidate's best start reports the total of its allocation,
+    # computed as every start's total is.
     best = np.arange(0, len(v), len(_START_NAMES)) + np.argmax(current.reshape(n_cand, -1), axis=1)
     reported = _totals(problem, cand[best], v[best], params)
     results: List[Optional[Tuple[PowerAllocation, float]]] = []
     for b, ((mode_set, config, matrix), orb) in enumerate(zip(candidates, orbits)):
         first = b * len(_START_NAMES)
-        own = np.arange(first, first + n_starts[b])
+        own = np.arange(first, first + len(_START_NAMES))
         for s in own[active[own]]:
             base = float(before[s])
             log.warning(
@@ -610,17 +594,17 @@ def optimize_allocation(
     on [mu_min, mu_max] with the rest held fixed (value comparisons down to
     a 0.1-wide bracket, then a secant on the class slope), and sweeps
     repeat until a full sweep gains less than ``rel_tol`` relative (or
-    ``max_sweeps``).  The best of several starts is returned: uniform
-    mu = 0.05, uniform mu = 0.5, every class at its own single-mode
-    optimum (cross-talk ignored), and the best single-active corner (one
-    class lit, the rest floored; the first of tied corners), so heavy
-    cross-talk cases where shutting modes down is optimal are always
-    reachable.  Ties go to the earliest start in that order.  The starts
-    run in lockstep as the rows of one array, each taking the steps it
-    would take alone; the envelopes run every configuration's starts in
-    the same array and stop those of a configuration that cannot win.
-    The problem is nonconvex, so this is a heuristic; it is validated
-    against small brute-force grids.
+    ``max_sweeps``).  The best of four starts is returned: uniform mu =
+    0.05, uniform mu = 0.5, every class at its own single-mode optimum
+    (cross-talk ignored), and the best single-active corner (one class lit,
+    the rest floored; the first of tied corners; with one class, the
+    single-mode start again), so heavy cross-talk cases where shutting
+    modes down is optimal are always reachable.  Ties go to the earliest
+    start in that order.  The starts run in lockstep as the rows of one
+    array, each taking the steps it would take alone; the envelopes run
+    every configuration's starts in the same array and stop those of a
+    configuration that cannot win.  The problem is nonconvex, so this is a
+    heuristic; it is validated against small brute-force grids.
 
     A start that uses all ``max_sweeps`` without meeting ``rel_tol`` is
     logged as a warning on the ``fsoqkd.planner`` logger.

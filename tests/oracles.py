@@ -398,7 +398,7 @@ def scalar_coordinate_ascent(matrix, params, opts):
     ``planner._line``'s evaluator through the allocation it starts from.
     Returns ``(mu, total rate)``.
     """
-    from fsoqkd.planner import _class_space, _line, _totals, orbit_classes
+    from fsoqkd.planner import _LINE_TOL, _class_space, _line, _totals, orbit_classes
     from fsoqkd.qkd import rate_and_slopes
 
     orbits = orbit_classes(matrix.modes)
@@ -418,18 +418,16 @@ def scalar_coordinate_ascent(matrix, params, opts):
             lambda mu: tuple(float(x) for x in rate_and_slopes(eta, mu, 0.0, params)[:2]),
             opts.mu_min,
             opts.mu_max,
-            opts.line_tol,
+            _LINE_TOL,
         )
-    starts = [np.full(n, 0.05), np.full(n, 0.5), single]
-    if len(orbits) > 1:
-        best_corner, best_corner_val = None, -math.inf
-        for orbit in orbits:
-            corner = np.full(n, opts.mu_min)
-            corner[list(orbit)] = single[orbit[0]]
-            val = total(corner)
-            if val > best_corner_val:
-                best_corner, best_corner_val = corner, val
-        starts.append(best_corner)
+    best_corner, best_corner_val = None, -math.inf
+    for orbit in orbits:
+        corner = np.full(n, opts.mu_min)
+        corner[list(orbit)] = single[orbit[0]]
+        val = total(corner)
+        if val > best_corner_val:
+            best_corner, best_corner_val = corner, val
+    starts = [np.full(n, 0.05), np.full(n, 0.5), single, best_corner]
 
     best_mu, best_val = None, -math.inf
     for start in starts:
@@ -444,9 +442,7 @@ def scalar_coordinate_ascent(matrix, params, opts):
                     value, slope = f(row, np.array([[v]]), True)
                     return float(value[0, 0]), float(slope[0, 0])
 
-                v_star, val = scalar_line_max(
-                    line, opts.mu_min, opts.mu_max, opts.line_tol
-                )
+                v_star, val = scalar_line_max(line, opts.mu_min, opts.mu_max, _LINE_TOL)
                 if val >= current:
                     mu[list(orbit)] = v_star
                     current = val

@@ -744,6 +744,47 @@ def test_jobs_default_follows_cpu_affinity():
     assert args.jobs == len(os.sched_getaffinity(0))
 
 
+def test_jobs_default_without_cpu_affinity(monkeypatch, tmp_path):
+    # Python has no os.sched_getaffinity on macOS or Windows; the default
+    # falls back to the CPU count.
+    monkeypatch.delattr(os, "sched_getaffinity")
+    assert _build_parser().parse_args(["rates"]).jobs == (os.cpu_count() or 1)
+    ini = tmp_path / "run.ini"
+    ini.write_text("[channel]\npath_lengths = 1 km\n[turbulence]\ncn2_values = 0\n")
+    out = tmp_path / "t.csv"
+    assert main(["--config", str(ini), "--out", str(out), "transmissivity"]) == 0
+    assert out.read_text().startswith("L_m,cn2,")
+
+
+def test_pool_gets_at_most_one_worker_per_task(monkeypatch, tmp_path):
+    # A process pool forks all its workers at its first task, so 64 jobs
+    # on the 12 points of single-beam.ini must ask for 12 workers.  The
+    # pool here records its size and maps inline.
+    sizes = []
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(cli.concurrent.futures, "ProcessPoolExecutor", InlinePool)
+    config = Path(__file__).parent / "data" / "single-beam.ini"
+    out = {jobs: tmp_path / f"jobs{jobs}.csv" for jobs in (64, 1)}
+    for jobs, path in out.items():
+        argv = ["--jobs", str(jobs), "--config", str(config), "--out", str(path)]
+        assert main(argv + ["transmissivity"]) == 0
+    assert sizes == [12]
+    assert out[64].read_text() == out[1].read_text()
+
+
 def test_main_exit_codes_and_output(tmp_path, capsys):
     ini = tmp_path / "run.ini"
     ini.write_text(

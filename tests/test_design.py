@@ -15,6 +15,11 @@ The rate kernel has one entry in the optimizer: ``planner`` names
 ``rate_per_pulse`` and ``rate_and_slopes`` only in ``planner._kernel``,
 which bounds the size of every kernel call.  A call, or a reference
 passed on, anywhere else in ``planner`` fails here.
+
+The objective has one evaluator: inside ``planner`` only the probe ``f``
+of ``planner._line`` and the single-mode search ``lone`` of
+``planner._optimize`` use ``_kernel``, so a second evaluator of the total
+fails here.
 """
 
 import ast
@@ -29,6 +34,8 @@ _ALLOWED = {
 }
 
 _INTEGRALS = ["turbulence.gaussian_pib_53", "turbulence.structure_fn", "vacuum.fb_axis"]
+
+_KERNEL_USERS = {"planner._line.f", "planner._optimize.lone"}
 
 
 def _is_named(node: ast.AST, name: str) -> bool:
@@ -156,3 +163,39 @@ def test_walk_finds_every_reference_form():
     )
     found = list(_references_to(ast.parse(source), "rate_per_pulse"))
     assert found == [(".f", 2), (".f.inner", 4), (".f", 5)]
+
+
+def _stray_kernel_users(sites):
+    """The ``_kernel`` sites of ``planner`` outside ``_KERNEL_USERS``."""
+    return [
+        where
+        for scope, where in sites
+        if where.startswith("planner.py:") and scope not in _KERNEL_USERS
+    ]
+
+
+def test_objective_has_one_evaluator():
+    found = _package_sites(lambda tree: _references_to(tree, "_kernel"))
+    assert _stray_kernel_users(found) == [], found
+    # The walk must see both allowed users, or it checks nothing.
+    assert {scope for scope, where in found if where.startswith("planner.py:")} == _KERNEL_USERS
+
+
+def test_walk_finds_a_second_evaluator():
+    source = (
+        "def _line(problem):\n"
+        "    def f(rows, x):\n"
+        "        return _kernel(eta, x, cross, params)\n"
+        "    return f\n"
+        "def _totals(problem, v):\n"
+        "    return _kernel(eta, v, cross, params).sum()\n"
+        "def _optimize():\n"
+        "    def lone(rows, x):\n"
+        "        return _kernel(lead, x, 0.0, params)\n"
+        "    return _line_max(_kernel)\n"
+    )
+    sites = [
+        ("planner" + scope, f"planner.py:{line}")
+        for scope, line in _references_to(ast.parse(source), "_kernel")
+    ]
+    assert _stray_kernel_users(sites) == ["planner.py:6", "planner.py:10"]

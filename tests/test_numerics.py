@@ -45,27 +45,36 @@ def test_hg_sample_high_order_stays_finite():
 
 
 def test_integrate_1d_known_values():
-    got = integrate_1d(lambda rows, x: np.sin(x), [0.0, 0.0], [math.pi, math.pi / 2])
+    got = integrate_1d(lambda rows, x: np.sin(x), [0.0, 0.0], [math.pi, math.pi / 2], 1e-10)
     np.testing.assert_allclose(got, [2.0, 1.0], rtol=1e-12, atol=0.0)
-    got = integrate_1d(lambda rows, x: np.exp(-x * x), [-8.0], [8.0])
+    got = integrate_1d(lambda rows, x: np.exp(-x * x), [-8.0], [8.0], 1e-10)
     assert got[0] == pytest.approx(math.sqrt(math.pi), rel=1e-12)
     # An integrand may return several values per row: (r, ..., n) -> (P, ...).
     got = integrate_1d(
-        lambda rows, x: np.cos(np.arange(3)[:, None] * x[:, None, :]), [0.0], [math.pi / 2]
+        lambda rows, x: np.cos(np.arange(3)[:, None] * x[:, None, :]),
+        [0.0],
+        [math.pi / 2],
+        1e-10,
     )
     assert got.shape == (1, 3)
     np.testing.assert_allclose(got[0], [math.pi / 2, 1.0, 0.0], rtol=0, atol=1e-14)
     # An integrable endpoint singularity defeats a fixed polynomial rule; it
     # must raise rather than return an unconverged value.
     with pytest.raises(QuadratureError, match=r"\[0\.0, 1\.0\].*last order 1024"):
-        integrate_1d(lambda rows, x: 1.0 / np.sqrt(x), [0.0], [1.0])
+        integrate_1d(lambda rows, x: 1.0 / np.sqrt(x), [0.0], [1.0], 1e-10)
     with pytest.raises(ValueError, match=r"need b >= a, got \[2\.0, 1\.0\]"):
-        integrate_1d(lambda rows, x: x, [0.0, 2.0], [1.0, 1.0])
+        integrate_1d(lambda rows, x: x, [0.0, 2.0], [1.0, 1.0], 1e-10)
 
 
 def test_integrate_1d_raises_on_budget_exhaustion():
-    with pytest.raises(QuadratureError):
-        integrate_1d(lambda rows, x: np.cos(5000.0 * x), [0.0], [1000.0], budget=2)
+    # About 800,000 oscillations: no order up to the node cap agrees.
+    with pytest.raises(QuadratureError, match="last order 1024, node cap 1024"):
+        integrate_1d(lambda rows, x: np.cos(5000.0 * x), [0.0], [1000.0], rel_tol=1e-10)
+
+
+def test_integrate_1d_requires_a_tolerance():
+    with pytest.raises(TypeError, match="rel_tol"):
+        integrate_1d(lambda rows, x: x, [0.0], [1.0])
 
 
 def test_integrate_1d_rows_meet_their_own_scale():
@@ -73,7 +82,7 @@ def test_integrate_1d_rows_meet_their_own_scale():
     # test against the batch's largest entry would accept its order-16 sum.
     scale = np.array([1.0, 1e-30])
     got = integrate_1d(
-        lambda rows, x: scale[rows, None] * np.cos(40.0 * x), [0.0, 0.0], [1.0, 1.0]
+        lambda rows, x: scale[rows, None] * np.cos(40.0 * x), [0.0, 0.0], [1.0, 1.0], 1e-10
     )
     exact = scale * math.sin(40.0) / 40.0
     np.testing.assert_allclose(got, exact, rtol=1e-10, atol=0.0)
@@ -99,14 +108,14 @@ def test_integrate_1d_row_is_the_same_alone_and_in_any_batch(monkeypatch, chunk)
     # chunking changes a bit of it.
     f, a, b = _pib_like_rows(240)
     alone = [
-        integrate_1d(lambda rows, s: f(rows + i, s), a[i : i + 1], b[i : i + 1])[0]
+        integrate_1d(lambda rows, s: f(rows + i, s), a[i : i + 1], b[i : i + 1], 1e-10)[0]
         for i in range(240)
     ]
     monkeypatch.setattr(numerics, "_CHUNK_NODES", chunk)
-    batch = integrate_1d(f, a, b)
+    batch = integrate_1d(f, a, b, 1e-10)
     np.testing.assert_array_equal(batch, alone)
     odd = np.arange(1, 240, 2)
-    part = integrate_1d(lambda rows, s: f(odd[rows], s), a[odd], b[odd])
+    part = integrate_1d(lambda rows, s: f(odd[rows], s), a[odd], b[odd], 1e-10)
     np.testing.assert_array_equal(part, batch[odd])
 
 
@@ -119,7 +128,7 @@ def test_integrate_1d_chunks_bound_each_integrand_call(monkeypatch):
         return f(rows, s)
 
     monkeypatch.setattr(numerics, "_CHUNK_NODES", 1024)
-    integrate_1d(recorded, a, b)
+    integrate_1d(recorded, a, b, 1e-10)
     # Full chunks of 1024 (row, node) pairs at every order the rows reach.
     assert all(r * n <= 1024 for r, n in shapes)
     assert {(1024 // n, n) for n in (8, 16, 32, 64, 128)} <= set(shapes)
@@ -137,7 +146,7 @@ def test_integrate_1d_names_the_row_that_does_not_converge():
         return np.where((rows == 1)[:, None], singular, np.exp(-x))
 
     with pytest.raises(QuadratureError, match=r"on \[2\.0, 3\.0\]: last order 1024"):
-        integrate_1d(f, [0.0, 2.0, 5.0], [1.0, 3.0, 6.0])
+        integrate_1d(f, [0.0, 2.0, 5.0], [1.0, 3.0, 6.0], 1e-10)
     assert top[1] == 1024 and top[0] <= 32 and top[2] <= 32
 
 

@@ -152,11 +152,17 @@ def test_optimizer_options_validation():
         OptimizerOptions(max_sweeps=0)
 
 
-@pytest.mark.parametrize("field", ["mu_min", "mu_max", "rel_tol", "line_tol"])
+@pytest.mark.parametrize("field", ["mu_min", "mu_max", "rel_tol"])
 def test_optimizer_options_reject_non_finite(field):
     for bad in (math.nan, math.inf):
         with pytest.raises(ValueError, match=field):
             OptimizerOptions(**{field: bad})
+
+
+def test_optimizer_options_have_no_line_tol():
+    # The line-search width is the module constant _LINE_TOL, not an option.
+    with pytest.raises(TypeError, match="line_tol"):
+        OptimizerOptions(line_tol=1e-9)
 
 
 def test_optimizer_single_mode_matches_grid():
@@ -423,10 +429,9 @@ def test_class_slopes_match_mode_space_differences(matrix, seed):
 
 def test_class_space_rows_equal_their_problem_alone():
     # One-class, 10-class and 6-class problems (FB N = 1, FB N = 8, LG
-    # Q = 4) in one class space padded to 10 classes: every cross-talk,
-    # total, line value and line slope of a row is bit for bit that of its
-    # problem in a class space of its own, whatever the other rows and the
-    # padding.
+    # Q = 4) in one class space padded to 10 classes: every total, line
+    # value and line slope of a row is bit for bit that of its problem in a
+    # class space of its own, whatever the other rows and the padding.
     matrices = [
         fb_turb_matrix(1, square_channel(2e3, 1e-14)),
         fb_turb_matrix(8, square_channel(2e3, 1e-14)),
@@ -442,12 +447,9 @@ def test_class_space_rows_equal_their_problem_alone():
     x = 10.0 ** rng.uniform(-3.0, 0.0, (len(of), 2))
     batch = planner._class_space(problems)
     alone = [planner._class_space([p]) for p in problems]
-    row, _, cross = planner._modes(batch, of, v)
     totals = planner._totals(batch, of, v, params)
     for r, b in enumerate(of):
         own = v[r : r + 1, : len(problems[b][1])]
-        _, _, solo = planner._modes(alone[b], np.array([0]), own)
-        np.testing.assert_array_equal(cross[row == r], solo)
         assert totals[r] == planner._totals(alone[b], np.array([0]), own, params)[0]
     for k in range(10):
         rows = np.flatnonzero([len(problems[b][1]) > k for b in of])
@@ -462,6 +464,90 @@ def test_class_space_rows_equal_their_problem_alone():
             np.testing.assert_array_equal(values[at], solo_values[0])
             np.testing.assert_array_equal(slopes[at], solo_slopes[0])
             np.testing.assert_array_equal(f(np.array([i]), x[r : r + 1]), solo_values)
+
+
+def _mode_sum_totals(problem, of, v, params):
+    """Each row's total written out: every real mode of its problem in mode
+    order, its cross-talk added class by class in order, one
+    ``rate_per_pulse`` call and a per-row ``bincount``."""
+    offset, cls, eta, coupling = problem
+    row = np.concatenate([np.full(offset[b + 1] - offset[b], r) for r, b in enumerate(of)])
+    entry = np.concatenate([np.arange(offset[b], offset[b + 1]) for b in of])
+    cross = v[row, 0] * coupling[entry, 0]
+    for j in range(1, v.shape[1]):
+        cross = cross + v[row, j] * coupling[entry, j]
+    rates = rate_per_pulse(eta[entry], v[row, cls[entry]], cross, params)
+    return np.bincount(row, params.pulse_rate * rates, len(of))
+
+
+def test_totals_are_the_written_out_mode_sum():
+    # _totals is the line of the last class at its own value; bit for bit,
+    # that is the written-out sum, on one-class, 10-class and padded
+    # problems (FB N = 1, FB N = 8, LG Q = 4) alone and in one class space
+    # padded to 10 classes.
+    matrices = [
+        fb_turb_matrix(1, square_channel(2e3, 1e-14)),
+        fb_turb_matrix(8, square_channel(2e3, 1e-14)),
+        lg_turb_matrix(4, gauss_channel(2e3, 1e-14)),
+    ]
+    problems = [(m, orbit_classes(m.modes)) for m in matrices]
+    params = QkdSystemParams()
+    rng = np.random.default_rng(11)
+    of = np.array([0, 2, 1, 0, 2, 1])
+    v = 10.0 ** rng.uniform(-3.0, 0.0, (len(of), 10))
+    batch = planner._class_space(problems)
+    np.testing.assert_array_equal(
+        planner._totals(batch, of, v, params), _mode_sum_totals(batch, of, v, params)
+    )
+    for b, problem in enumerate(problems):
+        alone = planner._class_space([problem])
+        own = v[of == b, : len(problem[1])]
+        at = np.zeros(len(own), dtype=int)
+        np.testing.assert_array_equal(
+            planner._totals(alone, at, own, params), _mode_sum_totals(alone, at, own, params)
+        )
+
+
+@pytest.mark.parametrize("family", ["fb", "gaussian-pib"])
+def test_one_class_candidate_runs_four_starts(monkeypatch, caplog, family):
+    # A one-class candidate (FB N = 1, or the power-in-bucket fallback) runs
+    # all four starts.  Its best corner is its single-mode start, so the
+    # fourth start begins where the third does, takes the same steps and
+    # ends equal to it; ties go to the third.
+    if family == "fb":
+        candidate = planner._fb_candidates(square_channel(10e3, 1e-14), 1)[0]
+    else:
+        candidate = planner._lg_candidates(gauss_channel(10e3, 1e-14), 1)[-1]
+    assert candidate[0] == family and len(orbit_classes(candidate[2].modes)) == 1
+    bases, searches = [], []
+    line, line_max = planner._line, planner._line_max
+
+    def recorded_line(problem, of, base, k, params):
+        bases.append(base.copy())
+        return line(problem, of, base, k, params)
+
+    def recorded_line_max(f, lo, hi, tol):
+        searches.append(line_max(f, lo, hi, tol))
+        return searches[-1]
+
+    monkeypatch.setattr(planner, "_line", recorded_line)
+    monkeypatch.setattr(planner, "_line_max", recorded_line_max)
+    with caplog.at_level(logging.DEBUG, logger="fsoqkd.planner"):
+        (result,) = planner._optimize([candidate], QkdSystemParams(), None, [0])
+    assert result is not None
+    (message,) = [r.getMessage() for r in caplog.records if "sweeps per start" in r.getMessage()]
+    sweeps = [int(s) for s in re.search(r"sweeps per start \[([^]]*)\]", message)[1].split(",")]
+    assert len(sweeps) == 4 and sweeps[3] == sweeps[2] >= 1
+    assert "winning start 'best corner'" not in message
+    # _line calls: the corner totals, the four start totals, one line
+    # search per sweep, the reported total.  _line_max calls: the
+    # single-mode search, then one per sweep.  Starts 2 and 3 are the last
+    # two rows of every sweep they run in.
+    assert len(bases[1]) == 4
+    for base in bases[1 : 2 + sweeps[2]]:
+        np.testing.assert_array_equal(base[-1], base[-2])
+    for x, value in searches[1 : 1 + sweeps[2]]:
+        assert x[-1] == x[-2] and value[-1] == value[-2]
 
 
 @pytest.mark.parametrize("chunk", [2, 3, 5, 64])
