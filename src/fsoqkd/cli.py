@@ -24,7 +24,7 @@ points round-robin over one task ``(config, points)`` per worker
 (``_per_point``).  A ``transmissivity`` or ``validate`` task makes one
 array call per quantity on all its points; a ``rates`` task is one
 ``scan`` call on both families' links of its points, one lockstep
-ascent per family.  ``_link`` alone chooses a pupil by family.
+ascent for both families.  ``_link`` alone chooses a pupil by family.
 
 All real CSV cells use 12-significant-digit scientific notation with LF
 line endings, so identical configurations yield byte-identical files.
@@ -406,9 +406,10 @@ def cmd_rates(config: RunConfig, jobs: int = 1) -> Tuple[str, bool]:
 
     The (L, cn2) points are dealt round-robin over min(jobs, points)
     tasks.  A task is one :func:`scan` call on both families' links of its
-    points, so each family's ascent spans path lengths, and dealing
-    spreads near- and far-field points evenly over the workers.  The CSV
-    lists rows by path length, then cn2, then family.
+    points, so its one ascent spans both families and all its path
+    lengths, and dealing spreads near- and far-field points evenly over
+    the workers.  The CSV lists rows by path length, then cn2, then
+    family.
     """
     points = [
         (path_length, cn2)

@@ -23,13 +23,15 @@ fallback, the last LG candidate, wins only when better by more than
 ``_TIE_REL_TOL`` relative.  The ascent drops a configuration as soon as
 its closed-form rate bound (:func:`fsoqkd.qkd.rate_bound`, free of
 cross-talk) is below the best total its link has reached, a cut that
-changes no winner.  :func:`scan` runs each family's links in one such
-ascent.  Only :func:`_kernel` names the rate kernels, so no kernel call
-exceeds ``_KERNEL_CHUNK`` elements, however large the ascent.
+changes no winner.  :func:`scan` runs all its links, of both families, in
+one such ascent.  Only :func:`_kernel` names the rate kernels, and it and
+:func:`_totals` work on row slices of at most ``_KERNEL_CHUNK`` elements,
+however large the ascent.
 """
 
 from __future__ import annotations
 
+import bisect
 import logging
 import math
 from dataclasses import dataclass
@@ -45,7 +47,7 @@ from .channel import (
 )
 from .qkd import QkdSystemParams, rate_and_slopes, rate_bound, rate_per_pulse
 from .turbulence import fb_turb_matrix, gaussian_pib_turb, lg_turb_matrix
-from .vacuum import CouplingMatrix, FBPixel, LGMode, ModeId, lg_vacuum_capacity
+from .vacuum import CouplingMatrix, ModeId, lg_vacuum_capacity, orbit_classes
 # Unused here; the benchmark tracer wraps fsoqkd.planner.<name> by name.
 from .vacuum import fb_vacuum_matrix, lg_vacuum_matrix  # noqa: F401
 
@@ -153,34 +155,6 @@ class ScanRow:
 
 
 # --------------------------------------------------------------------------
-# Symmetry classes
-# --------------------------------------------------------------------------
-
-
-def orbit_classes(modes: Sequence[ModeId]) -> Tuple[Tuple[int, ...], ...]:
-    """Partition modes into classes sharing one power level.
-
-    FB pixels are grouped by the dihedral symmetry of the square grid
-    (corner, edge, interior, ... classes), keyed by the sorted pair of
-    their distances to the nearest grid edge in each axis; LG modes by
-    (order, |l|).  The coupling matrices are exactly invariant under these
-    groups, so an optimal allocation may be sought within the constrained
-    set.  Classes are listed by their first mode.
-    """
-    classes: Dict[object, List[int]] = {}
-    for i, mode in enumerate(modes):
-        if isinstance(mode, FBPixel):
-            edge = (min(mode.n - 1, mode.grid - mode.n), min(mode.m - 1, mode.grid - mode.m))
-            key: object = ("fb", min(edge), max(edge))
-        elif isinstance(mode, LGMode):
-            key = ("lg", mode.order, abs(mode.l))
-        else:
-            raise TypeError(f"no symmetry class defined for {mode!r}")
-        classes.setdefault(key, []).append(i)
-    return tuple(tuple(v) for v in classes.values())
-
-
-# --------------------------------------------------------------------------
 # Rates of an allocation
 # --------------------------------------------------------------------------
 
@@ -209,9 +183,9 @@ def _class_space(
         off = matrix.eta.copy()
         np.fill_diagonal(off, 0.0)
         eta[own] = np.diag(matrix.eta)
-        for j, orbit in enumerate(orbits):
-            coupling[own, j] = off[list(orbit)].sum(axis=0)
-            cls[own][list(orbit)] = j
+        cls[own][np.concatenate(orbits)] = np.repeat(np.arange(len(orbits)), list(map(len, orbits)))
+        # Row i' of off adds into its class's column in mode order, as a sum would.
+        np.add.at(coupling[own].T, cls[own], off)
     return offset, cls, eta, coupling
 
 
@@ -304,9 +278,18 @@ def _totals(
     """Total key rates, bits/s, of the class values ``v`` (R, K), row r on
     problem ``of[r]``: every start, corner and reported total.  Each is the
     line of the last class through ``v`` at its own value, whose cross-talk
-    still adds the classes in order, the last class's term last."""
-    k = v.shape[1] - 1
-    return _line(problem, of, v, k, params)(np.arange(len(of)), v[:, k:])[:, 0]
+    still adds the classes in order, the last class's term last, laid out
+    on consecutive row slices of at most ``_KERNEL_CHUNK`` elements (a
+    row's sum is its own).  ``bisect`` finds each slice's end, since
+    ``np.searchsorted`` would page in numpy code no other step uses."""
+    k, a, parts = v.shape[1] - 1, 0, []
+    ends = np.cumsum(np.append(0, np.diff(problem[0])[of]))
+    while a < len(of):
+        b = max(a + 1, bisect.bisect_right(ends, ends[a] + _KERNEL_CHUNK) - 1)
+        f = _line(problem, of[a:b], v[a:b], k, params)
+        parts.append(f(np.arange(b - a), v[a:b, k:])[:, 0])
+        a = b
+    return np.concatenate(parts)
 
 
 def total_rate(
@@ -460,7 +443,13 @@ def _optimize(
     results do not change.
     """
     opts = opts or OptimizerOptions()
-    orbits = [orbit_classes(matrix.modes) for _, _, matrix in candidates]
+    # One classification per distinct mode tuple, keyed by identity: hashing
+    # a long tuple costs about as much as classifying it.
+    memo: Dict[int, Tuple[Tuple[int, ...], ...]] = {}
+    orbits = [
+        memo.get(id(m.modes)) or memo.setdefault(id(m.modes), orbit_classes(m.modes))
+        for _, _, m in candidates
+    ]
     problem = _class_space([(matrix, orb) for (_, _, matrix), orb in zip(candidates, orbits)])
     counts = np.array([len(orb) for orb in orbits])
     n_cand, n_cls = len(candidates), counts.max()
@@ -675,26 +664,27 @@ def _envelopes(
     return winners
 
 
-def _fb_candidates(ch: DerivedChannel, n_max: int) -> List[_Candidate]:
-    """The focused-beam grids N = 1..n_max of one link."""
-    if n_max < 1:
-        raise ValueError(f"n_max must be >= 1, got {n_max}")
-    return [("fb", n_grid, fb_turb_matrix(n_grid, ch)) for n_grid in range(1, n_max + 1)]
-
-
-def _lg_candidates(ch: DerivedChannel, q_max: int) -> List[_Candidate]:
-    """The LG order caps Q = 1..q_max of one link, then its single-beam
-    power-in-bucket fallback."""
-    if q_max < 1:
-        raise ValueError(f"q_max must be >= 1, got {q_max}")
-    full = lg_turb_matrix(q_max, ch)
-    candidates: List[_Candidate] = []
-    for q in range(1, q_max + 1):
-        k = q * (q + 1) // 2
-        candidates.append(("lg", q, CouplingMatrix(modes=full.modes[:k], eta=full.eta[:k, :k])))
-    pib = np.array([[gaussian_pib_turb(ch)]])
-    candidates.append(("gaussian-pib", None, CouplingMatrix(modes=(LGMode(p=0, l=0),), eta=pib)))
-    return candidates
+def _candidates(chans: Sequence[DerivedChannel], flat: bool, size: int) -> List[List[_Candidate]]:
+    """Each link's candidates from one builder call per configuration on
+    all the links: with ``flat`` the focused-beam grids N = 1..size, else
+    the LG order caps Q = 1..size, then the single-beam power-in-bucket
+    fallback.  The links' candidates of one configuration share one mode
+    tuple (the fallback's is Q = 1's)."""
+    if size < 1:
+        raise ValueError(f"{'n_max' if flat else 'q_max'} must be >= 1, got {size}")
+    if flat:
+        grids = zip(*(fb_turb_matrix(n_grid, chans) for n_grid in range(1, size + 1)))
+        return [[("fb", n, m) for n, m in enumerate(own, 1)] for own in grids]
+    fulls = lg_turb_matrix(size, chans)
+    prefixes = [fulls[0].modes[: q * (q + 1) // 2] for q in range(1, size + 1)]
+    return [
+        [
+            ("lg", q, CouplingMatrix(modes=m, eta=full.eta[: len(m), : len(m)]))
+            for q, m in enumerate(prefixes, 1)
+        ]
+        + [("gaussian-pib", None, CouplingMatrix(modes=prefixes[0], eta=np.array([[pib]])))]
+        for full, pib in zip(fulls, map(gaussian_pib_turb, chans))
+    ]
 
 
 def fb_envelope(
@@ -704,7 +694,7 @@ def fb_envelope(
     opts: Optional[OptimizerOptions] = None,
 ) -> RatePoint:
     """Best focused-beam operating point over grid sizes N = 1..n_max."""
-    return RatePoint(*_envelopes([_fb_candidates(ch, n_max)], params, opts)[0])
+    return RatePoint(*_envelopes(_candidates([ch], True, n_max), params, opts)[0])
 
 
 def lg_envelope(
@@ -716,7 +706,7 @@ def lg_envelope(
     """Best LG operating point: mode-sorted order caps Q <= q_max, or the
     single-beam power-in-bucket fallback when mode sorting only adds
     cross-talk (deep far field under strong turbulence)."""
-    return RatePoint(*_envelopes([_lg_candidates(ch, q_max)], params, opts)[0])
+    return RatePoint(*_envelopes(_candidates([ch], False, q_max), params, opts)[0])
 
 
 # --------------------------------------------------------------------------
@@ -742,24 +732,21 @@ def scan(
     binding one at every cn2.  It depends on the channel only through the
     Fresnel product, so the link's own channel serves at any cn2.
 
-    The links of one family are optimized in one lockstep ascent, in link
-    order, whatever their path lengths; the rate kernel runs in chunks of
-    ``_KERNEL_CHUNK`` elements however many links it carries.  Every total
-    and line search of a link evaluates its own modes only, each
-    class-space sum runs in a fixed order, and each link prunes its
-    configurations against its own best, so each row is bit for bit the
-    row of a one-link scan.  A link's rate and
-    bound are computed independently, and a failure of either (a
-    :class:`RuntimeError` such as a :class:`QuadratureError`, or a
-    :class:`ValueError`, in its matrix builds, its bound or its
-    :class:`RatePoint`) leaves that field None and is named in its
-    ``error``; the other links are untouched.  Any other exception
-    propagates.
+    All links, of both families, are optimized in one lockstep ascent,
+    each link its own group, after one builder call per configuration
+    has built that family's matrices for all its links.  The builders,
+    the totals and line searches, the class-space sums and the pruning
+    give each link the bits it has alone, so each row is bit for bit the
+    row of a one-link scan.  A link's rate and bound are computed
+    independently.  A failure of either (a :class:`RuntimeError` such as a
+    :class:`QuadratureError`, or a :class:`ValueError`, in its matrix
+    builds, its bound or its :class:`RatePoint`) leaves that field None
+    and is named in its ``error``; when a batched build fails, its family
+    is rebuilt one link at a time, so the other links are untouched.  Any
+    other exception propagates.
     """
-    links = list(links)
-    points: List[Optional[RatePoint]] = [None] * len(links)
-    capacity: List[Optional[float]] = [None] * len(links)
-    errors: List[List[str]] = [[] for _ in links]
+    chans = [derive(link) for link in links]
+    errors: List[List[str]] = [[] for _ in chans]
 
     def attempt(i: int, compute: Callable[[], object]):
         try:
@@ -768,22 +755,22 @@ def scan(
             errors[i].append(f"{type(exc).__name__}: {exc}")
             return None
 
-    families: Dict[str, List[Tuple[int, List[_Candidate]]]] = {"fb": [], "lg": []}
-    for i, link in enumerate(links):
-        ch = derive(link)
-        if isinstance(link.pupil, HardSquare):
-            family, candidates = "fb", attempt(i, lambda: _fb_candidates(ch, n_max))
-        else:
-            capacity[i] = attempt(i, lambda: lg_vacuum_capacity(ch, params.pulse_rate))
-            family, candidates = "lg", attempt(i, lambda: _lg_candidates(ch, q_max))
-        if candidates is not None:
-            families[family].append((i, candidates))
-    for members in families.values():
-        if members:
-            winners = _envelopes([candidates for _, candidates in members], params, opts)
-            for (i, _), winner in zip(members, winners):
-                points[i] = attempt(i, lambda: RatePoint(*winner))
+    flat = [isinstance(ch.pupil, HardSquare) for ch in chans]
+    capacity = [
+        None if f else attempt(i, lambda: lg_vacuum_capacity(chans[i], params.pulse_rate))
+        for i, f in enumerate(flat)
+    ]
+    groups: Dict[int, List[_Candidate]] = {}
+    for family, size in ((True, n_max), (False, q_max)):
+        members = [i for i, f in enumerate(flat) if f is family]
+        try:
+            built = _candidates([chans[i] for i in members], family, size) if members else []
+        except (RuntimeError, ValueError):
+            built = [attempt(i, lambda: _candidates([chans[i]], family, size)[0]) for i in members]
+        groups.update((i, c) for i, c in zip(members, built) if c is not None)
+    winners = _envelopes(list(groups.values()), params, opts) if groups else []
+    points = {i: attempt(i, lambda: RatePoint(*winner)) for i, winner in zip(groups, winners)}
     return [
-        ScanRow(point=point, capacity_bps=bound, error="; ".join(errs) or None)
-        for point, bound, errs in zip(points, capacity, errors)
+        ScanRow(point=points.get(i), capacity_bps=capacity[i], error="; ".join(errs) or None)
+        for i, errs in enumerate(errors)
     ]

@@ -51,7 +51,7 @@ from __future__ import annotations
 
 import enum
 import math
-from typing import Sequence, Tuple, Union
+from typing import List, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -215,35 +215,51 @@ def _pib_53_terms(ch: DerivedChannel) -> Tuple[float, float, float, float]:
 # --------------------------------------------------------------------------
 
 
-def _gaussian_hermite_tensor(q: np.ndarray, shape: Tuple[int, ...], m0: complex) -> np.ndarray:
-    """Coefficients M[k] of m0 * exp(t.Q t / 2) = sum_k M[k] t^k / sqrt(k!).
+def _gaussian_hermite_tensor(q: np.ndarray, shape: Tuple[int, ...], m0: np.ndarray) -> np.ndarray:
+    """Coefficients M[p, k] of m0[p] exp(t.Q[p] t / 2) = sum_k M[p, k] t^k / sqrt(k!)
+    for each of the P rows of ``q`` (P, D, D) and ``m0`` (P,).
 
     Fills the slabs of the leading index with the recurrence
 
         sqrt(k_0) M[k] = sum_j Q_0j sqrt(k_j - delta_0j) M[k - e_0 - e_j],
 
     starting from the k_0 = 0 slab, which is the same problem over the
-    remaining indices.
+    remaining indices.  Every operation is elementwise along p.
     """
     if not shape:
         return np.asarray(m0, dtype=complex)
-    out = np.zeros(shape, dtype=complex)
-    out[0] = _gaussian_hermite_tensor(q[1:, 1:], shape[1:], m0)
+    out = np.zeros((len(m0),) + shape, dtype=complex)
+    out[:, 0] = _gaussian_hermite_tensor(q[:, 1:, 1:], shape[1:], m0)
+    # A Q entry per row p, broadcast over a slab's axes.
+    lift = (slice(None),) + (None,) * (len(shape) - 1)
     for k in range(1, shape[0]):
-        acc = np.zeros(shape[1:], dtype=complex)
+        acc = np.zeros((len(m0),) + shape[1:], dtype=complex)
         if k >= 2:
-            acc += q[0, 0] * math.sqrt(k - 1) * out[k - 2]
+            acc += (q[:, 0, 0] * math.sqrt(k - 1))[lift] * out[:, k - 2]
         # Term j shifts the previous slab up by one along index j.
         for j, n in enumerate(shape[1:]):
-            lead = (slice(None),) * j
+            lead = (slice(None),) * (j + 1)
             root = np.sqrt(np.arange(1, n)).reshape((-1,) + (1,) * (len(shape) - 2 - j))
-            shifted = out[k - 1][lead + (slice(None, -1),)]
-            acc[lead + (slice(1, None),)] += q[0, j + 1] * root * shifted
-        out[k] = acc / math.sqrt(k)
+            shifted = out[:, k - 1][lead + (slice(None, -1),)]
+            acc[lead + (slice(1, None),)] += q[:, 0, j + 1][lift] * root * shifted
+        out[:, k] = acc / math.sqrt(k)
     return out
 
 
-def hg_second_moments(ch: DerivedChannel, shape: Tuple[int, int, int, int]) -> np.ndarray:
+def _moment_terms(ch: DerivedChannel) -> Tuple[float, float, float, float, float]:
+    """(2 alpha sigma^2, sigma^2 / rho_0^2, k sigma^2 / L, 4 pi sigma^2, lam L)
+    of one channel for :func:`hg_second_moments`."""
+    sigma2 = lg_mode_scale(ch) ** 2
+    alpha = 1.0 / ch.pupil.radius ** 2 + 1.0 / (2.0 * sigma2)
+    # Vacuum's infinite coherence length gives turb = 0.0 exactly.
+    turb = sigma2 / ch.coherence_length ** 2
+    phase = ch.wave_number * sigma2 / ch.path_length
+    return 2.0 * alpha * sigma2, turb, phase, 4.0 * math.pi * sigma2, ch.wavelength * ch.path_length
+
+
+def hg_second_moments(
+    ch: Union[DerivedChannel, Sequence[DerivedChannel]], shape: Tuple[int, int, int, int]
+) -> np.ndarray:
     """Per-axis HG second moments M[a, b, c, d] for all indices below ``shape``.
 
     M[a, b, c, d] = M(a_in, b_in; a_out, b_out) is the four-point average
@@ -253,42 +269,47 @@ def hg_second_moments(ch: DerivedChannel, shape: Tuple[int, int, int, int]) -> n
     singular values |s_n| = base^{(2n+1)/4}.  The tensor is evaluated in
     closed form (module docstring); odd total orders are exactly zero and
     M[a, b, c, d] == conj(M[b, a, d, c]) holds exactly.
+
+    A sequence of channels gives a (P, *shape) array from one recurrence,
+    each entry the same bit for bit as its channel alone.
     """
     if len(shape) != 4 or min(shape) < 1:
         raise ValueError(f"moment shape must be four sizes >= 1, got {shape!r}")
-    sigma2 = lg_mode_scale(ch) ** 2
-    alpha = 1.0 / ch.pupil.radius ** 2 + 1.0 / (2.0 * sigma2)
-    # Vacuum's infinite coherence length gives turb = 0.0 exactly.
-    turb = sigma2 / ch.coherence_length ** 2
+    chans = [ch] if isinstance(ch, DerivedChannel) else list(ch)
+    diag, turb, phase, numer, denom = np.array([_moment_terms(c) for c in chans]).T
+    lift = (slice(None), None, None)
     w_in = np.array([1.0, -1.0, 0.0, 0.0])
     w_out = np.array([0.0, 0.0, 1.0, -1.0])
-    p = (2.0 * alpha * sigma2) * np.eye(4, dtype=complex) + turb * (
+    p = diag[lift] * np.eye(4, dtype=complex) + turb[lift] * (
         np.outer(w_in, w_in)
         + np.outer(w_out, w_out)
         + 0.5 * (np.outer(w_in, w_out) + np.outer(w_out, w_in))
     )
-    phase = ch.wave_number * sigma2 / ch.path_length
-    p[[0, 2], [2, 0]] += 1j * phase
-    p[[1, 3], [3, 1]] -= 1j * phase
+    p[:, [0, 2], [2, 0]] += 1j * phase[:, None]
+    p[:, [1, 3], [3, 1]] -= 1j * phase[:, None]
     q = 2.0 * np.linalg.inv(p) - np.eye(4)
     # Every eigenvalue of P has a positive real part, so the product of
     # principal roots is the branch the Gaussian integral takes.
-    sqrt_det = np.prod(np.sqrt(np.linalg.eigvals(p)))
-    m0 = 4.0 * math.pi * sigma2 / (ch.wavelength * ch.path_length * sqrt_det)
+    sqrt_det = np.prod(np.sqrt(np.linalg.eigvals(p)), axis=-1)
+    m0 = numer / (denom * sqrt_det)
     # The symmetrization below swaps a <-> b and c <-> d, so fill a tensor
     # with equal sizes within each plane and slice it afterwards.
     n_in, n_out = max(shape[:2]), max(shape[2:])
     mom = _gaussian_hermite_tensor(q, (n_in, n_in, n_out, n_out), m0)
     # Conjugation symmetry M[a, b, c, d] = conj(M[b, a, d, c]), exact by construction.
-    mom = 0.5 * (mom + mom.transpose(1, 0, 3, 2).conj())
-    return mom[: shape[0], : shape[1], : shape[2], : shape[3]]
+    mom += mom.transpose(0, 2, 1, 4, 3).conj()
+    mom *= 0.5
+    mom = mom[:, : shape[0], : shape[1], : shape[2], : shape[3]]
+    return mom[0] if isinstance(ch, DerivedChannel) else mom
 
 
 # Largest imaginary residue an assembled LG coupling entry may carry.
 _IMAG_TOL = 1e-8
 
 
-def lg_turb_matrix(q_max: int, ch: DerivedChannel) -> CouplingMatrix:
+def lg_turb_matrix(
+    q_max: int, ch: Union[DerivedChannel, Sequence[DerivedChannel]]
+) -> Union[CouplingMatrix, List[CouplingMatrix]]:
     """Average power coupling matrix of all LG modes with order <= q_max.
 
     Each LG mode is expanded over same-order HG modes with the basis
@@ -302,12 +323,16 @@ def lg_turb_matrix(q_max: int, ch: DerivedChannel) -> CouplingMatrix:
     modes.  Entries are clamped to [0, 1]; imaginary residues beyond
     ``_IMAG_TOL`` raise :class:`QuadratureError`.  At cn2 = 0 it is the
     vacuum matrix to ~1e-14 relative (off-diagonal entries ~1e-16).
+
+    A sequence of channels gives a list of matrices over one shared mode
+    tuple, from one moment recurrence and one block assembly, each the
+    same bit for bit as its channel alone.
     """
     if q_max < 1:
         raise ValueError(f"q_max must be >= 1, got {q_max}")
     modes = lg_modes_up_to(q_max)
     span = range(q_max)
-    mom = hg_second_moments(ch, (q_max,) * 4)
+    mom = hg_second_moments([ch] if isinstance(ch, DerivedChannel) else ch, (q_max,) * 4)
     rows = [slice(n * (n + 1) // 2, (n + 1) * (n + 2) // 2) for n in span]
     # Row i of pair[n] is U_a U_b* of LG mode i of order n over the pair
     # index ab, so a block is pair[N] @ K[ab, cd] @ pair[N'].conj().T.
@@ -315,26 +340,28 @@ def lg_turb_matrix(q_max: int, ch: DerivedChannel) -> CouplingMatrix:
     for n in span:
         u = lg_hg_unitary(n)
         pair.append((u[:, :, None] * u.conj()[:, None, :]).reshape(n + 1, -1))
+    back = [p.conj().T for p in pair]
 
-    eta = np.zeros((len(modes), len(modes)))
-    worst_imag = 0.0
+    eta = np.zeros((len(mom), len(modes), len(modes)), dtype=complex)
     for n_in in span:
         for n_out in span:
-            # K[a, b, c, d] = M(a, b; c, d) M(N-a, N-b; N'-c, N'-d).
+            # K[a, b, c, d] = M(a, b; c, d) M(N-a, N-b; N'-c, N'-d), one
+            # block's K alive at a time.
             k_tensor = (
-                mom[: n_in + 1, : n_in + 1, : n_out + 1, : n_out + 1]
-                * mom[n_in::-1, n_in::-1, n_out::-1, n_out::-1]
+                mom[:, : n_in + 1, : n_in + 1, : n_out + 1, : n_out + 1]
+                * mom[:, n_in::-1, n_in::-1, n_out::-1, n_out::-1]
             )
-            k_matrix = k_tensor.reshape((n_in + 1) ** 2, (n_out + 1) ** 2)
-            block = pair[n_in] @ k_matrix @ pair[n_out].conj().T
-            worst_imag = max(worst_imag, float(np.max(np.abs(block.imag))))
-            eta[rows[n_in], rows[n_out]] = block.real
+            k_matrix = k_tensor.reshape(len(mom), (n_in + 1) ** 2, (n_out + 1) ** 2)
+            eta[:, rows[n_in], rows[n_out]] = pair[n_in] @ k_matrix @ back[n_out]
+            del k_tensor, k_matrix
 
+    worst_imag = float(np.max(np.abs(eta.imag)))
     if worst_imag > _IMAG_TOL:
         raise QuadratureError(
             f"LG coupling entries retain imaginary residue {worst_imag:.3e}"
         )
-    return CouplingMatrix(modes=modes, eta=eta)
+    matrices = [CouplingMatrix(modes=modes, eta=e) for e in eta.real]
+    return matrices[0] if isinstance(ch, DerivedChannel) else matrices
 
 
 # --------------------------------------------------------------------------
@@ -358,7 +385,11 @@ def fb_turb_eta(
     return float(eta) if isinstance(ch, DerivedChannel) else eta
 
 
-def fb_turb_matrix(n_grid: int, ch: DerivedChannel) -> CouplingMatrix:
+def fb_turb_matrix(
+    n_grid: int, ch: Union[DerivedChannel, Sequence[DerivedChannel]]
+) -> Union[CouplingMatrix, List[CouplingMatrix]]:
     """Average coupling matrix over the N x N focused-beam set from its
-    :func:`fb_axis` factors; at cn2 = 0 it is ``fb_vacuum_matrix``."""
+    :func:`fb_axis` factors; at cn2 = 0 it is ``fb_vacuum_matrix``.  A
+    sequence of channels gives a list of matrices over one shared pixel
+    tuple from one :func:`fb_axis` call."""
     return fb_coupling_matrix(fb_axis(n_grid, ch))

@@ -10,13 +10,16 @@ Two families of spatial modes are modeled over the same pupil pair:
   coupling factorizes into per-axis integrals of the pixel-index
   differences, so matrices are Toeplitz in each axis.  :func:`fb_axis` is
   that integral at every cn2; the turbulent FB builders call it too.
+
+:func:`orbit_classes` partitions either set into the symmetry classes
+under which its coupling matrices are invariant.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence, Tuple, Union
+from typing import Dict, Iterable, List, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -29,6 +32,7 @@ __all__ = [
     "ModeId",
     "CouplingMatrix",
     "mode_label",
+    "orbit_classes",
     "lg_vacuum_eta",
     "lg_modes_up_to",
     "lg_mode_scale",
@@ -85,6 +89,29 @@ def mode_label(mode: ModeId) -> str:
     if isinstance(mode, FBPixel):
         return f"fb(n={mode.n},m={mode.m};N={mode.grid})"
     raise TypeError(f"not a mode id: {mode!r}")
+
+
+def orbit_classes(modes: Sequence[ModeId]) -> Tuple[Tuple[int, ...], ...]:
+    """Partition modes into classes sharing one power level.
+
+    FB pixels are grouped by the dihedral symmetry of the square grid
+    (corner, edge, interior, ... classes), keyed by the sorted pair of
+    their distances to the nearest grid edge in each axis; LG modes by
+    (order, |l|).  The coupling matrices are exactly invariant under these
+    groups, so an optimal allocation may be sought within the constrained
+    set.  Classes are listed by their first mode.
+    """
+    classes: Dict[object, List[int]] = {}
+    for i, mode in enumerate(modes):
+        if isinstance(mode, FBPixel):
+            edge = (min(mode.n - 1, mode.grid - mode.n), min(mode.m - 1, mode.grid - mode.m))
+            key: object = ("fb", min(edge), max(edge))
+        elif isinstance(mode, LGMode):
+            key = ("lg", mode.order, abs(mode.l))
+        else:
+            raise TypeError(f"no symmetry class defined for {mode!r}")
+        classes.setdefault(key, []).append(i)
+    return tuple(tuple(v) for v in classes.values())
 
 
 @dataclass(frozen=True)
@@ -225,17 +252,23 @@ def fb_pixel_grid(n_grid: int) -> Tuple[FBPixel, ...]:
     )
 
 
-def fb_coupling_matrix(axis: np.ndarray) -> CouplingMatrix:
+def fb_coupling_matrix(axis: np.ndarray) -> Union[CouplingMatrix, List[CouplingMatrix]]:
     """Coupling matrix of the N x N focused-beam set from its per-axis factors.
 
     ``axis[d]`` is the per-axis coupling for pixel-index difference d = 0..N-1.
     The 2-D coupling is the product of the x and y factors, so over the
     row-major pixel list the matrix is the Kronecker square of the
-    symmetric Toeplitz matrix T[i, j] = axis[|i - j|].
+    symmetric Toeplitz matrix T[i, j] = axis[|i - j|].  A (P, N) array of
+    factors gives a list of P matrices over one shared pixel tuple.
     """
-    idx = np.arange(len(axis))
-    toeplitz = axis[np.abs(idx[:, None] - idx[None, :])]
-    return CouplingMatrix(modes=fb_pixel_grid(len(axis)), eta=np.kron(toeplitz, toeplitz))
+    rows = np.atleast_2d(axis)
+    idx = np.arange(rows.shape[1])
+    modes = fb_pixel_grid(len(idx))
+    matrices = [
+        CouplingMatrix(modes=modes, eta=np.kron(toeplitz, toeplitz))
+        for toeplitz in rows[:, np.abs(idx[:, None] - idx[None, :])]
+    ]
+    return matrices[0] if np.ndim(axis) == 1 else matrices
 
 
 def fb_axis(

@@ -507,18 +507,19 @@ def test_cmd_rates_deals_points_round_robin(monkeypatch):
 
 def test_cmd_rates_work_budget(kernel_work):
     # Deterministic work of one worker on 3 lengths x 2 cn2 at n_max = 4,
-    # q_max = 1: one batch per family (2 ascents, against 6 with a task
-    # per path length), whose line-search probes evaluate only the real
-    # modes of the rows still searching.  Measured: 254 kernel calls on
-    # 57,980 elements; the budgets allow 10% more.
+    # q_max = 1: one ascent for both families (against 2 with an ascent
+    # per family, and 6 with a task per path length), whose line-search
+    # probes evaluate only the real modes of the rows still searching.
+    # Measured: 212 kernel calls on 57,356 elements; the budgets allow 10%
+    # more.
     cfg = small_config(
         path_lengths=(1e3, 3e3, 10e3), cn2_values=(0.0, 1e-14), n_max=4, q_max=1
     )
     text, clean = cmd_rates(cfg, jobs=1)
     assert clean and len(text.splitlines()) == 1 + 3 * 2 * 2
-    assert kernel_work.optimize == 2
-    assert len(kernel_work.calls) <= 1.1 * 254
-    assert kernel_work.elements <= 1.1 * 57_980
+    assert kernel_work.optimize == 1
+    assert len(kernel_work.calls) <= 1.1 * 212
+    assert kernel_work.elements <= 1.1 * 57_356
 
 
 SINGLE_BEAM = (cmd_transmissivity, cmd_validate)
@@ -705,6 +706,35 @@ def test_cli_run_loads_no_numpy_polynomial(tmp_path):
     )
     assert out.stdout.strip() == "0 []"
     assert (tmp_path / "transmissivity.csv").read_text().startswith("L_m,cn2,eta_fb,eta_gauss")
+
+
+@pytest.mark.parametrize("command", ["rates", "validate", "transmissivity"])
+def test_cli_run_imports_no_new_module(tmp_path, command):
+    # A run imports nothing that `import fsoqkd.cli` and a first read of
+    # its config (which loads the utf-8-sig codec) did not, bar argparse's
+    # lazy locale: a lazy import inside numpy (numpy.ma behind np.unique,
+    # for one) costs milliseconds of every CLI run.  The rates grid holds a
+    # 30 m flat-top link that fails at N = 5, so the failure path runs too.
+    root = Path(cli.__file__).resolve().parent.parent.parent
+    ini = root / "tests" / "data" / "single-beam.ini"
+    if command == "rates":
+        ini = tmp_path / "rates.ini"
+        ini.write_text(
+            "[channel]\npath_lengths = 30 m, 10 km\n[turbulence]\ncn2_values = 0, 1e-14\n"
+            "[planner]\nn_max = 5\nq_max = 3\n"
+        )
+    code = (
+        "import sys, fsoqkd.cli; fsoqkd.cli.load_config(sys.argv[4]); "
+        "before = set(sys.modules); status = fsoqkd.cli.main(sys.argv[1:]); "
+        "print(status, sorted(set(sys.modules) - before - {'locale', '_locale'}))"
+    )
+    argv = ["--jobs", "1", "--config", str(ini), "--out", str(tmp_path / "out.csv"), command]
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    out = subprocess.run(
+        [sys.executable, "-c", code, *argv], env=env, capture_output=True, text=True, check=True
+    )
+    status = {"rates": 1, "validate": 1, "transmissivity": 0}[command]
+    assert out.stdout.strip() == f"{status} []"
 
 
 def test_cmd_validate_small_grid():

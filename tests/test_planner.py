@@ -11,6 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import fsoqkd.planner as planner
+from fsoqkd.numerics import QuadratureError
 from fsoqkd.planner import (
     OptimizerOptions,
     PowerAllocation,
@@ -29,6 +30,7 @@ from fsoqkd.vacuum import (
     CouplingMatrix,
     FBPixel,
     LGMode,
+    fb_axis,
     fb_pixel_grid,
     fb_vacuum_matrix,
     lg_modes_up_to,
@@ -515,9 +517,9 @@ def test_one_class_candidate_runs_four_starts(monkeypatch, caplog, family):
     # fourth start begins where the third does, takes the same steps and
     # ends equal to it; ties go to the third.
     if family == "fb":
-        candidate = planner._fb_candidates(square_channel(10e3, 1e-14), 1)[0]
+        candidate = planner._candidates([square_channel(10e3, 1e-14)], True, 1)[0][0]
     else:
-        candidate = planner._lg_candidates(gauss_channel(10e3, 1e-14), 1)[-1]
+        candidate = planner._candidates([gauss_channel(10e3, 1e-14)], False, 1)[0][-1]
     assert candidate[0] == family and len(orbit_classes(candidate[2].modes)) == 1
     bases, searches = [], []
     line, line_max = planner._line, planner._line_max
@@ -1109,10 +1111,10 @@ def test_scan_batch_rows_equal_one_link_scans(monkeypatch):
     ]
     real = planner.fb_turb_matrix
 
-    def flaky(n_grid, ch):
-        if ch.config.path_length == 3e3 and n_grid == 3:
+    def flaky(n_grid, chans):
+        if n_grid == 3 and any(ch.config.path_length == 3e3 for ch in chans):
             raise RuntimeError("boom")
-        return real(n_grid, ch)
+        return real(n_grid, chans)
 
     monkeypatch.setattr(planner, "fb_turb_matrix", flaky)
     rows = scan(links, params, n_max=4, q_max=4)
@@ -1124,18 +1126,46 @@ def test_scan_batch_rows_equal_one_link_scans(monkeypatch):
         if i != 4:
             assert row.error is None and row.point.total_rate_bps > 0.0
 
+    # A real failure: at 30 m the flat-top axis at N = 5..8 does not
+    # converge, and that link alone fails, with its own error.
+    monkeypatch.setattr(planner, "fb_turb_matrix", real)
+    with pytest.raises(QuadratureError) as err:
+        fb_axis(8, square_channel(30.0, 1e-14))
+    links = [links[0], square_channel(30.0, 1e-14).config, links[1], links[2]]
+    rows = scan(links, params, n_max=8, q_max=2)
+    assert rows[1].point is None and rows[1].error == f"QuadratureError: {err.value}"
+    for i, (link, row) in enumerate(zip(links, rows)):
+        (solo,) = scan([link], params, n_max=8, q_max=2)
+        _same_row(row, solo)
+        if i != 1:
+            assert row.error is None and row.point.total_rate_bps > 0.0
 
-def test_scan_runs_one_ascent_per_family(kernel_work):
-    # Six flat-top links at n_max = 8, vacuum and turbulent, 1 to 40 km,
-    # share one lockstep ascent, and each row keeps the bits of its own
-    # one-link scan.
+
+def test_scan_runs_one_ascent_for_both_families(kernel_work, monkeypatch):
+    # Flat-top and LG links, vacuum and turbulent, 1 to 40 km, at n_max =
+    # q_max = 8 share one lockstep ascent, and each row keeps the bits of
+    # its own one-link scan.  The links of one configuration share one mode
+    # list, classified once: N = 1..8 and Q = 1..8, the fallback sharing
+    # Q = 1's.
     params = QkdSystemParams()
     links = [
-        square_channel(L, cn2).config
-        for L, cn2 in ((1e3, 0.0), (2e3, 1e-14), (5e3, 1e-15), (10e3, 0.0), (20e3, 1e-14), (40e3, 0.0))
+        channel(L, cn2).config
+        for channel, L, cn2 in (
+            (square_channel, 1e3, 0.0),
+            (gauss_channel, 2e3, 1e-14),
+            (square_channel, 5e3, 1e-15),
+            (gauss_channel, 10e3, 0.0),
+            (gauss_channel, 20e3, 1e-13),
+            (square_channel, 40e3, 1e-14),
+        )
     ]
+    classified = []
+    monkeypatch.setattr(
+        planner, "orbit_classes", lambda modes: classified.append(modes) or orbit_classes(modes)
+    )
     rows = scan(links, params)
     assert kernel_work.optimize == 1
+    assert len(classified) == 16
     for link, row in zip(links, rows):
         assert row.error is None and row.point.total_rate_bps > 0.0
         (solo,) = scan([link], params)

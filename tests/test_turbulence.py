@@ -265,6 +265,31 @@ def test_lg_turb_matrix_matches_elementwise_sum():
             assert mat.eta[i, j] == pytest.approx(ref.real, rel=1e-12, abs=1e-14)
 
 
+@pytest.mark.parametrize("count", [1, 2, 31])
+def test_batched_builders_equal_one_channel_calls(count):
+    # One call on a sequence of channels gives each channel the bits of its
+    # call alone, at every cn2 from vacuum to 1e-13 and 1 to 100 km.
+    cn2s = (0.0, 1e-15, 1e-14, 1e-13)
+    grid = [(float(L), cn2s[i % 4]) for i, L in enumerate(np.geomspace(1e3, 100e3, count))]
+    soft = [gauss_channel(L, cn2) for L, cn2 in grid]
+    square = [square_channel(L, cn2) for L, cn2 in grid]
+    mom = hg_second_moments(soft, (3, 4, 2, 5))
+    assert mom.shape == (count, 3, 4, 2, 5)
+    for ch, row in zip(soft, mom):
+        assert row.tobytes() == hg_second_moments(ch, (3, 4, 2, 5)).tobytes()
+    for build, n, chans in (
+        (lg_turb_matrix, 8, soft),
+        (fb_turb_matrix, 1, square),
+        (fb_turb_matrix, 5, square),
+    ):
+        matrices = build(n, chans)
+        assert len(matrices) == count
+        for ch, mat in zip(chans, matrices):
+            alone = build(n, ch)
+            assert mat.modes is matrices[0].modes and mat.modes == alone.modes
+            assert mat.eta.tobytes() == alone.eta.tobytes()
+
+
 def test_lg_turb_diag_monotone_in_cn2():
     for path_length, q_max in ((1e3, 1), (100e3, 2)):
         diags = [
