@@ -9,7 +9,8 @@ rows, so its bits do not depend on the batch, and the integrand sees at
 most ``_CHUNK_NODES`` (row, node) pairs at a time.  The nodes come from a
 Newton rule on Legendre's cosine series, in numpy alone: no eigensolve and
 no ``numpy.polynomial`` import, which a fresh CLI process would otherwise
-pay for on every run.  LG modes are enumerated
+pay for on every run.  :func:`line_max` maximizes a batch of scalar
+functions in lockstep, for the power optimizer.  LG modes are enumerated
 in one place, :func:`lg_modes_of_order`, whose order the LG mode lists
 and the LG-to-HG unitaries share.
 """
@@ -26,6 +27,7 @@ __all__ = [
     "QuadratureError",
     "hg_sample",
     "integrate_1d",
+    "line_max",
     "lg_modes_of_order",
     "lg_hg_unitary",
 ]
@@ -161,6 +163,100 @@ def integrate_1d(
             f"last order {last}, node cap {_NODE_CAP}"
         )
     return out if out is not None else np.empty(0)
+
+
+_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
+
+# Golden steps shrink a line search's bracket to this width, choosing its
+# basin as a whole golden-section search would; the slope phase finishes.
+_COARSE_WIDTH = 0.1
+
+
+def line_max(
+    f: Callable[..., object], lo: np.ndarray, hi: np.ndarray, tol: float
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Maximizers of S scalar functions, run in lockstep.
+
+    Row s searches [lo[s], hi[s]].  ``f(rows, x)`` maps an (r, m) array of
+    candidates, m for each of the rows ``rows`` (ascending indices), to
+    their (r, m) values, and ``f(rows, x, True)`` returns ``(values,
+    slopes)``; a call passes only the rows still searching.  Each row
+    takes golden-section steps until its bracket is at most
+    ``_COARSE_WIDTH`` (or ``tol``) wide, which chooses its basin.  One call
+    then evaluates value and slope at both bracket ends.  A row stops at
+    ``lo`` or ``hi`` when the slope there points out of the interval (a
+    zero slope points toward the best point evaluated); the others run a
+    secant on the slope inside the bracket, bisecting when the secant step
+    leaves the bracket or is more than half as long as the last step, and
+    probing at least ``tol``/2 inside either end, until the bracket is <=
+    ``tol`` wide.  Each row takes exactly the steps a scalar search takes
+    on its own function.  Returns each row's best evaluated point, ties
+    going to the smaller point, and its value.
+    """
+    lo = np.array(lo, dtype=float)
+    hi = np.array(hi, dtype=float)
+    a, b = lo.copy(), hi.copy()
+    c = b - _INVPHI * (b - a)
+    d = a + _INVPHI * (b - a)
+    fc, fd = f(np.arange(len(a)), np.stack([c, d], axis=1)).T
+    best_x, best_f = np.where(fd > fc, d, c), np.maximum(fc, fd)
+
+    def consider(rows: np.ndarray, x: np.ndarray, fx: np.ndarray) -> None:
+        top = best_f[rows]
+        take = (fx > top) | ((fx == top) & (x < best_x[rows]))
+        best_x[rows[take]], best_f[rows[take]] = x[take], fx[take]
+
+    coarse = max(tol, _COARSE_WIDTH)
+    # The live rows' brackets [ra, rb], each with its probes c < d; every
+    # step keeps the half holding the better probe, and with it that probe.
+    go = b - a > coarse
+    live, ra, rb, c, d, fc, fd = (v[go] for v in (np.arange(len(a)), a, b, c, d, fc, fd))
+    while live.size:
+        left = fc >= fd
+        ra, rb = np.where(left, ra, c), np.where(left, d, rb)
+        kept, f_kept = np.where(left, c, d), np.where(left, fc, fd)
+        probe = np.where(left, rb - _INVPHI * (rb - ra), ra + _INVPHI * (rb - ra))
+        value = f(live, probe[:, None])[:, 0]
+        consider(live, probe, value)
+        c, fc = np.where(left, probe, kept), np.where(left, value, f_kept)
+        d, fd = np.where(left, kept, probe), np.where(left, f_kept, value)
+        a[live], b[live] = ra, rb
+        go = rb - ra > coarse
+        live, ra, rb, c, d, fc, fd = (v[go] for v in (live, ra, rb, c, d, fc, fd))
+
+    live = np.flatnonzero(b - a > tol)
+    if not live.size:
+        return best_x, best_f
+    a, b = a[live], b[live]
+    ends, slope = f(live, np.stack([a, b], axis=1), True)
+    consider(live, a, ends[:, 0])
+    consider(live, b, ends[:, 1])
+    ga, gb = slope.T
+
+    def rising(rows: np.ndarray, x: np.ndarray, g: np.ndarray) -> np.ndarray:
+        # The maximum lies right of x; a zero slope (a clipped, flat
+        # stretch) points toward the best point evaluated.
+        return (g > 0.0) | ((g == 0.0) & (best_x[rows] > x))
+
+    go = ~(((a == lo[live]) & ~rising(live, a, ga)) | ((b == hi[live]) & rising(live, b, gb)))
+    # The secant runs through the last two probes, (x0, g0) then (x1, g1);
+    # ``last`` is the length of the last step, x1 - x0.
+    state = (live, a, b, a, ga, b, gb, np.full(len(a), np.inf))
+    live, a, b, x0, g0, x1, g1, last = (v[go] for v in state)
+    while live.size:
+        with np.errstate(divide="ignore", invalid="ignore"):
+            s = x1 - g1 * (x1 - x0) / (g1 - g0)
+        secant = (s > a) & (s < b) & (np.abs(s - x1) <= 0.5 * last)
+        x = np.where(secant, s, 0.5 * (a + b))
+        x = np.minimum(np.maximum(x, a + 0.5 * tol), b - 0.5 * tol)
+        fx, gx = (out[:, 0] for out in f(live, x[:, None], True))
+        consider(live, x, fx)
+        up = rising(live, x, gx)
+        a, b = np.where(up, x, a), np.where(up, b, x)
+        go = b - a > tol
+        state = (live, a, b, x1, g1, x, gx, np.abs(x - x1))
+        live, a, b, x0, g0, x1, g1, last = (v[go] for v in state)
+    return best_x, best_f
 
 
 def lg_modes_of_order(order: int) -> Tuple[Tuple[int, int], ...]:

@@ -7,10 +7,11 @@ photon numbers, maximized here by coordinate ascent over symmetry classes
 of modes, restarted from a few spread initial points.  Each line search
 narrows its bracket by value comparisons, which chooses the basin, then
 finishes with a secant on the closed-form slope of the total.  The
-objective is evaluated in class space: one value per class, with
-cross-talk aggregated by source class, by one evaluator: a line search
-lays out the real modes of its rows once, each probe evaluates only the
-rows still searching, and a total is the line of the last class.
+objective is evaluated in class space, with cross-talk aggregated by
+source class, by one evaluator: a line search lays out the real modes of
+its rows once, each probe evaluates only the rows still searching, a
+total is the line of the last class, and a single-mode search is the
+line of a one-mode problem.
 
 The envelope operations additionally maximize over the mode-set
 configuration itself: the focused-beam grid size N, or the LG order cap Q
@@ -22,11 +23,11 @@ beyond roundoff, so ties go to the smaller configuration and the
 fallback, the last LG candidate, wins only when better by more than
 ``_TIE_REL_TOL`` relative.  The ascent drops a configuration as soon as
 its closed-form rate bound (:func:`fsoqkd.qkd.rate_bound`, free of
-cross-talk) is below the best total its link has reached, a cut that
-changes no winner.  :func:`scan` runs all its links, of both families, in
-one such ascent.  Only :func:`_kernel` names the rate kernels, and it and
-:func:`_totals` work on row slices of at most ``_KERNEL_CHUNK`` elements,
-however large the ascent.
+cross-talk) is below the best total its link has reached, first on the
+uniform starts alone, before any single-mode search; the cut changes no
+winner.  :func:`scan` runs all its links, of both families, in one such
+ascent.  Only :func:`_kernel` names the rate kernels, and it and
+:func:`_totals` work on row slices of at most ``_KERNEL_CHUNK`` elements.
 """
 
 from __future__ import annotations
@@ -45,6 +46,7 @@ from .channel import (
     HardSquare,
     derive,
 )
+from .numerics import line_max as _line_max
 from .qkd import QkdSystemParams, rate_and_slopes, rate_bound, rate_per_pulse
 from .turbulence import fb_turb_matrix, gaussian_pib_turb, lg_turb_matrix
 from .vacuum import CouplingMatrix, ModeId, lg_vacuum_capacity, orbit_classes
@@ -196,14 +198,15 @@ _KERNEL_CHUNK = 4096
 
 def _kernel(eta, mu: np.ndarray, cross, params: QkdSystemParams, slopes: bool = False):
     """:func:`rate_per_pulse`, or :func:`rate_and_slopes` with ``slopes``,
-    in calls of at most ``_KERNEL_CHUNK`` of the elements of ``mu`` (E,) or
-    (E, m); the kernel is elementwise, so the outputs are one call's bits."""
+    on ``eta`` (E, 1), ``mu`` and ``cross`` (E, m), in calls of at most
+    ``_KERNEL_CHUNK`` elements; the kernel is elementwise, so the outputs
+    are one call's bits."""
     kernel = rate_and_slopes if slopes else rate_per_pulse
     if mu.size <= _KERNEL_CHUNK:
         return kernel(eta, mu, cross, params)
     step = max(1, _KERNEL_CHUNK * len(mu) // mu.size)
     parts = [
-        kernel(*(a if np.ndim(a) == 0 else a[i : i + step] for a in (eta, mu, cross)), params)
+        kernel(*(a[i : i + step] for a in (eta, mu, cross)), params)
         for i in range(0, len(mu), step)
     ]
     return tuple(map(np.concatenate, zip(*parts))) if slopes else np.concatenate(parts)
@@ -307,103 +310,10 @@ def total_rate(
 # Coordinate ascent
 # --------------------------------------------------------------------------
 
-_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
-
-# Golden steps shrink a line search's bracket to this width, choosing its
-# basin as a whole golden-section search would; the slope phase finishes.
-_COARSE_WIDTH = 0.1
-
 # Each line search ends within this width of a stationary point of its line.
 _LINE_TOL = 1e-9
 
 _START_NAMES = ("uniform 0.05", "uniform 0.5", "single-mode optima", "best corner")
-
-
-def _line_max(
-    f: Callable[..., object], lo: np.ndarray, hi: np.ndarray, tol: float
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Maximizers of S scalar functions, run in lockstep.
-
-    Row s searches [lo[s], hi[s]].  ``f(rows, x)`` maps an (r, m) array of
-    candidates, m for each of the rows ``rows`` (ascending indices), to
-    their (r, m) values, and ``f(rows, x, True)`` returns ``(values,
-    slopes)``; a call passes only the rows still searching.  Each row
-    takes golden-section steps until its bracket is at most
-    ``_COARSE_WIDTH`` (or ``tol``) wide, which chooses its basin.  One call
-    then evaluates value and slope at both bracket ends.  A row stops at
-    ``lo`` or ``hi`` when the slope there points out of the interval (a
-    zero slope points toward the best point evaluated); the others run a
-    secant on the slope inside the bracket, bisecting when the secant step
-    leaves the bracket or is more than half as long as the last step, and
-    probing at least ``tol``/2 inside either end, until the bracket is <=
-    ``tol`` wide.  Each row takes exactly the steps a scalar search takes
-    on its own function.  Returns each row's best evaluated point, ties
-    going to the smaller point, and its value.
-    """
-    lo = np.array(lo, dtype=float)
-    hi = np.array(hi, dtype=float)
-    a, b = lo.copy(), hi.copy()
-    c = b - _INVPHI * (b - a)
-    d = a + _INVPHI * (b - a)
-    fc, fd = f(np.arange(len(a)), np.stack([c, d], axis=1)).T
-    best_x, best_f = np.where(fd > fc, d, c), np.maximum(fc, fd)
-
-    def consider(rows: np.ndarray, x: np.ndarray, fx: np.ndarray) -> None:
-        top = best_f[rows]
-        take = (fx > top) | ((fx == top) & (x < best_x[rows]))
-        best_x[rows[take]], best_f[rows[take]] = x[take], fx[take]
-
-    coarse = max(tol, _COARSE_WIDTH)
-    # The live rows' brackets [ra, rb], each with its probes c < d; every
-    # step keeps the half holding the better probe, and with it that probe.
-    go = b - a > coarse
-    live, ra, rb, c, d, fc, fd = (v[go] for v in (np.arange(len(a)), a, b, c, d, fc, fd))
-    while live.size:
-        left = fc >= fd
-        ra, rb = np.where(left, ra, c), np.where(left, d, rb)
-        kept, f_kept = np.where(left, c, d), np.where(left, fc, fd)
-        probe = np.where(left, rb - _INVPHI * (rb - ra), ra + _INVPHI * (rb - ra))
-        value = f(live, probe[:, None])[:, 0]
-        consider(live, probe, value)
-        c, fc = np.where(left, probe, kept), np.where(left, value, f_kept)
-        d, fd = np.where(left, kept, probe), np.where(left, f_kept, value)
-        a[live], b[live] = ra, rb
-        go = rb - ra > coarse
-        live, ra, rb, c, d, fc, fd = (v[go] for v in (live, ra, rb, c, d, fc, fd))
-
-    live = np.flatnonzero(b - a > tol)
-    if not live.size:
-        return best_x, best_f
-    a, b = a[live], b[live]
-    ends, slope = f(live, np.stack([a, b], axis=1), True)
-    consider(live, a, ends[:, 0])
-    consider(live, b, ends[:, 1])
-    ga, gb = slope.T
-
-    def rising(rows: np.ndarray, x: np.ndarray, g: np.ndarray) -> np.ndarray:
-        # The maximum lies right of x; a zero slope (a clipped, flat
-        # stretch) points toward the best point evaluated.
-        return (g > 0.0) | ((g == 0.0) & (best_x[rows] > x))
-
-    go = ~(((a == lo[live]) & ~rising(live, a, ga)) | ((b == hi[live]) & rising(live, b, gb)))
-    # The secant runs through the last two probes, (x0, g0) then (x1, g1);
-    # ``last`` is the length of the last step, x1 - x0.
-    state = (live, a, b, a, ga, b, gb, np.full(len(a), np.inf))
-    live, a, b, x0, g0, x1, g1, last = (v[go] for v in state)
-    while live.size:
-        with np.errstate(divide="ignore", invalid="ignore"):
-            s = x1 - g1 * (x1 - x0) / (g1 - g0)
-        secant = (s > a) & (s < b) & (np.abs(s - x1) <= 0.5 * last)
-        x = np.where(secant, s, 0.5 * (a + b))
-        x = np.minimum(np.maximum(x, a + 0.5 * tol), b - 0.5 * tol)
-        fx, gx = (out[:, 0] for out in f(live, x[:, None], True))
-        consider(live, x, fx)
-        up = rising(live, x, gx)
-        a, b = np.where(up, x, a), np.where(up, b, x)
-        go = b - a > tol
-        state = (live, a, b, x1, g1, x, gx, np.abs(x - x1))
-        live, a, b, x0, g0, x1, g1, last = (v[go] for v in state)
-    return best_x, best_f
 
 
 # Relative margin on a configuration's rate bound.  The bound is proven
@@ -426,21 +336,26 @@ def _optimize(
     class values, padded to the largest class count, and each row takes
     exactly the steps it would take alone: the line search of class k runs
     on the live rows of candidates with more than k classes, and every
-    total and probe evaluates only the real modes of its rows, whatever
-    the other candidates.  Every value, the corners', the starts' and each
-    candidate's returned total included (:func:`_totals`), comes from one
-    evaluator, :func:`_line`.
+    total and probe evaluates only the real modes of its rows.  Every
+    value comes from one evaluator, :func:`_line`: the totals
+    (:func:`_totals`), the line searches, and the single-mode search of
+    each class lead, a one-mode problem without cross-talk.  That is the
+    class line of a one-mode candidate, whose rows therefore take the
+    lead's optimum in every sweep in place of a search.
 
     Each candidate's total is bounded by U = pulse_rate * sum of
     :func:`rate_bound` over its diagonal transmissivities, whatever its
-    allocation and cross-talk.  A row whose total exceeds U (1 +
-    ``_BOUND_REL_TOL``) raises :class:`RuntimeError`.  ``groups`` labels
-    each candidate's group.  The start totals and every line search are
-    followed by a cut (branch and bound, Land & Doig 1960): a candidate
-    whose U (1 + ``_BOUND_REL_TOL``) is below the best total of any row of
-    its group cannot reach it, so its rows stop.  A candidate alone in its
-    group is never pruned.  The other rows keep their steps, so their
-    results do not change.
+    allocation and cross-talk; a total above U (1 + ``_BOUND_REL_TOL``)
+    raises :class:`RuntimeError`.  ``groups`` labels each candidate's
+    group.  A cut (branch and bound, Land & Doig 1960) stops the rows of a
+    candidate whose U (1 + ``_BOUND_REL_TOL``) is below the best total of
+    its group.  It runs on the two uniform start totals; again once the
+    single-mode search, the corners and the last two starts have run on
+    the candidates left; and after every line search.  The skipped totals
+    of a pruned candidate are at most its U, below its group's best, so
+    the first two cuts prune what one cut on all four starts would, and
+    the other rows keep their steps and their results.  A candidate alone
+    in its group is never pruned.
     """
     opts = opts or OptimizerOptions()
     # One classification per distinct mode tuple, keyed by identity: hashing
@@ -452,8 +367,7 @@ def _optimize(
     ]
     problem = _class_space([(matrix, orb) for (_, _, matrix), orb in zip(candidates, orbits)])
     counts = np.array([len(orb) for orb in orbits])
-    n_cand, n_cls = len(candidates), counts.max()
-    own_class = np.arange(n_cls) < counts[:, None]
+    n_cand, n_cls, n_starts = len(candidates), counts.max(), len(_START_NAMES)
     offset, cls, eta, _ = problem
     per_mode = rate_bound(eta, params, opts.mu_min, opts.mu_max)
     of_mode = np.repeat(np.arange(n_cand), np.diff(offset))
@@ -463,33 +377,11 @@ def _optimize(
     def bracket(rows: int) -> Tuple[np.ndarray, np.ndarray]:
         return np.full(rows, opts.mu_min), np.full(rows, opts.mu_max)
 
-    lead_eta = np.concatenate(
-        [np.diag(m.eta)[[o[0] for o in orb]] for (_, _, m), orb in zip(candidates, orbits)]
-    )[:, None]
-
-    def lone(rows: np.ndarray, x: np.ndarray, slopes: bool = False):
-        out = _kernel(lead_eta[rows], x, 0.0, params, slopes)
-        return out[:2] if slopes else out
-
-    single_k, _ = _line_max(lone, *bracket(len(lead_eta)), _LINE_TOL)
-    single = np.full((n_cand, n_cls), opts.mu_min)
-    single[own_class] = single_k
-    # Corners: one class lit at its single-mode optimum, the rest floored.
-    corner_cand, corner_k = np.nonzero(own_class)
-    corners = np.where(np.arange(n_cls) == corner_k[:, None], single[corner_cand], opts.mu_min)
-    corner_val = np.full((n_cand, n_cls), -np.inf)
-    corner_val[own_class] = _totals(problem, corner_cand, corners, params)
-    lit = np.arange(n_cls) == np.argmax(corner_val, axis=1)[:, None]
-
-    start = np.empty((n_cand, len(_START_NAMES), n_cls))
-    start[:, 0], start[:, 1], start[:, 2] = 0.05, 0.5, single
-    start[:, 3] = np.where(lit, single, opts.mu_min)
-    cand = np.repeat(np.arange(n_cand), len(_START_NAMES))
-
-    v = np.clip(start.reshape(-1, n_cls), opts.mu_min, opts.mu_max)
-    current = _totals(problem, cand, v, params)
+    cand = np.repeat(np.arange(n_cand), n_starts)
+    v = np.full((len(cand), n_cls), opts.mu_min)
+    v[0::n_starts], v[1::n_starts] = np.clip([0.05, 0.5], opts.mu_min, opts.mu_max)
+    current = np.full(len(v), -np.inf)
     sweeps = np.zeros(len(v), dtype=int)
-    before = current.copy()
     active = np.ones(len(v), dtype=bool)
     pruned = np.zeros(n_cand, dtype=bool)
     label = np.asarray(groups)
@@ -517,7 +409,31 @@ def _optimize(
         pruned[doomed] = True
         active[pruned[cand]] = False
 
+    uniform = np.flatnonzero(np.arange(len(v)) % n_starts < 2)
+    current[uniform] = _totals(problem, cand[uniform], v[uniform], params)
     cut(0)
+    # Each class lead left, alone: one mode, class 0, no coupling.
+    lead_cand, lead_k = np.nonzero(~pruned[:, None] & (np.arange(n_cls) < counts[:, None]))
+    n_lead = len(lead_cand)
+    lead_eta = eta[[offset[b] + orbits[b][k][0] for b, k in zip(lead_cand, lead_k)]]
+    zero = np.zeros((n_lead, 1))
+    lead = (np.arange(n_lead + 1), np.zeros(n_lead, dtype=int), lead_eta, zero)
+    f = _line(lead, np.arange(n_lead), zero, 0, params)
+    x_lead, val_lead = _line_max(f, *bracket(n_lead), _LINE_TOL)
+    single, single_val = np.full((2, n_cand, n_cls), opts.mu_min)
+    single[lead_cand, lead_k], single_val[lead_cand, lead_k] = x_lead, val_lead
+    # Corners: one class lit at its single-mode optimum, the rest floored.
+    corners = np.where(np.arange(n_cls) == lead_k[:, None], single[lead_cand], opts.mu_min)
+    corner_val = np.full((n_cand, n_cls), -np.inf)
+    corner_val[lead_cand, lead_k] = _totals(problem, lead_cand, corners, params)
+    lit = np.arange(n_cls) == np.argmax(corner_val, axis=1)[:, None]
+    v[2::n_starts], v[3::n_starts] = single, np.where(lit, single, opts.mu_min)
+    rest = np.flatnonzero(~pruned[cand] & (np.arange(len(v)) % n_starts >= 2))
+    current[rest] = _totals(problem, cand[rest], v[rest], params)
+    cut(0)
+
+    before = current.copy()
+    one_mode = np.diff(offset) == 1
     for sweep in range(1, opts.max_sweeps + 1):
         rows = np.flatnonzero(active)
         before[rows] = current[rows]
@@ -525,8 +441,12 @@ def _optimize(
             step = rows[active[rows] & (counts[cand[rows]] > k)]
             if not step.size:
                 break
-            f = _line(problem, cand[step], v[step], k, params)
-            x_star, val = _line_max(f, *bracket(len(step)), _LINE_TOL)
+            # A one-mode candidate's line is its lead's, searched already.
+            x_star, val = single[cand[step], k], single_val[cand[step], k]
+            search = ~one_mode[cand[step]]
+            if search.any():
+                f = _line(problem, cand[step[search]], v[step[search]], k, params)
+                x_star[search], val[search] = _line_max(f, *bracket(search.sum()), _LINE_TOL)
             better = val >= current[step]
             v[step[better], k] = x_star[better]
             current[step[better]] = val[better]
@@ -539,12 +459,13 @@ def _optimize(
 
     # Each candidate's best start reports the total of its allocation,
     # computed as every start's total is.
-    best = np.arange(0, len(v), len(_START_NAMES)) + np.argmax(current.reshape(n_cand, -1), axis=1)
-    reported = _totals(problem, cand[best], v[best], params)
+    best = np.arange(0, len(v), n_starts) + np.argmax(current.reshape(n_cand, -1), axis=1)
+    reported = np.zeros(n_cand)
+    reported[~pruned] = _totals(problem, np.flatnonzero(~pruned), v[best[~pruned]], params)
     results: List[Optional[Tuple[PowerAllocation, float]]] = []
     for b, ((mode_set, config, matrix), orb) in enumerate(zip(candidates, orbits)):
-        first = b * len(_START_NAMES)
-        own = np.arange(first, first + len(_START_NAMES))
+        first = b * n_starts
+        own = np.arange(first, first + n_starts)
         for s in own[active[own]]:
             base = float(before[s])
             log.warning(

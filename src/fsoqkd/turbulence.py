@@ -167,7 +167,10 @@ def gaussian_pib_53(
     The structure function's path integral is closed form there,
     integral_0^1 (r (1 - xi))^(5/3) dxi = (3/8) r^(5/3), so
     D(0, r) = 2.91 (3/8) k^2 cn2 L r^(5/3), the spherical-wave structure
-    function.  The substitution r = s^3 makes the radial integrand smooth.
+    function.  The substitution r = s^3 makes the radial integrand
+    exp(-beta s^6 - h s^5) 3 s^5 smooth, with h the 5/3 strength over 2;
+    it is integrated up to s = min((60 / beta)^(1/6), (60 / h)^(1/5)),
+    where its exponent reaches -60.  Vacuum's h = 0 keeps beta's limit.
     With the square-law model in place of the 5/3 law this reduction
     reproduces the closed form of :func:`gaussian_pib_turb` exactly.
 
@@ -207,7 +210,9 @@ def _pib_53_terms(ch: DerivedChannel) -> Tuple[float, float, float, float]:
         * (math.pi / (2.0 / r_pupil ** 2 + 1.0 / sigma2))
     )
     half_strength = 0.5 * 2.91 * 0.375 * k ** 2 * ch.cn2 * big_l
-    return prefactor, beta, half_strength, (60.0 / beta) ** (1.0 / 6.0)
+    # Vacuum's h = 0: the floor puts the h cutoff far past beta's.
+    cutoff = (60.0 / max(half_strength, 1e-300)) ** 0.2
+    return prefactor, beta, half_strength, min((60.0 / beta) ** (1.0 / 6.0), cutoff)
 
 
 # --------------------------------------------------------------------------

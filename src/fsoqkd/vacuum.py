@@ -282,9 +282,11 @@ def fb_axis(
     autocorrelation of the far-field pattern of a hard square pupil of
     side s, damped by square-law turbulence with g = (s / rho_0)^2 / 2.
     Vacuum's rho_0 = inf makes g = 0.0 exactly: I(d) is then the overlap
-    of the sinc^2 pattern with pixel d.  A sequence of channels gives a
-    (P, N) array from one quadrature call, each row the same bit for bit
-    as its channel alone.
+    of the sinc^2 pattern with pixel d.  The quadrature runs over [0,
+    min(1, sqrt(60 / g))]: past sqrt(60 / g) the damping is below e^-60,
+    and a row with g <= 60, vacuum included, keeps [0, 1] and its bits.  A
+    sequence of channels gives a (P, N) array from one quadrature call,
+    each row the same bit for bit as its channel alone.
     """
     if n_grid < 1:
         raise ValueError(f"n_grid must be >= 1, got {n_grid}")
@@ -300,7 +302,8 @@ def fb_axis(
         envelope = (1.0 - xi) * np.sinc(c[rows, None] * xi) * np.exp(-damp[rows, None] * xi * xi)
         return envelope[:, None, :] * np.cos(phase[rows, None, None] * d * xi[:, None, :])
 
-    overlap = integrate_1d(integrand, np.zeros(c.size), np.ones(c.size), rel_tol=1e-12)
+    end = np.sqrt(60.0 / np.maximum(damp, 60.0))
+    overlap = integrate_1d(integrand, np.zeros(c.size), end, rel_tol=1e-12)
     axis = (2.0 * c)[:, None] * overlap
     return axis[0] if isinstance(ch, DerivedChannel) else axis
 

@@ -394,8 +394,10 @@ def scalar_coordinate_ascent(matrix, params, opts):
     Same starts, sweep rule and tie rule as ``planner.optimize_allocation``
     (strict ``>`` keeps the earliest best start); the objective is the
     package's, on one allocation at a time: ``planner._totals`` for the
-    corners, the starts and the returned total, and each line search on
-    ``planner._line``'s evaluator through the allocation it starts from.
+    corners, the starts and the returned total, each line search on
+    ``planner._line``'s evaluator through the allocation it starts from,
+    and each single-mode search on the total of its lead mode alone,
+    ``pulse_rate`` times its rate without cross-talk.
     Returns ``(mu, total rate)``.
     """
     from fsoqkd.planner import _LINE_TOL, _class_space, _line, _totals, orbit_classes
@@ -415,7 +417,9 @@ def scalar_coordinate_ascent(matrix, params, opts):
     for orbit in orbits:
         eta = float(eta_diag[orbit[0]])
         single[list(orbit)], _ = scalar_line_max(
-            lambda mu: tuple(float(x) for x in rate_and_slopes(eta, mu, 0.0, params)[:2]),
+            lambda mu: tuple(
+                params.pulse_rate * float(x) for x in rate_and_slopes(eta, mu, 0.0, params)[:2]
+            ),
             opts.mu_min,
             opts.mu_max,
             _LINE_TOL,

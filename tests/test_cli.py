@@ -529,9 +529,11 @@ SINGLE_BEAM = (cmd_transmissivity, cmd_validate)
 def test_single_beam_work_budget(monkeypatch, command):
     # Deterministic work of one worker on 60 L x 4 cn2: one quadrature call
     # for the task's one integrated quantity (the flat-top axis, or the
-    # 5/3-law power-in-bucket), against one per point before.  Measured:
-    # 9 integrand calls on 41,344 (row, node) pairs for transmissivity and
-    # 12 on 78,976 for validate; the budgets allow 10% more.
+    # 5/3-law power-in-bucket), against one per point before, each damped
+    # row integrated only where its damping is above e^-60.  Measured: 5
+    # integrand calls on 20,608 (row, node) pairs for transmissivity and 7
+    # on 43,264 for validate (9 on 41,344 and 12 on 78,976 over the full
+    # ranges); the budgets allow 10% more.
     work = {"quadratures": 0, "integrands": 0, "pairs": 0}
 
     def counted(f, *args, **kwargs):
@@ -551,7 +553,7 @@ def test_single_beam_work_budget(monkeypatch, command):
     )
     text = command(cfg, jobs=1)
     assert len((text if isinstance(text, str) else text[0]).splitlines()) == 1 + 240
-    integrands, pairs = {cmd_transmissivity: (9, 41_344), cmd_validate: (12, 78_976)}[command]
+    integrands, pairs = {cmd_transmissivity: (5, 20_608), cmd_validate: (7, 43_264)}[command]
     assert work["quadratures"] == 1
     assert work["integrands"] <= 1.1 * integrands
     assert work["pairs"] <= 1.1 * pairs

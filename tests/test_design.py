@@ -17,9 +17,8 @@ which bounds the size of every kernel call.  A call, or a reference
 passed on, anywhere else in ``planner`` fails here.
 
 The objective has one evaluator: inside ``planner`` only the probe ``f``
-of ``planner._line`` and the single-mode search ``lone`` of
-``planner._optimize`` use ``_kernel``, so a second evaluator of the total
-fails here.
+of ``planner._line`` uses ``_kernel``, so a second evaluator of the total,
+a single-mode search's included, fails here.
 """
 
 import ast
@@ -35,7 +34,7 @@ _ALLOWED = {
 
 _INTEGRALS = ["turbulence.gaussian_pib_53", "turbulence.structure_fn", "vacuum.fb_axis"]
 
-_KERNEL_USERS = {"planner._line.f", "planner._optimize.lone"}
+_KERNEL_USERS = {"planner._line.f"}
 
 
 def _is_named(node: ast.AST, name: str) -> bool:
@@ -177,7 +176,7 @@ def _stray_kernel_users(sites):
 def test_objective_has_one_evaluator():
     found = _package_sites(lambda tree: _references_to(tree, "_kernel"))
     assert _stray_kernel_users(found) == [], found
-    # The walk must see both allowed users, or it checks nothing.
+    # The walk must see the allowed user, or it checks nothing.
     assert {scope for scope, where in found if where.startswith("planner.py:")} == _KERNEL_USERS
 
 
@@ -198,4 +197,4 @@ def test_walk_finds_a_second_evaluator():
         ("planner" + scope, f"planner.py:{line}")
         for scope, line in _references_to(ast.parse(source), "_kernel")
     ]
-    assert _stray_kernel_users(sites) == ["planner.py:6", "planner.py:10"]
+    assert _stray_kernel_users(sites) == ["planner.py:6", "planner.py:9", "planner.py:10"]

@@ -514,13 +514,15 @@ def test_totals_are_the_written_out_mode_sum():
 def test_one_class_candidate_runs_four_starts(monkeypatch, caplog, family):
     # A one-class candidate (FB N = 1, or the power-in-bucket fallback) runs
     # all four starts.  Its best corner is its single-mode start, so the
-    # fourth start begins where the third does, takes the same steps and
-    # ends equal to it; ties go to the third.
+    # fourth start begins where the third does and ends equal to it; ties
+    # go to the third.  With one mode its class line is its lead's, so the
+    # single-mode search is its only line search and every start ends on
+    # that search's result.
     if family == "fb":
         candidate = planner._candidates([square_channel(10e3, 1e-14)], True, 1)[0][0]
     else:
         candidate = planner._candidates([gauss_channel(10e3, 1e-14)], False, 1)[0][-1]
-    assert candidate[0] == family and len(orbit_classes(candidate[2].modes)) == 1
+    assert candidate[0] == family and len(candidate[2].modes) == 1
     bases, searches = [], []
     line, line_max = planner._line, planner._line_max
 
@@ -541,15 +543,12 @@ def test_one_class_candidate_runs_four_starts(monkeypatch, caplog, family):
     sweeps = [int(s) for s in re.search(r"sweeps per start \[([^]]*)\]", message)[1].split(",")]
     assert len(sweeps) == 4 and sweeps[3] == sweeps[2] >= 1
     assert "winning start 'best corner'" not in message
-    # _line calls: the corner totals, the four start totals, one line
-    # search per sweep, the reported total.  _line_max calls: the
-    # single-mode search, then one per sweep.  Starts 2 and 3 are the last
-    # two rows of every sweep they run in.
-    assert len(bases[1]) == 4
-    for base in bases[1 : 2 + sweeps[2]]:
-        np.testing.assert_array_equal(base[-1], base[-2])
-    for x, value in searches[1 : 1 + sweeps[2]]:
-        assert x[-1] == x[-2] and value[-1] == value[-2]
+    # _line calls: the uniform start totals, the single-mode search, the
+    # corner total, the last two start totals, the reported total.
+    assert [len(base) for base in bases] == [2, 1, 1, 2, 1]
+    ((x, value),) = searches
+    np.testing.assert_array_equal(bases[3], np.full((2, 1), x[0]))
+    assert result[0].mu[0] == x[0] and result[1] == value[0]
 
 
 @pytest.mark.parametrize("chunk", [2, 3, 5, 64])
@@ -800,6 +799,89 @@ def test_envelope_lockstep_equals_per_candidate(monkeypatch, family, path_length
     assert (point.mode_set, point.config) == (mode_set, config)
 
 
+def _start_totals(matrix, params, opts=OptimizerOptions()):
+    """The totals of a configuration's four starts: uniform 0.05 and 0.5,
+    every class at the single-mode optimum of its lead, the best corner."""
+    orbits = orbit_classes(matrix.modes)
+    single = np.empty(len(matrix.modes))
+    for orbit in orbits:
+        i = orbit[0]
+        lead = CouplingMatrix(modes=(matrix.modes[i],), eta=matrix.eta[i : i + 1, i : i + 1])
+        single[list(orbit)] = optimize_allocation(lead, params, opts)[0].mu[0]
+    lit = [np.isin(np.arange(len(single)), orbit) for orbit in orbits]
+    corners = [np.where(on, single, opts.mu_min) for on in lit]
+    starts = [np.full(len(single), 0.05), np.full(len(single), 0.5), single]
+    totals = [total_rate(allocation_for(matrix, mu), matrix, params) for mu in starts + corners]
+    return totals[:3] + [max(totals[3:])]
+
+
+def test_mixed_batch_prunes_on_start_totals_and_keeps_solo_bits(caplog):
+    # Flat-top and LG links, vacuum and cn2 1e-13, 1 to 40 km, in one
+    # ascent.  The uniform starts cut first, so the single-mode search,
+    # the corners and the other starts run only on the candidates left; the
+    # configurations dropped before the first sweep are still those whose
+    # bound is below their group's best start total, and every survivor
+    # ends on the bits of its own one-candidate ascent.
+    params = QkdSystemParams()
+    links = [(L, cn2) for L in (1e3, 10e3, 40e3) for cn2 in (0.0, 1e-13)]
+    groups = planner._candidates([square_channel(*link) for link in links], True, 4)
+    groups += planner._candidates([gauss_channel(*link) for link in links], False, 4)
+    batch = [c for group in groups for c in group]
+    labels = [g for g, group in enumerate(groups) for _ in group]
+    with caplog.at_level(logging.DEBUG, logger="fsoqkd.planner"):
+        results = planner._optimize(batch, params, None, labels)
+    for candidate, result in zip(batch, results):
+        if result is not None:
+            ((alloc, total),) = planner._optimize([candidate], params, None, [0])
+            np.testing.assert_array_equal(result[0].mu, alloc.mu)
+            assert result[1] == total
+    best = {}
+    for g, (_, _, matrix) in zip(labels, batch):
+        best[g] = max(best.get(g, -math.inf), *_start_totals(matrix, params))
+    ceiling = 1.0 + planner._BOUND_REL_TOL
+    expected = sorted(
+        f"mode set {mode_set!r}, config {config!r} pruned at sweep 0: rate bound "
+        f"{_config_bound(matrix, params):.6g} bits/s"
+        for g, (mode_set, config, matrix) in zip(labels, batch)
+        if _config_bound(matrix, params) * ceiling < best[g]
+    )
+    dropped = sorted(
+        r.getMessage().split(": ", 1)[1].split(" is below")[0]
+        for r in caplog.records
+        if " pruned at sweep 0:" in r.getMessage()
+    )
+    assert len(dropped) >= 10 and dropped == expected
+
+
+@pytest.mark.parametrize(
+    "family,path_length,cn2",
+    [
+        ("fb", 1e3, 0.0),
+        ("fb", 40e3, 1e-13),
+        ("gaussian-pib", 1e3, 0.0),
+        ("gaussian-pib", 10e3, 1e-14),
+    ],
+)
+def test_one_mode_rows_equal_a_search_of_their_own_line(family, path_length, cn2):
+    # A one-mode candidate's rows take its single-mode search's result in
+    # place of a search of their class line.  Forced, that search gives
+    # the same bits from any base, in a batch padded to many classes.
+    params, opts = QkdSystemParams(), OptimizerOptions()
+    flat = family == "fb"
+    ch = (square_channel if flat else gauss_channel)(path_length, cn2)
+    batch = planner._candidates([ch], flat, 4)[0]
+    one = 0 if flat else len(batch) - 1
+    assert batch[one][0] == family and len(batch[one][2].modes) == 1
+    alloc, total = planner._optimize(batch, params, opts, list(range(len(batch))))[one]
+    orbits = [orbit_classes(matrix.modes) for _, _, matrix in batch]
+    problem = planner._class_space([(m, orb) for (_, _, m), orb in zip(batch, orbits)])
+    base = np.random.default_rng(5).uniform(opts.mu_min, opts.mu_max, (4, max(map(len, orbits))))
+    f = planner._line(problem, np.full(4, one), base, 0, params)
+    x, value = _line_max(f, np.full(4, opts.mu_min), np.full(4, opts.mu_max), planner._LINE_TOL)
+    assert base.shape[1] > 1 and (x == x[0]).all() and (value == value[0]).all()
+    assert alloc.mu.tolist() == [x[0]] and total == value[0]
+
+
 def _no_bound(eta, *args):
     return np.full(np.shape(eta), np.inf)
 
@@ -942,9 +1024,16 @@ def test_fb_envelope_rate_kernel_call_budget(kernel_work):
 def test_lg_turb_rate_kernel_call_budget(monkeypatch, kernel_work):
     # The turbulent LG benchmark point: 14.6 km at cn2 1e-14 and 1e-13,
     # q_max = 8 with single flat-top beams, in one scan.  The PIB fallback
-    # wins both LG envelopes and every order cap is pruned before its
-    # first sweep: 82 kernel calls, against 405 without pruning.
+    # wins both LG envelopes and every order cap is pruned on its uniform
+    # starts, before the single-mode search.  Every survivor has one mode,
+    # so that search is the only line search: 17 kernel calls on 564
+    # elements, against 366 without pruning (42 and 365 when the pruned
+    # caps still had their single-mode search and each one-mode row
+    # searched its own line again).
     calls = kernel_work.calls
+    searches = []
+    line_max = planner._line_max
+    monkeypatch.setattr(planner, "_line_max", lambda *args: searches.append(1) or line_max(*args))
     links = [
         family(14.6e3, cn2).config
         for cn2 in (1e-14, 1e-13)
@@ -952,7 +1041,8 @@ def test_lg_turb_rate_kernel_call_budget(monkeypatch, kernel_work):
     ]
     rows = scan(links, QkdSystemParams(), n_max=1, q_max=8)
     assert [row.point.mode_set for row in rows] == ["gaussian-pib", "fb"] * 2
-    budget = 90
+    assert len(searches) == 1
+    budget = 18
     assert len(calls) <= budget
     calls.clear()
     monkeypatch.setattr(planner, "rate_bound", _no_bound)

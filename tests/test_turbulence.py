@@ -8,6 +8,8 @@ import scipy.special
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fsoqkd.turbulence
+import fsoqkd.vacuum
 from fsoqkd.channel import ChannelConfig, SoftGaussian, cn2_for_coherence_length, derive
 from fsoqkd.numerics import lg_hg_unitary
 from fsoqkd.planner import fb_envelope, lg_envelope
@@ -542,6 +544,37 @@ def test_single_beam_batches_equal_their_channels_alone():
     assert type(fb_turb_eta(*pixels, square[0])) is float
     alone = [fb_axis(3, ch) for ch in square]
     np.testing.assert_array_equal(fb_axis(3, square), alone)
+
+
+def test_damped_quadratures_stop_at_e_minus_60(monkeypatch):
+    # Damped rows integrate only where the damping is above e^-60 and agree
+    # within 1e-12 relative with the integral over the full range; vacuum
+    # rows keep the full range and its bits.  The full ranges are [0, 1]
+    # for the flat-top axis and s <= (60 / beta)^(1/6) for the power in
+    # the bucket.
+    links = [(10e3, 0.0), (100e3, 0.0), (10e3, 1e-13), (100e3, 1e-13)]
+    square = [square_channel(L, c) for L, c in links]
+    gauss = [gauss_channel(L, c) for L, c in links]
+    cut = fb_axis(8, square), gaussian_pib_53(gauss)
+    ends = []
+
+    def over(module, full):
+        quadrature = module.integrate_1d
+
+        def call(f, a, b, rel_tol):
+            ends.append((b, full))
+            return quadrature(f, a, full, rel_tol=rel_tol)
+
+        monkeypatch.setattr(module, "integrate_1d", call)
+
+    over(fsoqkd.vacuum, np.ones(len(links)))
+    betas = [fsoqkd.turbulence._pib_53_terms(ch)[1] for ch in gauss]
+    over(fsoqkd.turbulence, np.array([(60.0 / beta) ** (1.0 / 6.0) for beta in betas]))
+    full = fb_axis(8, square), gaussian_pib_53(gauss)
+    for (b, old), new, ref in zip(ends, cut, full):
+        assert (b[:2] == old[:2]).all() and (b[2:] < old[2:]).all()
+        np.testing.assert_array_equal(new[:2], ref[:2])
+        np.testing.assert_allclose(new[2:], ref[2:], rtol=1e-12, atol=0.0)
 
 
 def test_gaussian_pib_ordering_single_point():
