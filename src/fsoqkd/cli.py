@@ -12,28 +12,32 @@ rates
     L_m,cn2,mode_set,config,rate_bps,capacity_bps.
 validate
     Square-law vs 5/3-law Gaussian power-in-bucket over a grid, asserting
-    square <= five-thirds <= vacuum per point; the exit code reflects the
-    assertion outcome.
+    square <= five-thirds <= vacuum at every point, vacuum included; the
+    exit code reflects the assertion outcome.
 
 Config keys are listed once, in ``_KEYS``: each names its parser and the
 :class:`RunConfig` field it sets, and both the unknown-key check and the
 parsing read that table.  :func:`load_config` checks each line of the
 file as it reads it, in one pass, so every config error carries a
-``file:line`` prefix and exits 2.  Every subcommand deals its (L, cn2)
-points round-robin over one task ``(config, points)`` per worker
-(``_per_point``).  A ``transmissivity`` or ``validate`` task makes one
-array call per quantity on all its points; a ``rates`` task is one
-``scan`` call on both families' links of its points, one lockstep
-ascent for both families.  ``_link`` alone chooses a pupil by family.
+``file:line`` prefix and exits 2.  Every subcommand builds its (L, cn2)
+grid and deals the points round-robin over one task ``(config, points)``
+per worker in one helper, ``_per_point``.  A ``transmissivity`` or
+``validate`` task makes one array call per quantity on all its points; a
+``rates`` task is one ``scan`` call on both families' links of its
+points, one lockstep ascent for both families.  ``_link`` alone chooses
+a pupil by family.
 
-All real CSV cells use 12-significant-digit scientific notation with LF
-line endings, so identical configurations yield byte-identical files.
+Every CSV is written by ``_csv``, which owns the header and the LF line
+endings.  Real cells use ``_REAL``, 12-significant-digit scientific
+notation, so identical configurations yield byte-identical files:
+``_csv`` writes every number a row always has, and ``cmd_rates`` writes
+its two that may be missing (rate, capacity) as text, empty or
+``_REAL``.
 """
 
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import logging
 import math
 import os
@@ -355,24 +359,39 @@ def _pool_map(worker, tasks: List[tuple], jobs: int) -> List:
     """Order-preserving ``worker(*task)`` per task, on one worker per task at most."""
     if jobs <= 1 or len(tasks) <= 1:
         return [worker(*task) for task in tasks]
+    import concurrent.futures  # only a pool needs it, and it slows every import
+
     with concurrent.futures.ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
         return list(pool.map(worker, *zip(*tasks)))
 
 
-def _per_point(worker, config: RunConfig, points: List[Tuple[float, float]], jobs: int) -> List:
-    """One result per (L, cn2) point, in point order.
+def _per_point(
+    worker, config: RunConfig, path_lengths: Sequence[float], include_vacuum: bool, jobs: int
+) -> Tuple[List[Tuple[float, float]], List]:
+    """The (L, cn2) grid of a subcommand, by path length, then cn2, and
+    one result per point, in point order.
 
     The points are dealt round-robin over min(jobs, points) tasks, so
     near- and far-field points spread evenly over the workers, and a task
     is one ``worker(config, its points)`` call returning one result per
     point.
     """
+    points = [(L, cn2) for L in path_lengths for cn2 in config.resolved_cn2(include_vacuum)]
     n_tasks = min(max(jobs, 1), len(points))
+    log.info("%d (L, cn2) points in %d tasks", len(points), n_tasks)
     tasks = [(config, points[t::n_tasks]) for t in range(n_tasks)]
     results: List = [None] * len(points)
     for t, task_results in enumerate(_pool_map(worker, tasks, jobs)):
         results[t::n_tasks] = task_results
-    return results
+    return points, results
+
+
+def _csv(header: str, reals: int, rows: List[tuple]) -> str:
+    """CSV text: the header, then one line per row, each ended by LF.  The
+    first ``reals`` cells of a row are numbers, written ``_REAL``; the
+    rest are text, so a real that may be missing comes preformatted."""
+    line = ",".join([_REAL] * reals + ["%s"] * (header.count(",") + 1 - reals))
+    return "\n".join([header, *(line % row for row in rows)]) + "\n"
 
 
 # --------------------------------------------------------------------------
@@ -381,45 +400,22 @@ def _per_point(worker, config: RunConfig, points: List[Tuple[float, float]], job
 
 
 def cmd_transmissivity(config: RunConfig, jobs: int = 1) -> str:
-    """Single-beam average transmissivities; CSV text.
-
-    The (L, cn2) points are dealt round-robin over min(jobs, points)
-    tasks, and a task integrates all its flat-top points in one call.
-    """
-    points = [
-        (path_length, cn2)
-        for path_length in config.resolved_path_lengths()
-        for cn2 in config.resolved_cn2(include_vacuum=True)
-    ]
-    log.info("transmissivity: %d points", len(points))
-    results = _per_point(_transmissivity_task, config, points, jobs)
-    lines = ["L_m,cn2,eta_fb,eta_gauss"]
-    for (path_length, cn2), (eta_fb, eta_gauss) in zip(points, results):
-        lines.append(
-            f"{_REAL % path_length},{_REAL % cn2},{_REAL % eta_fb},{_REAL % eta_gauss}"
-        )
-    return "\n".join(lines) + "\n"
+    """Single-beam average transmissivities; CSV text.  A task
+    integrates all its flat-top points in one call."""
+    path_lengths = config.resolved_path_lengths()
+    points, results = _per_point(_transmissivity_task, config, path_lengths, True, jobs)
+    return _csv("L_m,cn2,eta_fb,eta_gauss", 4, [p + r for p, r in zip(points, results)])
 
 
 def cmd_rates(config: RunConfig, jobs: int = 1) -> Tuple[str, bool]:
     """Optimized rate envelopes; returns (CSV text, all rows succeeded).
 
-    The (L, cn2) points are dealt round-robin over min(jobs, points)
-    tasks.  A task is one :func:`scan` call on both families' links of its
+    A task is one :func:`scan` call on both families' links of its
     points, so its one ascent spans both families and all its path
-    lengths, and dealing spreads near- and far-field points evenly over
-    the workers.  The CSV lists rows by path length, then cn2, then
-    family.
+    lengths.  The CSV lists rows by path length, then cn2, then family.
     """
-    points = [
-        (path_length, cn2)
-        for path_length in config.resolved_path_lengths()
-        for cn2 in config.resolved_cn2(include_vacuum=False)
-    ]
-    log.info("rates: %d scan rows", len(points) * len(_FAMILIES))
-    results = _per_point(_rates_task, config, points, jobs)
-    lines = ["L_m,cn2,mode_set,config,rate_bps,capacity_bps"]
-    clean = True
+    points, results = _per_point(_rates_task, config, config.resolved_path_lengths(), False, jobs)
+    rows, clean = [], True
     for (path_length, cn2), point_rows in zip(points, results):
         for family, row in zip(_FAMILIES, point_rows):
             if row.error is not None:
@@ -430,52 +426,41 @@ def cmd_rates(config: RunConfig, jobs: int = 1) -> Tuple[str, bool]:
                 )
             point = row.point
             if point is None:
-                cells = f"{family},,"
+                cells = (family, "", "")
             else:
-                config_cell = "" if point.config is None else str(point.config)
-                cells = f"{point.mode_set},{config_cell},{_REAL % point.total_rate_bps}"
+                config_cell = "" if point.config is None else point.config
+                cells = (point.mode_set, config_cell, _REAL % point.total_rate_bps)
             capacity = "" if row.capacity_bps is None else _REAL % row.capacity_bps
-            lines.append(f"{_REAL % path_length},{_REAL % cn2},{cells},{capacity}")
-    return "\n".join(lines) + "\n", clean
+            rows.append((path_length, cn2, *cells, capacity))
+    return _csv("L_m,cn2,mode_set,config,rate_bps,capacity_bps", 2, rows), clean
 
 
 def cmd_validate(config: RunConfig, jobs: int = 1) -> Tuple[str, bool]:
     """Square-law vs 5/3-law power-in-bucket; returns (CSV, all passed).
 
-    The rule eta(square) <= eta(5/3) holds only where the coherence length
-    rho_0 is shorter than the separations that carry the beam's power.
-    Where rho_0 exceeds them the square law is the milder model and the
-    point fails: 18 of the 60 turbulent points of the default ``rates``
-    lengths do (cn2 1e-15 up to 8.9 km, 1e-14 up to 3.4 km, 1e-13 up to
-    1.3 km), hence the far-field default grid.  The points are dealt as
-    in :func:`cmd_transmissivity`, and a task integrates all its 5/3-law
-    points in one call.
+    One rule holds at every point, vacuum included: eta(square) <=
+    eta(5/3) <= eta(vacuum), each within 1e-9 relative.  In vacuum the
+    two laws agree to roundoff.  eta(square) <= eta(5/3) holds only where
+    the coherence length rho_0 is shorter than the separations that carry
+    the beam's power.  Where rho_0 exceeds them the square law is the
+    milder model and the point fails: 18 of the 60 turbulent points of
+    the default ``rates`` lengths do (cn2 1e-15 up to 8.9 km, 1e-14 up to
+    3.4 km, 1e-13 up to 1.3 km), hence the far-field default grid.  A
+    task integrates all its 5/3-law points in one call.
     """
     if config.path_lengths is not None:
         path_lengths = config.path_lengths
     else:
         path_lengths = (10e3, 30e3, 100e3)
-    points = [
-        (path_length, cn2)
-        for path_length in path_lengths
-        for cn2 in config.resolved_cn2(include_vacuum=True)
-    ]
-    log.info("validate: %d points", len(points))
-    results = _per_point(_validate_task, config, points, jobs)
-    lines = ["L_m,cn2,eta_square_law,eta_five_thirds,eta_vacuum,rel_gap,status"]
-    all_pass = True
+    points, results = _per_point(_validate_task, config, path_lengths, True, jobs)
+    rows, all_pass = [], True
     for (path_length, cn2), (eta_sq, eta_53, eta_vac) in zip(points, results):
         rel_gap = (eta_53 - eta_sq) / eta_53 if eta_53 > 0 else 0.0
-        if cn2 == 0.0:
-            ok = abs(eta_53 - eta_sq) <= 1e-4 * eta_sq and eta_53 <= eta_vac * (1 + 1e-9)
-        else:
-            ok = eta_sq <= eta_53 * (1 + 1e-9) and eta_53 <= eta_vac * (1 + 1e-9)
+        ok = eta_sq <= eta_53 * (1 + 1e-9) and eta_53 <= eta_vac * (1 + 1e-9)
         all_pass = all_pass and ok
-        lines.append(
-            f"{_REAL % path_length},{_REAL % cn2},{_REAL % eta_sq},{_REAL % eta_53},"
-            f"{_REAL % eta_vac},{_REAL % rel_gap},{'pass' if ok else 'fail'}"
-        )
-    return "\n".join(lines) + "\n", all_pass
+        rows.append((path_length, cn2, eta_sq, eta_53, eta_vac, rel_gap, "pass" if ok else "fail"))
+    header = "L_m,cn2,eta_square_law,eta_five_thirds,eta_vacuum,rel_gap,status"
+    return _csv(header, 6, rows), all_pass
 
 
 # --------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Config parsing, CSV emission, determinism, and exit codes."""
 
+import concurrent.futures
 import os
 import re
 import subprocess
@@ -672,6 +673,17 @@ def test_cli_import_loads_no_scipy():
     assert out.stdout.strip() == "[]"
 
 
+def test_cli_import_loads_no_concurrent_futures():
+    # Only a process pool needs concurrent.futures, and --jobs 1 makes none.
+    src = Path(cli.__file__).resolve().parent.parent
+    code = "import sys, fsoqkd.cli; print('concurrent.futures' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "False"
+
+
 def test_cli_config_load_loads_no_configparser():
     # load_config reads the INI text itself, in one pass.
     root = Path(cli.__file__).resolve().parent.parent.parent
@@ -753,6 +765,36 @@ def test_cmd_validate_small_grid():
     assert float(turb_cells[5]) >= 0.0
 
 
+def test_cmd_validate_holds_vacuum_to_the_one_rule(monkeypatch):
+    # A 5/3-law vacuum value 1e-6 below the square law breaks
+    # eta(square) <= eta(5/3) (1 + 1e-9); vacuum has no looser rule.
+    exact = cli.gaussian_pib_53
+
+    def low_in_vacuum(chans):
+        eta = exact(chans)
+        vacuum = [i for i, ch in enumerate(chans) if ch.cn2 == 0.0]
+        eta[vacuum] = [turbulence.gaussian_pib_turb(chans[i]) * (1 - 1e-6) for i in vacuum]
+        return eta
+
+    monkeypatch.setattr(cli, "gaussian_pib_53", low_in_vacuum)
+    cfg = small_config(path_lengths=(10e3,), cn2_values=(0.0, 1e-14))
+    text, all_pass = cmd_validate(cfg)
+    assert not all_pass
+    assert [line.rsplit(",", 1)[1] for line in text.splitlines()[1:]] == ["fail", "pass"]
+
+
+@pytest.mark.parametrize("radius", [0.01, 0.1, 0.5])
+def test_cmd_validate_passes_vacuum_from_1_m_to_1000_km(radius):
+    # In vacuum both laws give the same integral to roundoff, so the one
+    # rule holds at every length and pupil.
+    lengths = tuple(np.geomspace(1.0, 1e6, 25))
+    cfg = small_config(path_lengths=lengths, cn2_values=(0.0,), gauss_radius=radius)
+    text, all_pass = cmd_validate(cfg)
+    assert all_pass, text
+    gaps = [abs(float(line.split(",")[5])) for line in text.splitlines()[1:]]
+    assert len(gaps) == 25 and max(gaps) < 1e-13
+
+
 @pytest.mark.parametrize(
     "command,overrides",
     [
@@ -807,7 +849,7 @@ def test_pool_gets_at_most_one_worker_per_task(monkeypatch, tmp_path):
         def map(self, fn, *iterables):
             return map(fn, *iterables)
 
-    monkeypatch.setattr(cli.concurrent.futures, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
     config = Path(__file__).parent / "data" / "single-beam.ini"
     out = {jobs: tmp_path / f"jobs{jobs}.csv" for jobs in (64, 1)}
     for jobs, path in out.items():

@@ -2,9 +2,8 @@
 
 Vacuum is the cn2 = 0 limit of the turbulent code path, not a parallel
 copy: no function forks on cn2 = 0 except where vacuum is defined
-(``channel.derive`` sets rho_0 = inf) or where it has its own acceptance
-rule (``cli.cmd_validate``).  ``ChannelConfig.__post_init__`` compares cn2
-with 0 only to reject negative values.
+(``channel.derive`` sets rho_0 = inf).  ``ChannelConfig.__post_init__``
+compares cn2 with 0 only to reject negative values.
 
 Each 1-D integral has one home: ``integrate_1d`` is called only by the
 5/3-law path integral (``turbulence.structure_fn``), the 5/3-law power in
@@ -29,7 +28,6 @@ import fsoqkd
 _ALLOWED = {
     "channel.ChannelConfig.__post_init__",
     "channel.derive",
-    "cli.cmd_validate",
 }
 
 _INTEGRALS = ["turbulence.gaussian_pib_53", "turbulence.structure_fn", "vacuum.fb_axis"]
