@@ -116,10 +116,11 @@ def integrate_1d(
     row doubles its order from 8 until its two successive orders agree
     within ``rel_tol`` times the largest entry of that row; its
     higher-order sum is then frozen and the row leaves the evaluation, so
-    no other row's scale enters its test.  Each row is reduced on its own,
-    ``(f * w).sum(-1)``, never by a matrix product whose bits depend on
-    the batch: a row's value is the same bit for bit alone or in any
-    batch.  ``f`` sees at most ``_CHUNK_NODES`` (row, node) pairs per
+    no other row's scale enters its test; every order stores and drops the
+    rows that agreed, on one path for any batch.  Each row is reduced on
+    its own, ``(f * w).sum(-1)``, never by a matrix product whose bits
+    depend on the batch: a row's value is the same bit for bit alone or in
+    any batch.  ``f`` sees at most ``_CHUNK_NODES`` (row, node) pairs per
     call.  A row that reaches order ``_NODE_CAP`` without agreement raises
     :class:`QuadratureError` naming its interval.
     """
@@ -142,19 +143,15 @@ def integrate_1d(
             vals = f(live[part], mid[part] + half[part] * nodes)
             scale = half[part].reshape((-1,) + (1,) * (vals.ndim - 2))
             parts.append(scale * (vals * weights).sum(-1))
-        val = parts[0] if len(parts) == 1 else np.concatenate(parts)
+        val = np.concatenate(parts)
         if out is None:
             out = np.empty((a.size,) + val.shape[1:], dtype=val.dtype)
         if prev is not None:
-            err, size = np.abs(val - prev), np.abs(val)
-            if val.ndim > 1:  # the largest entry of each row
-                err = err.reshape(len(val), -1).max(1)
-                size = size.reshape(len(val), -1).max(1)
+            # Each row against the largest entry of that row.
+            err, size = (np.abs(e).reshape(len(val), -1).max(1) for e in (val - prev, val))
             done = err <= rel_tol * size
-            if done.any():
-                out[live[done]] = val[done]
-                keep = ~done
-                live, mid, half, val = live[keep], mid[keep], half[keep], val[keep]
+            out[live[done]] = val[done]
+            live, mid, half, val = (e[~done] for e in (live, mid, half, val))
         prev, last = val, order
         order *= 2
     if live.size:

@@ -11,7 +11,7 @@ objective is evaluated in class space, with cross-talk aggregated by
 source class, by one evaluator: a line search lays out the real modes of
 its rows once, each probe evaluates only the rows still searching, a
 total is the line of the last class, and a single-mode search is the
-line of a one-mode problem.
+line of a one-mode problem: a one-mode configuration's whole ascent.
 
 The envelope operations additionally maximize over the mode-set
 configuration itself: the focused-beam grid size N, or the LG order cap Q
@@ -340,8 +340,8 @@ def _optimize(
     value comes from one evaluator, :func:`_line`: the totals
     (:func:`_totals`), the line searches, and the single-mode search of
     each class lead, a one-mode problem without cross-talk.  That is the
-    class line of a one-mode candidate, whose rows therefore take the
-    lead's optimum in every sweep in place of a search.
+    class line of a one-mode candidate, whose last two starts thus hold
+    the lead's optimum and total: its rows leave before the first sweep.
 
     Each candidate's total is bounded by U = pulse_rate * sum of
     :func:`rate_bound` over its diagonal transmissivities, whatever its
@@ -419,9 +419,8 @@ def _optimize(
     zero = np.zeros((n_lead, 1))
     lead = (np.arange(n_lead + 1), np.zeros(n_lead, dtype=int), lead_eta, zero)
     f = _line(lead, np.arange(n_lead), zero, 0, params)
-    x_lead, val_lead = _line_max(f, *bracket(n_lead), _LINE_TOL)
-    single, single_val = np.full((2, n_cand, n_cls), opts.mu_min)
-    single[lead_cand, lead_k], single_val[lead_cand, lead_k] = x_lead, val_lead
+    single = np.full((n_cand, n_cls), opts.mu_min)
+    single[lead_cand, lead_k] = _line_max(f, *bracket(n_lead), _LINE_TOL)[0]
     # Corners: one class lit at its single-mode optimum, the rest floored.
     corners = np.where(np.arange(n_cls) == lead_k[:, None], single[lead_cand], opts.mu_min)
     corner_val = np.full((n_cand, n_cls), -np.inf)
@@ -431,9 +430,11 @@ def _optimize(
     rest = np.flatnonzero(~pruned[cand] & (np.arange(len(v)) % n_starts >= 2))
     current[rest] = _totals(problem, cand[rest], v[rest], params)
     cut(0)
+    # A one-mode candidate's class line is its lead's: its last two starts
+    # hold that search's optimum and total, and no sweep can change them.
+    active[(np.diff(offset) == 1)[cand]] = False
 
     before = current.copy()
-    one_mode = np.diff(offset) == 1
     for sweep in range(1, opts.max_sweeps + 1):
         rows = np.flatnonzero(active)
         before[rows] = current[rows]
@@ -441,12 +442,8 @@ def _optimize(
             step = rows[active[rows] & (counts[cand[rows]] > k)]
             if not step.size:
                 break
-            # A one-mode candidate's line is its lead's, searched already.
-            x_star, val = single[cand[step], k], single_val[cand[step], k]
-            search = ~one_mode[cand[step]]
-            if search.any():
-                f = _line(problem, cand[step[search]], v[step[search]], k, params)
-                x_star[search], val[search] = _line_max(f, *bracket(search.sum()), _LINE_TOL)
+            f = _line(problem, cand[step], v[step], k, params)
+            x_star, val = _line_max(f, *bracket(step.size), _LINE_TOL)
             better = val >= current[step]
             v[step[better], k] = x_star[better]
             current[step[better]] = val[better]
@@ -508,13 +505,14 @@ def optimize_allocation(
     0.05, uniform mu = 0.5, every class at its own single-mode optimum
     (cross-talk ignored), and the best single-active corner (one class lit,
     the rest floored; the first of tied corners; with one class, the
-    single-mode start again), so heavy cross-talk cases where shutting
-    modes down is optimal are always reachable.  Ties go to the earliest
-    start in that order.  The starts run in lockstep as the rows of one
-    array, each taking the steps it would take alone; the envelopes run
-    every configuration's starts in the same array and stop those of a
-    configuration that cannot win.  The problem is nonconvex, so this is a
-    heuristic; it is validated against small brute-force grids.
+    single-mode start again, and with one mode the whole ascent), so heavy
+    cross-talk cases where shutting modes down is optimal are always
+    reachable.  Ties go to the earliest start in that order.  The starts
+    run in lockstep as the rows of one array, each taking the steps it
+    would take alone; the envelopes run every configuration's starts in
+    the same array and stop those of a configuration that cannot win.  The
+    problem is nonconvex, so this is a heuristic; it is validated against
+    small brute-force grids.
 
     A start that uses all ``max_sweeps`` without meeting ``rel_tol`` is
     logged as a warning on the ``fsoqkd.planner`` logger.

@@ -179,13 +179,11 @@ def _eta_base(fresnel_product: float) -> float:
     """Per-order transmissivity base (1 + 2 D_f - sqrt(1 + 4 D_f)) / (2 D_f).
 
     Evaluated as 2 D_f / (1 + 2 D_f + sqrt(1 + 4 D_f)), which is the same
-    number without the small-D_f cancellation.
+    number without the small-D_f cancellation, and exactly 0.0 at D_f = 0.
     """
     df = fresnel_product
     if df < 0:
         raise ValueError(f"Fresnel number product must be >= 0, got {df}")
-    if df == 0.0:
-        return 0.0
     return 2.0 * df / (1.0 + 2.0 * df + math.sqrt(1.0 + 4.0 * df))
 
 
@@ -325,23 +323,23 @@ _CAPACITY_ORDERS = 200000
 
 
 def qkd_capacity(etas: Iterable[float], nu: float) -> float:
-    """Secret-key capacity bound -nu * sum log2(1 - eta) over parallel modes."""
+    """Secret-key capacity bound -nu * sum log2(1 - eta), by log1p, over modes."""
     if nu <= 0:
         raise ValueError(f"pulse rate must be > 0, got {nu}")
     total = 0.0
     for eta in etas:
         if not 0.0 <= eta < 1.0:
             raise ValueError(f"transmissivity must lie in [0, 1), got {eta}")
-        total -= math.log2(1.0 - eta)
+        total -= math.log1p(-eta) / math.log(2)
     return nu * total
 
 
 def lg_vacuum_capacity(ch: DerivedChannel, nu: float) -> float:
     """Capacity bound over the full vacuum LG spectrum with order degeneracy.
 
-    Sums -q * log2(1 - base^q) until the remaining geometric tail is below
-    1e-16 of the accumulated value.  Near-field links (large D_f, base
-    close to 1) that need more than 200000 orders raise
+    Sums -q * log2(1 - base^q), by log1p, until the remaining geometric
+    tail is below 1e-16 of the accumulated value.  Near-field links (large
+    D_f, base close to 1) that need more than 200000 orders raise
     :class:`RuntimeError` rather than return a truncated sum.
     """
     if nu <= 0:
@@ -351,7 +349,7 @@ def lg_vacuum_capacity(ch: DerivedChannel, nu: float) -> float:
         return 0.0
     total = 0.0
     for q in range(1, _CAPACITY_ORDERS + 1):
-        total -= q * math.log2(1.0 - base ** q)
+        total -= q * math.log1p(-base ** q) / math.log(2)
         # Remaining tail is below sum_{j>q} j base^j / ln 2.
         tail = base ** (q + 1) * (q + 1 + base) / ((1 - base) ** 2 * math.log(2))
         if tail < 1e-16 * total:

@@ -18,6 +18,10 @@ passed on, anywhere else in ``planner`` fails here.
 The objective has one evaluator: inside ``planner`` only the probe ``f``
 of ``planner._line`` uses ``_kernel``, so a second evaluator of the total,
 a single-mode search's included, fails here.
+
+A class step has one path: the per-class loop of ``planner._optimize``
+(the ``for k`` loop) makes one ``_line_max`` call, and its only ``if`` is
+the ``break`` on an empty step, so no row kind gets a branch of its own.
 """
 
 import ast
@@ -196,3 +200,51 @@ def test_walk_finds_a_second_evaluator():
         for scope, line in _references_to(ast.parse(source), "_kernel")
     ]
     assert _stray_kernel_users(sites) == ["planner.py:6", "planner.py:9", "planner.py:10"]
+
+
+def _class_step(tree: ast.AST):
+    """(``_line_max`` calls, lines of every other ``if``) in the ``for k``
+    loops of ``_optimize``; None when there is no such loop."""
+    loops = [
+        node
+        for scope, node in _scoped_nodes(tree)
+        if scope == "._optimize" and isinstance(node, ast.For) and _is_named(node.target, "k")
+    ]
+    if not loops:
+        return None
+    searches, branches = 0, []
+    for node in (inner for loop in loops for inner in ast.walk(loop)):
+        searches += isinstance(node, ast.Call) and _is_named(node.func, "_line_max")
+        breaks = isinstance(node, ast.If) and not node.orelse
+        if breaks and [type(s) for s in node.body] == [ast.Break]:
+            continue
+        if isinstance(node, (ast.If, ast.IfExp)):
+            branches.append(node.lineno)
+    return searches, branches
+
+
+def test_class_step_has_one_path():
+    path = Path(fsoqkd.__file__).parent / "planner.py"
+    found = _class_step(ast.parse(path.read_text(encoding="utf-8")))
+    # The walk must find the loop, or it checks nothing.
+    assert found == (1, []), found
+
+
+def test_walk_finds_a_branch_in_the_class_step():
+    source = (
+        "def _optimize():\n"
+        "    for sweep in range(9):\n"
+        "        for k in range(n_cls):\n"
+        "            step = rows[active[rows]]\n"
+        "            if not step.size:\n"
+        "                break\n"
+        "            x, val = single[step], single_val[step]\n"
+        "            if search.any():\n"
+        "                x[search], val[search] = _line_max(f, lo, hi, tol)\n"
+        "            v = x if val.any() else v\n"
+        "def other():\n"
+        "    for k in range(3):\n"
+        "        _line_max(f, lo, hi, tol)\n"
+    )
+    assert _class_step(ast.parse(source)) == (1, [8, 10])
+    assert _class_step(ast.parse("def _optimize():\n    return _line_max(f)\n")) is None

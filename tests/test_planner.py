@@ -514,10 +514,11 @@ def test_totals_are_the_written_out_mode_sum():
 def test_one_class_candidate_runs_four_starts(monkeypatch, caplog, family):
     # A one-class candidate (FB N = 1, or the power-in-bucket fallback) runs
     # all four starts.  Its best corner is its single-mode start, so the
-    # fourth start begins where the third does and ends equal to it; ties
-    # go to the third.  With one mode its class line is its lead's, so the
-    # single-mode search is its only line search and every start ends on
-    # that search's result.
+    # fourth start begins where the third does and equals it; ties go to
+    # the third.  With one mode its class line is its lead's, so the
+    # single-mode search is its only line search: the third and fourth
+    # starts hold that search's result, no start runs a sweep, and the
+    # result is that search's.
     if family == "fb":
         candidate = planner._candidates([square_channel(10e3, 1e-14)], True, 1)[0][0]
     else:
@@ -541,7 +542,7 @@ def test_one_class_candidate_runs_four_starts(monkeypatch, caplog, family):
     assert result is not None
     (message,) = [r.getMessage() for r in caplog.records if "sweeps per start" in r.getMessage()]
     sweeps = [int(s) for s in re.search(r"sweeps per start \[([^]]*)\]", message)[1].split(",")]
-    assert len(sweeps) == 4 and sweeps[3] == sweeps[2] >= 1
+    assert sweeps == [0, 0, 0, 0]
     assert "winning start 'best corner'" not in message
     # _line calls: the uniform start totals, the single-mode search, the
     # corner total, the last two start totals, the reported total.
@@ -549,6 +550,44 @@ def test_one_class_candidate_runs_four_starts(monkeypatch, caplog, family):
     ((x, value),) = searches
     np.testing.assert_array_equal(bases[3], np.full((2, 1), x[0]))
     assert result[0].mu[0] == x[0] and result[1] == value[0]
+
+
+def test_one_mode_configurations_leave_the_ascent_at_their_lead_search(monkeypatch, caplog):
+    # LG Q = 1 and the power-in-bucket fallback have one mode each.  Their
+    # single-mode search is their ascent: they run no sweep and no line
+    # search after it, and win on the single-mode start, while LG Q = 2,
+    # in the same call, still sweeps.  Each is its own group, so none is
+    # pruned.
+    batch = planner._candidates([gauss_channel(10e3, 1e-14)], False, 2)[0]
+    assert [(c[0], c[1], len(c[2].modes)) for c in batch] == [
+        ("lg", 1, 1), ("lg", 2, 3), ("gaussian-pib", None, 1)
+    ]
+    lines, searched = {}, []
+    line, line_max = planner._line, planner._line_max
+
+    def recorded_line(problem, of, base, k, params):
+        f = line(problem, of, base, k, params)
+        lines[id(f)] = of.copy()
+        return f
+
+    def recorded_line_max(f, lo, hi, tol):
+        searched.append(lines[id(f)])
+        return line_max(f, lo, hi, tol)
+
+    monkeypatch.setattr(planner, "_line", recorded_line)
+    monkeypatch.setattr(planner, "_line_max", recorded_line_max)
+    with caplog.at_level(logging.DEBUG, logger="fsoqkd.planner"):
+        results = planner._optimize(batch, QkdSystemParams(), None, [0, 1, 2])
+    assert all(result is not None for result in results)
+    # The lead search first, on the lead problem; then only Q = 2's rows.
+    assert len(searched) > 1
+    assert all(set(of.tolist()) == {1} for of in searched[1:])
+    messages = [r.getMessage() for r in caplog.records if "sweeps per start" in r.getMessage()]
+    assert len(messages) == 3
+    for (mode_set, config, _), message in zip(batch, messages):
+        assert f"mode set {mode_set!r}, config {config!r}:" in message
+        one_mode = "sweeps per start [0, 0, 0, 0], winning start 'single-mode optima'"
+        assert message.endswith(one_mode) == (config != 2), message
 
 
 @pytest.mark.parametrize("chunk", [2, 3, 5, 64])

@@ -43,6 +43,8 @@ def test_lg_vacuum_eta_is_geometric_in_order():
         assert lg_vacuum_eta(q, ch.fresnel_product) == pytest.approx(
             x ** q, rel=1e-12
         )
+        # No power reaches the receiver at D_f = 0.
+        assert lg_vacuum_eta(q, 0.0) == 0.0
 
 
 @pytest.mark.parametrize("df", [0.01, 1.0, 100.0])
@@ -200,10 +202,30 @@ def test_coupling_matrix_dump_format():
 def test_qkd_capacity_hand_value():
     got = qkd_capacity(np.array([0.5, 0.25]), 2.0)
     assert got == pytest.approx(2.0 * (1.0 + math.log2(4.0 / 3.0)), rel=1e-12)
+    # A small eta keeps its digits: log2(1 - 1e-12) reads 2.2e-5 relative low.
+    small = qkd_capacity(np.array([1e-12]), 1.0)
+    assert small == pytest.approx(-math.log1p(-1e-12) / math.log(2), rel=1e-13, abs=0.0)
     with pytest.raises(ValueError):
         qkd_capacity(np.array([1.0]), 1.0)
     with pytest.raises(ValueError):
         qkd_capacity(np.array([-0.1]), 1.0)
+
+
+@pytest.mark.parametrize("path_length", [1e8, 1e13])
+def test_lg_vacuum_capacity_keeps_its_digits_in_the_far_field(path_length):
+    # The same sum regrouped by powers of the base, a Lambert series that
+    # takes no logarithm of 1 - x: sum_m base^m / (m (1 - base^m)^2) / ln 2.
+    # With log2(1 - x) the capacity read 5.6e-10 relative low at 1e8 m, and
+    # at 1e13 m (base 1e-18) it summed to 0.0 and ran out of orders.
+    x = lg_vacuum_eta(1, gauss_channel(path_length).fresnel_product)
+    want, m = 0.0, 1
+    while m == 1 or x ** m > 1e-20 * want:
+        want += x ** m / (m * (1.0 - x ** m) ** 2)
+        m += 1
+    want /= math.log(2)
+    assert lg_vacuum_capacity(gauss_channel(path_length), 1.0) == pytest.approx(
+        want, rel=1e-13, abs=0.0
+    )
 
 
 def test_lg_vacuum_capacity_against_partial_sum():
