@@ -25,9 +25,14 @@ fallback, the last LG candidate, wins only when better by more than
 its closed-form rate bound (:func:`fsoqkd.qkd.rate_bound`, free of
 cross-talk) is below the best total its link has reached, first on the
 uniform starts alone, before any single-mode search; the cut changes no
-winner.  :func:`scan` runs all its links, of both families, in one such
-ascent.  Only :func:`_kernel` names the rate kernels, and it and
-:func:`_totals` work on row slices of at most ``_KERNEL_CHUNK`` elements.
+winner.  An LG order cap is bounded before it is built: its bound needs
+only its diagonal, which the same-order blocks of the first step of
+:func:`fsoqkd.turbulence.lg_turb_matrix` hold, so the cross-order blocks
+are built only on the links where a cap beats the fallback's uniform
+starts, and the other links' caps Q >= 2 never reach the ascent.
+:func:`scan` runs all its links, of both families, in one such ascent.
+Only :func:`_kernel` names the rate kernels, and it and :func:`_totals`
+work on row slices of at most ``_KERNEL_CHUNK`` elements.
 """
 
 from __future__ import annotations
@@ -48,9 +53,10 @@ from .channel import (
 )
 from .numerics import line_max as _line_max
 from .qkd import QkdSystemParams, rate_and_slopes, rate_bound, rate_per_pulse
-from .turbulence import fb_turb_matrix, gaussian_pib_turb, lg_turb_matrix
+from .turbulence import fb_turb_matrix, gaussian_pib_turb, lg_turb_cross_order, lg_turb_same_order
 from .vacuum import CouplingMatrix, ModeId, lg_vacuum_capacity, orbit_classes
 # Unused here; the benchmark tracer wraps fsoqkd.planner.<name> by name.
+from .turbulence import lg_turb_matrix  # noqa: F401
 from .vacuum import fb_vacuum_matrix, lg_vacuum_matrix  # noqa: F401
 
 log = logging.getLogger(__name__)
@@ -320,6 +326,16 @@ _START_NAMES = ("uniform 0.05", "uniform 0.5", "single-mode optima", "best corne
 # for exact arithmetic; summed mode rates carry roundoff near 1e-14.
 _BOUND_REL_TOL = 1e-9
 
+# The debug lines of a pruned candidate and of every candidate's outcome.
+_PRUNED = (
+    "optimize_allocation: mode set %r, config %r pruned at sweep %d: rate "
+    "bound %.6g bits/s is below its group's best total %.6g bits/s"
+)
+_SUMMARY = (
+    "optimize_allocation: mode set %r, config %r: %d modes in %d classes, "
+    "sweeps per start %s, %s"
+)
+
 
 def _optimize(
     candidates: Sequence[Tuple[Optional[str], Optional[int], CouplingMatrix]],
@@ -355,7 +371,10 @@ def _optimize(
     of a pruned candidate are at most its U, below its group's best, so
     the first two cuts prune what one cut on all four starts would, and
     the other rows keep their steps and their results.  A candidate alone
-    in its group is never pruned.
+    in its group is never pruned.  The LG caps that this first cut would
+    prune on their fallback's uniform starts alone never get here:
+    :func:`_candidates` bounds them on their diagonals and builds the
+    cross-order blocks only for the links where a cap survives.
     """
     opts = opts or OptimizerOptions()
     # One classification per distinct mode tuple, keyed by identity: hashing
@@ -401,11 +420,7 @@ def _optimize(
         np.maximum.at(best, label[cand], current)
         doomed = ~pruned & (ceiling < best[label])
         for b in np.flatnonzero(doomed):
-            log.debug(
-                "optimize_allocation: mode set %r, config %r pruned at sweep %d: rate "
-                "bound %.6g bits/s is below its group's best total %.6g bits/s",
-                candidates[b][0], candidates[b][1], sweep, bound[b], best[label[b]],
-            )
+            log.debug(_PRUNED, candidates[b][0], candidates[b][1], sweep, bound[b], best[label[b]])
         pruned[doomed] = True
         active[pruned[cand]] = False
 
@@ -472,9 +487,7 @@ def _optimize(
                 opts.rel_tol, (float(current[s]) - base) / max(abs(base), 1e-300),
             )
         log.debug(
-            "optimize_allocation: mode set %r, config %r: %d modes in %d classes, "
-            "sweeps per start %s, %s",
-            mode_set, config, len(matrix.modes), counts[b], sweeps[own].tolist(),
+            _SUMMARY, mode_set, config, len(matrix.modes), counts[b], sweeps[own].tolist(),
             "pruned" if pruned[b] else f"winning start {_START_NAMES[best[b] - first]!r}",
         )
         if pruned[b]:
@@ -583,26 +596,71 @@ def _envelopes(
     return winners
 
 
-def _candidates(chans: Sequence[DerivedChannel], flat: bool, size: int) -> List[List[_Candidate]]:
+def _candidates(
+    chans: Sequence[DerivedChannel],
+    flat: bool,
+    size: int,
+    params: QkdSystemParams,
+    opts: Optional[OptimizerOptions],
+) -> List[List[_Candidate]]:
     """Each link's candidates from one builder call per configuration on
     all the links: with ``flat`` the focused-beam grids N = 1..size, else
     the LG order caps Q = 1..size, then the single-beam power-in-bucket
     fallback.  The links' candidates of one configuration share one mode
-    tuple (the fallback's is Q = 1's)."""
+    tuple (the fallback's is Q = 1's).
+
+    Bound first, build second: the LG matrices come from the two steps of
+    :func:`lg_turb_matrix`.  Between them each cap is bounded on its
+    diagonal, as :func:`_optimize` bounds it.  Where even the largest cap's
+    bound is below the better of the fallback's two uniform-start totals,
+    the first cut of :func:`_optimize` would prune every cap: the link's
+    caps Q >= 2 are dropped, logged as that cut logs them, and its
+    cross-order blocks are never built.  LG Q = 1's own totals are left out
+    of that best: they are at most its bound, the smallest cap's, so they
+    prune no cap.  The one-mode candidates need no cross-order block and
+    always reach :func:`_optimize`, whose first cut checks their totals
+    against their bounds, so a broken bound still raises.  A dropped cap's
+    totals are at most its bound, so its group's best, and every other
+    candidate's steps, are unchanged."""
     if size < 1:
         raise ValueError(f"{'n_max' if flat else 'q_max'} must be >= 1, got {size}")
     if flat:
         grids = zip(*(fb_turb_matrix(n_grid, chans) for n_grid in range(1, size + 1)))
         return [[("fb", n, m) for n, m in enumerate(own, 1)] for own in grids]
-    fulls = lg_turb_matrix(size, chans)
-    prefixes = [fulls[0].modes[: q * (q + 1) // 2] for q in range(1, size + 1)]
+    mom, same = lg_turb_same_order(size, chans)
+    prefixes = [same[0].modes[: q * (q + 1) // 2] for q in range(1, size + 1)]
+    fallback = [
+        ("gaussian-pib", None, CouplingMatrix(modes=prefixes[0], eta=np.array([[eta]])))
+        for eta in map(gaussian_pib_turb, chans)
+    ]
+    opts = opts or OptimizerOptions()
+    # Each cap's bound on its diagonal and each fallback's two uniform-start
+    # totals, as _optimize computes them.
+    diagonals = np.array([np.diag(m.eta) for m in same])
+    per_mode = rate_bound(diagonals, params, opts.mu_min, opts.mu_max)
+    bound = params.pulse_rate * np.cumsum(per_mode, axis=1)[:, [len(m) - 1 for m in prefixes]]
+    problem = _class_space([(m, ((0,),)) for _, _, m in fallback])
+    uniform = np.clip([[0.05], [0.5]] * len(chans), opts.mu_min, opts.mu_max)
+    totals = _totals(problem, np.arange(len(uniform)) // 2, uniform, params)
+    best = totals.reshape(-1, 2).max(axis=1)
+    build = bound[:, -1] * (1.0 + _BOUND_REL_TOL) >= best
+    # Classifying the prefixes only to log them would cost 14 us each.
+    for p in np.flatnonzero(~build) if log.isEnabledFor(logging.DEBUG) else []:
+        for q, m in enumerate(prefixes[1:], 2):
+            log.debug(_PRUNED, "lg", q, 0, bound[p, q - 1], best[p])
+            log.debug(
+                _SUMMARY, "lg", q, len(m), len(orbit_classes(m)), [0] * len(_START_NAMES), "pruned"
+            )
+    kept = np.flatnonzero(build)
+    for p, full in zip(kept, lg_turb_cross_order((mom, same), kept)):
+        same[p] = full
     return [
         [
             ("lg", q, CouplingMatrix(modes=m, eta=full.eta[: len(m), : len(m)]))
-            for q, m in enumerate(prefixes, 1)
+            for q, m in enumerate(prefixes[: size if b else 1], 1)
         ]
-        + [("gaussian-pib", None, CouplingMatrix(modes=prefixes[0], eta=np.array([[pib]])))]
-        for full, pib in zip(fulls, map(gaussian_pib_turb, chans))
+        + [last]
+        for b, full, last in zip(build, same, fallback)
     ]
 
 
@@ -613,7 +671,7 @@ def fb_envelope(
     opts: Optional[OptimizerOptions] = None,
 ) -> RatePoint:
     """Best focused-beam operating point over grid sizes N = 1..n_max."""
-    return RatePoint(*_envelopes(_candidates([ch], True, n_max), params, opts)[0])
+    return RatePoint(*_envelopes(_candidates([ch], True, n_max, params, opts), params, opts)[0])
 
 
 def lg_envelope(
@@ -625,7 +683,7 @@ def lg_envelope(
     """Best LG operating point: mode-sorted order caps Q <= q_max, or the
     single-beam power-in-bucket fallback when mode sorting only adds
     cross-talk (deep far field under strong turbulence)."""
-    return RatePoint(*_envelopes(_candidates([ch], False, q_max), params, opts)[0])
+    return RatePoint(*_envelopes(_candidates([ch], False, q_max, params, opts), params, opts)[0])
 
 
 # --------------------------------------------------------------------------
@@ -683,9 +741,14 @@ def scan(
     for family, size in ((True, n_max), (False, q_max)):
         members = [i for i, f in enumerate(flat) if f is family]
         try:
-            built = _candidates([chans[i] for i in members], family, size) if members else []
+            built = [] if not members else _candidates(
+                [chans[i] for i in members], family, size, params, opts
+            )
         except (RuntimeError, ValueError):
-            built = [attempt(i, lambda: _candidates([chans[i]], family, size)[0]) for i in members]
+            built = [
+                attempt(i, lambda: _candidates([chans[i]], family, size, params, opts)[0])
+                for i in members
+            ]
         groups.update((i, c) for i, c in zip(members, built) if c is not None)
     winners = _envelopes(list(groups.values()), params, opts) if groups else []
     points = {i: attempt(i, lambda: RatePoint(*winner)) for i, winner in zip(groups, winners)}

@@ -76,6 +76,8 @@ __all__ = [
     "gaussian_pib_53",
     "hg_second_moments",
     "lg_turb_matrix",
+    "lg_turb_same_order",
+    "lg_turb_cross_order",
     "fb_turb_eta",
     "fb_turb_matrix",
 ]
@@ -329,15 +331,51 @@ def lg_turb_matrix(
     ``_IMAG_TOL`` raise :class:`QuadratureError`.  At cn2 = 0 it is the
     vacuum matrix to ~1e-14 relative (off-diagonal entries ~1e-16).
 
+    It is two steps called in sequence: :func:`lg_turb_same_order`, the
+    moments and the same-order (N, N) blocks, which hold the diagonal, then
+    :func:`lg_turb_cross_order`, the cross-order blocks.  The LG envelopes
+    bound every order cap on its diagonal between the two and run the
+    second step only on the links where a cap survives, so the
+    cross-order entries of the other links are never computed and get no
+    imaginary-residue, range or row-sum check.
+
     A sequence of channels gives a list of matrices over one shared mode
-    tuple, from one moment recurrence and one block assembly, each the
-    same bit for bit as its channel alone.
+    tuple, from one moment recurrence and one block assembly per step,
+    each the same bit for bit as its channel alone, and the second step on
+    any subset of the links gives each of them the same bits again.
     """
-    if q_max < 1:
-        raise ValueError(f"q_max must be >= 1, got {q_max}")
+    same = lg_turb_same_order(q_max, [ch] if isinstance(ch, DerivedChannel) else ch)
+    matrices = lg_turb_cross_order(same, np.arange(len(same[0])))
+    return matrices[0] if isinstance(ch, DerivedChannel) else matrices
+
+
+def lg_turb_same_order(q_max: int, chans: Sequence[DerivedChannel]):
+    """The first step of :func:`lg_turb_matrix` on every link of ``chans``:
+    ``(moments, matrices)``, where matrix p is link p's coupling with every
+    cross-order entry 0.  Its other entries are the full matrix's bit for
+    bit, after the same residue check and clamp, so its diagonal is the
+    full matrix's; no row of it sums to more than the full matrix's row,
+    so its row check raises only where the full one would."""
     modes = lg_modes_up_to(q_max)
-    span = range(q_max)
-    mom = hg_second_moments([ch] if isinstance(ch, DerivedChannel) else ch, (q_max,) * 4)
+    mom = hg_second_moments(chans, (q_max,) * 4)
+    return mom, _lg_blocks(mom, np.zeros((len(mom),) + (len(modes),) * 2), True, modes)
+
+
+def lg_turb_cross_order(same, links: np.ndarray) -> List[CouplingMatrix]:
+    """The second step of :func:`lg_turb_matrix`: the full matrices of the
+    ``links``, indices into the channels of ``same``, the output of
+    :func:`lg_turb_same_order`, from their same-order matrices and moments."""
+    mom, matrices = same
+    eta = np.array([matrices[p].eta for p in links])
+    return _lg_blocks(mom[links], eta, False, matrices[0].modes) if len(links) else []
+
+
+def _lg_blocks(mom: np.ndarray, eta: np.ndarray, same: bool, modes) -> List[CouplingMatrix]:
+    """The matrices over ``modes`` of ``eta`` (P, M, M) with the LG blocks
+    of orders (N, N') added from the moments (P, ...): the same-order ones
+    (N == N') with ``same``, else the cross-order ones, every complex entry
+    checked for its imaginary residue."""
+    span = range(mom.shape[1])
     rows = [slice(n * (n + 1) // 2, (n + 1) * (n + 2) // 2) for n in span]
     # Row i of pair[n] is U_a U_b* of LG mode i of order n over the pair
     # index ab, so a block is pair[N] @ K[ab, cd] @ pair[N'].conj().T.
@@ -347,26 +385,24 @@ def lg_turb_matrix(
         pair.append((u[:, :, None] * u.conj()[:, None, :]).reshape(n + 1, -1))
     back = [p.conj().T for p in pair]
 
-    eta = np.zeros((len(mom), len(modes), len(modes)), dtype=complex)
-    for n_in in span:
-        for n_out in span:
-            # K[a, b, c, d] = M(a, b; c, d) M(N-a, N-b; N'-c, N'-d), one
-            # block's K alive at a time.
-            k_tensor = (
-                mom[:, : n_in + 1, : n_in + 1, : n_out + 1, : n_out + 1]
-                * mom[:, n_in::-1, n_in::-1, n_out::-1, n_out::-1]
-            )
-            k_matrix = k_tensor.reshape(len(mom), (n_in + 1) ** 2, (n_out + 1) ** 2)
-            eta[:, rows[n_in], rows[n_out]] = pair[n_in] @ k_matrix @ back[n_out]
-            del k_tensor, k_matrix
+    eta = eta.astype(complex)
+    for n_in, n_out in [(i, o) for i in span for o in span if (i == o) == same]:
+        # K[a, b, c, d] = M(a, b; c, d) M(N-a, N-b; N'-c, N'-d), one
+        # block's K alive at a time.
+        k_tensor = (
+            mom[:, : n_in + 1, : n_in + 1, : n_out + 1, : n_out + 1]
+            * mom[:, n_in::-1, n_in::-1, n_out::-1, n_out::-1]
+        )
+        k_matrix = k_tensor.reshape(len(mom), (n_in + 1) ** 2, (n_out + 1) ** 2)
+        eta[:, rows[n_in], rows[n_out]] = pair[n_in] @ k_matrix @ back[n_out]
+        del k_tensor, k_matrix
 
     worst_imag = float(np.max(np.abs(eta.imag)))
     if worst_imag > _IMAG_TOL:
         raise QuadratureError(
             f"LG coupling entries retain imaginary residue {worst_imag:.3e}"
         )
-    matrices = [CouplingMatrix(modes=modes, eta=e) for e in eta.real]
-    return matrices[0] if isinstance(ch, DerivedChannel) else matrices
+    return [CouplingMatrix(modes=modes, eta=e) for e in eta.real]
 
 
 # --------------------------------------------------------------------------

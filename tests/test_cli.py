@@ -590,6 +590,7 @@ def test_cmd_rates_records_failures(monkeypatch, caplog):
         raise RuntimeError("boom")
 
     monkeypatch.setattr(planner, "lg_turb_matrix", boom)
+    monkeypatch.setattr(planner, "lg_turb_same_order", boom)
     text, clean = cmd_rates(cfg)
     assert not clean
     lines = text.splitlines()

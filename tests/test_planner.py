@@ -11,6 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import fsoqkd.planner as planner
+from fsoqkd.channel import derive
 from fsoqkd.numerics import QuadratureError
 from fsoqkd.planner import (
     OptimizerOptions,
@@ -510,6 +511,29 @@ def test_totals_are_the_written_out_mode_sum():
         )
 
 
+def _lg_cap(full, q):
+    """LG order cap Q = q of a full lg_turb_matrix build."""
+    k = q * (q + 1) // 2
+    return CouplingMatrix(modes=full.modes[:k], eta=full.eta[:k, :k])
+
+
+def _built_candidates(chans, flat, size):
+    """Every candidate of planner._candidates at the default parameters,
+    the LG caps it drops before their cross-order blocks included: each LG
+    cap is a prefix of one full lg_turb_matrix build, and bit for bit the
+    cap of planner._candidates where that one is built."""
+    groups = planner._candidates(chans, flat, size, QkdSystemParams(), None)
+    if flat:
+        return groups
+    built = []
+    for full, group in zip(lg_turb_matrix(size, chans), groups):
+        caps = [("lg", q, _lg_cap(full, q)) for q in range(1, size + 1)]
+        for (_, _, kept), (_, _, cap) in zip(group[:-1], caps):
+            np.testing.assert_array_equal(kept.eta, cap.eta)
+        built.append(caps + group[-1:])
+    return built
+
+
 @pytest.mark.parametrize("family", ["fb", "gaussian-pib"])
 def test_one_class_candidate_runs_four_starts(monkeypatch, caplog, family):
     # A one-class candidate (FB N = 1, or the power-in-bucket fallback) runs
@@ -520,9 +544,9 @@ def test_one_class_candidate_runs_four_starts(monkeypatch, caplog, family):
     # starts hold that search's result, no start runs a sweep, and the
     # result is that search's.
     if family == "fb":
-        candidate = planner._candidates([square_channel(10e3, 1e-14)], True, 1)[0][0]
+        candidate = _built_candidates([square_channel(10e3, 1e-14)], True, 1)[0][0]
     else:
-        candidate = planner._candidates([gauss_channel(10e3, 1e-14)], False, 1)[0][-1]
+        candidate = _built_candidates([gauss_channel(10e3, 1e-14)], False, 1)[0][-1]
     assert candidate[0] == family and len(candidate[2].modes) == 1
     bases, searches = [], []
     line, line_max = planner._line, planner._line_max
@@ -558,7 +582,7 @@ def test_one_mode_configurations_leave_the_ascent_at_their_lead_search(monkeypat
     # search after it, and win on the single-mode start, while LG Q = 2,
     # in the same call, still sweeps.  Each is its own group, so none is
     # pruned.
-    batch = planner._candidates([gauss_channel(10e3, 1e-14)], False, 2)[0]
+    batch = _built_candidates([gauss_channel(10e3, 1e-14)], False, 2)[0]
     assert [(c[0], c[1], len(c[2].modes)) for c in batch] == [
         ("lg", 1, 1), ("lg", 2, 3), ("gaussian-pib", None, 1)
     ]
@@ -825,6 +849,12 @@ def test_envelope_lockstep_equals_per_candidate(monkeypatch, family, path_length
     else:
         point = lg_envelope(gauss_channel(path_length, cn2), params, q_max=cap)
     ((candidates, results),) = seen
+    if family == "lg":
+        # The caps dropped before their cross-order blocks never reach
+        # _optimize: they join the check as pruned, built in full.
+        reached = dict(zip([c[:2] for c in candidates], results))
+        candidates = _built_candidates([gauss_channel(path_length, cn2)], False, cap)[0]
+        results = [reached.get(c[:2]) for c in candidates]
     assert len(candidates) == cap + (family == "lg")
     assert None in results
     solo = [optimize_allocation(matrix, params)[1] for _, _, matrix in candidates]
@@ -863,8 +893,8 @@ def test_mixed_batch_prunes_on_start_totals_and_keeps_solo_bits(caplog):
     # ends on the bits of its own one-candidate ascent.
     params = QkdSystemParams()
     links = [(L, cn2) for L in (1e3, 10e3, 40e3) for cn2 in (0.0, 1e-13)]
-    groups = planner._candidates([square_channel(*link) for link in links], True, 4)
-    groups += planner._candidates([gauss_channel(*link) for link in links], False, 4)
+    groups = _built_candidates([square_channel(*link) for link in links], True, 4)
+    groups += _built_candidates([gauss_channel(*link) for link in links], False, 4)
     batch = [c for group in groups for c in group]
     labels = [g for g, group in enumerate(groups) for _ in group]
     with caplog.at_level(logging.DEBUG, logger="fsoqkd.planner"):
@@ -908,7 +938,7 @@ def test_one_mode_rows_equal_a_search_of_their_own_line(family, path_length, cn2
     params, opts = QkdSystemParams(), OptimizerOptions()
     flat = family == "fb"
     ch = (square_channel if flat else gauss_channel)(path_length, cn2)
-    batch = planner._candidates([ch], flat, 4)[0]
+    batch = _built_candidates([ch], flat, 4)[0]
     one = 0 if flat else len(batch) - 1
     assert batch[one][0] == family and len(batch[one][2].modes) == 1
     alloc, total = planner._optimize(batch, params, opts, list(range(len(batch))))[one]
@@ -1060,33 +1090,120 @@ def test_fb_envelope_rate_kernel_call_budget(kernel_work):
     assert 0 < calls.count("rate_and_slopes") < calls.count("rate_per_pulse")
 
 
+# The benchmark's turbulent LG points: 14.6 km at cn2 1e-14 and 1e-13.
+_LG_TURB_LINKS = [
+    family(14.6e3, cn2).config
+    for cn2 in (1e-14, 1e-13)
+    for family in (gauss_channel, square_channel)
+]
+
+
 def test_lg_turb_rate_kernel_call_budget(monkeypatch, kernel_work):
     # The turbulent LG benchmark point: 14.6 km at cn2 1e-14 and 1e-13,
     # q_max = 8 with single flat-top beams, in one scan.  The PIB fallback
-    # wins both LG envelopes and every order cap is pruned on its uniform
-    # starts, before the single-mode search.  Every survivor has one mode,
-    # so that search is the only line search: 17 kernel calls on 564
-    # elements, against 366 without pruning (42 and 365 when the pruned
-    # caps still had their single-mode search and each one-mode row
-    # searched its own line again).
+    # wins both LG envelopes, and every order cap is dropped on its
+    # diagonal's bound before its cross-order blocks are built: the cut
+    # before the build totals the fallbacks' uniform starts in one kernel
+    # call, and LG Q = 1 is pruned on its uniform starts, before the
+    # single-mode search.  Every survivor has one mode, so the
+    # single-mode search is the only line search: 18 kernel calls on 92
+    # elements, against 17 on 564 when every cap reached the optimizer and
+    # 366 calls without pruning.
     calls = kernel_work.calls
     searches = []
     line_max = planner._line_max
     monkeypatch.setattr(planner, "_line_max", lambda *args: searches.append(1) or line_max(*args))
-    links = [
-        family(14.6e3, cn2).config
-        for cn2 in (1e-14, 1e-13)
-        for family in (gauss_channel, square_channel)
-    ]
-    rows = scan(links, QkdSystemParams(), n_max=1, q_max=8)
+    rows = scan(_LG_TURB_LINKS, QkdSystemParams(), n_max=1, q_max=8)
     assert [row.point.mode_set for row in rows] == ["gaussian-pib", "fb"] * 2
     assert len(searches) == 1
     budget = 18
     assert len(calls) <= budget
+    assert kernel_work.elements <= 101
     calls.clear()
     monkeypatch.setattr(planner, "rate_bound", _no_bound)
-    scan(links, QkdSystemParams(), n_max=1, q_max=8)
+    scan(_LG_TURB_LINKS, QkdSystemParams(), n_max=1, q_max=8)
     assert len(calls) > 4 * budget
+
+
+def _spy_cross_order(monkeypatch):
+    """The links of every planner.lg_turb_cross_order call, as lists."""
+    seen, real = [], planner.lg_turb_cross_order
+
+    def spy(same, links):
+        seen.append(list(links))
+        return real(same, links)
+
+    monkeypatch.setattr(planner, "lg_turb_cross_order", spy)
+    return seen
+
+
+def test_lg_turb_points_build_no_cross_order_block(monkeypatch, caplog):
+    # On the benchmark's turbulent LG points every cap is dropped before its
+    # cross-order blocks exist, with its two debug lines, and every row is
+    # the row of the path that builds and optimizes every cap, bit for bit.
+    params = QkdSystemParams()
+    seen = _spy_cross_order(monkeypatch)
+    with caplog.at_level(logging.DEBUG, logger="fsoqkd.planner"):
+        rows = scan(_LG_TURB_LINKS, params, n_max=1, q_max=8)
+    assert seen == [[]]
+    messages = [r.getMessage() for r in caplog.records]
+    for q in range(1, 9):
+        head = f"mode set 'lg', config {q}"
+        assert len([m for m in messages if f"{head} pruned at sweep 0: rate bound " in m]) == 2
+        assert len([m for m in messages if f"{head}: " in m and m.endswith(", pruned")]) == 2
+    assert len([m for m in messages if "pruned at sweep 0" in m and "'lg'" in m]) == 16
+    built = _built_candidates([derive(link) for link in _LG_TURB_LINKS[::2]], False, 8)
+    for row, winner in zip(rows[::2], planner._envelopes(built, params, None)):
+        mode_set, config, total, alloc = winner
+        assert (row.point.mode_set, row.point.config) == (mode_set, config)
+        assert row.point.total_rate_bps == total
+        assert row.point.allocation.mu.tobytes() == alloc.mu.tobytes()
+
+
+def test_only_surviving_links_get_cross_order_blocks(monkeypatch):
+    # A link whose caps survive (1 km, cn2 1e-15) and one whose caps are all
+    # dropped (14.6 km, cn2 1e-13) in one batch: only the first gets the
+    # second step, and each row is its one-link scan's, bit for bit.
+    params = QkdSystemParams()
+    links = [gauss_channel(1e3, 1e-15).config, gauss_channel(14.6e3, 1e-13).config]
+    seen = _spy_cross_order(monkeypatch)
+    rows = scan(links, params, q_max=4)
+    assert seen == [[0]]
+    assert [row.point.mode_set for row in rows] == ["lg", "gaussian-pib"]
+    for link, row in zip(links, rows):
+        (solo,) = scan([link], params, q_max=4)
+        _same_row(row, solo)
+
+
+def test_unbounded_caps_all_get_cross_order_blocks(monkeypatch):
+    # With infinite bounds no cap can be pruned, so none is dropped before
+    # its cross-order blocks.
+    monkeypatch.setattr(planner, "rate_bound", _no_bound)
+    seen = _spy_cross_order(monkeypatch)
+    scan(_LG_TURB_LINKS, QkdSystemParams(), n_max=1, q_max=8)
+    assert seen == [[0, 1]]
+
+
+def test_scan_fails_only_the_link_whose_same_order_step_fails(monkeypatch):
+    # The first LG step raises for one link of two: the batch is rebuilt
+    # link by link, that link alone fails with its own error, and the other
+    # keeps the bits of its one-link scan.
+    params = QkdSystemParams()
+    links = [gauss_channel(1e3, 1e-15).config, gauss_channel(14.6e3, 1e-13).config]
+    real = planner.lg_turb_same_order
+
+    def flaky(q_max, chans):
+        if any(ch.config.path_length == 1e3 for ch in chans):
+            raise QuadratureError("no convergence")
+        return real(q_max, chans)
+
+    monkeypatch.setattr(planner, "lg_turb_same_order", flaky)
+    rows = scan(links, params, q_max=4)
+    assert rows[0].point is None and rows[0].error == "QuadratureError: no convergence"
+    assert rows[0].capacity_bps is not None
+    (solo,) = scan(links[1:], params, q_max=4)
+    _same_row(rows[1], solo)
+    assert rows[1].point.mode_set == "gaussian-pib"
 
 
 def test_envelope_warns_when_cut_off_by_its_budget(caplog):
@@ -1206,6 +1323,7 @@ def test_scan_names_every_failure(monkeypatch):
         raise RuntimeError("boom")
 
     monkeypatch.setattr(planner, "lg_turb_matrix", boom)
+    monkeypatch.setattr(planner, "lg_turb_same_order", boom)
     (row,) = scan([gauss_channel(0.3).config], QkdSystemParams(), q_max=1)
     assert row.point is None and row.capacity_bps is None
     first, second = row.error.split("; ")

@@ -21,7 +21,9 @@ from fsoqkd.turbulence import (
     gaussian_pib_53,
     gaussian_pib_turb,
     hg_second_moments,
+    lg_turb_cross_order,
     lg_turb_matrix,
+    lg_turb_same_order,
     structure_fn,
 )
 from fsoqkd.vacuum import (
@@ -292,6 +294,58 @@ def test_batched_builders_equal_one_channel_calls(count):
             assert mat.eta.tobytes() == alone.eta.tobytes()
 
 
+@pytest.mark.parametrize("cn2", [0.0, 1e-15, 1e-13])
+def test_lg_same_order_step_holds_the_full_diagonal(cn2):
+    # The first step of lg_turb_matrix gives each link the diagonal of its
+    # full matrix bit for bit, on one channel and on a batch, at every cap;
+    # every cross-order entry is 0 and every same-order entry is the full
+    # matrix's.
+    chans = [gauss_channel(L, cn2) for L in (1e3, 14.6e3, 60e3)]
+    for q_max in range(1, 9):
+        fulls = lg_turb_matrix(q_max, chans)
+        for batch in ([ch] for ch in chans), [chans]:
+            for links in batch:
+                mom, same = lg_turb_same_order(q_max, links)
+                assert mom.shape == (len(links),) + (q_max,) * 4
+                for ch, matrix in zip(links, same):
+                    full = fulls[chans.index(ch)]
+                    assert matrix.modes == full.modes
+                    assert np.diag(matrix.eta).tobytes() == np.diag(full.eta).tobytes()
+                    order = np.array([m.order for m in full.modes])
+                    block = order[:, None] == order[None, :]
+                    assert (matrix.eta[~block] == 0.0).all()
+                    assert matrix.eta[block].tobytes() == full.eta[block].tobytes()
+
+
+def test_lg_cross_order_step_on_some_links_gives_their_full_matrices():
+    # The second step on any subset of the links, in any order, gives each
+    # of them lg_turb_matrix's matrix bit for bit, and on none of them
+    # nothing.
+    chans = [gauss_channel(L, cn2) for L, cn2 in ((1e3, 1e-15), (14.6e3, 1e-13), (3e3, 0.0))]
+    same = lg_turb_same_order(6, chans)
+    assert lg_turb_cross_order(same, np.array([], dtype=int)) == []
+    for links in ([1], [2, 0], [0, 1, 2]):
+        for p, matrix in zip(links, lg_turb_cross_order(same, np.array(links))):
+            full = lg_turb_matrix(6, chans[p])
+            assert matrix.modes == full.modes
+            assert matrix.eta.tobytes() == full.eta.tobytes()
+
+
+def test_lg_steps_check_the_residue_of_the_entries_they_compute(monkeypatch):
+    # Each step checks the imaginary residue of the entries it computes: a
+    # residue planted in the moments fails the first step, and planted
+    # after it, the second.
+    ch = gauss_channel(10e3, 1e-14)
+    mom, same = lg_turb_same_order(3, [ch])
+    tilted = mom.copy()
+    tilted[:, 0, 0, 2, 0] += 1e-3j
+    with pytest.raises(fsoqkd.turbulence.QuadratureError, match="imaginary residue"):
+        lg_turb_cross_order((tilted, same), np.array([0]))
+    monkeypatch.setattr(fsoqkd.turbulence, "hg_second_moments", lambda chans, shape: tilted)
+    with pytest.raises(fsoqkd.turbulence.QuadratureError, match="imaginary residue"):
+        lg_turb_same_order(3, [ch])
+
+
 def test_lg_turb_diag_monotone_in_cn2():
     for path_length, q_max in ((1e3, 1), (100e3, 2)):
         diags = [
@@ -308,6 +362,8 @@ def test_lg_turb_matrix_rejects_bad_sizes():
         lg_turb_matrix(0, ch)
     with pytest.raises(ValueError):
         lg_turb_matrix(-1, ch)
+    with pytest.raises(ValueError, match="q_max must be >= 1"):
+        lg_turb_same_order(0, [ch])
 
 
 def _log_uniform(lo, hi):
