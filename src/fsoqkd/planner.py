@@ -8,10 +8,12 @@ of modes, restarted from a few spread initial points.  Each line search
 narrows its bracket by value comparisons, which chooses the basin, then
 finishes with a secant on the closed-form slope of the total.  The
 objective is evaluated in class space, with cross-talk aggregated by
-source class, by one evaluator: a line search lays out the real modes of
-its rows once, each probe evaluates only the rows still searching, a
-total is the line of the last class, and a single-mode search is the
-line of a one-mode problem: a one-mode configuration's whole ascent.
+source class, on one entry per group of modes whose terms match, weighted
+by the group's size (on the builders' matrices, one per class), by one
+evaluator: a line search lays out the entries of its rows once, each
+probe evaluates only the rows still searching, a total is the line of the
+last class, and a single-mode search is the line of a one-mode problem: a
+one-mode configuration's whole ascent.
 
 The envelope operations additionally maximize over the mode-set
 configuration itself: the focused-beam grid size N, or the LG order cap Q
@@ -54,7 +56,14 @@ from .channel import (
 from .numerics import line_max as _line_max
 from .qkd import QkdSystemParams, rate_and_slopes, rate_bound, rate_per_pulse
 from .turbulence import fb_turb_matrix, gaussian_pib_turb, lg_turb_cross_order, lg_turb_same_order
-from .vacuum import CouplingMatrix, ModeId, lg_vacuum_capacity, orbit_classes
+from .vacuum import (
+    CouplingMatrix,
+    ModeId,
+    class_index,
+    class_sums,
+    lg_vacuum_capacity,
+    orbit_classes,
+)
 # Unused here; the benchmark tracer wraps fsoqkd.planner.<name> by name.
 from .turbulence import lg_turb_matrix  # noqa: F401
 from .vacuum import fb_vacuum_matrix, lg_vacuum_matrix  # noqa: F401
@@ -172,29 +181,20 @@ def _class_space(
 ) -> Tuple[np.ndarray, ...]:
     """The rate objective of each ``(matrix, classes)`` problem in class space.
 
-    Returns ``(offset, cls, eta, coupling)``, one entry per real mode,
-    problem by problem in mode order: problem b holds entries
-    ``offset[b]:offset[b + 1]``, and entry e is a mode of class ``cls[e]``
-    with transmissivity ``eta[e]``.  ``coupling[e, j]`` (E, K) sums eta[i',
-    i] over the modes i' != i of class j (the diagonal is zeroed first, so
-    a mode's own power is left out exactly, not subtracted); only the class
-    axis is padded, to the largest class count K, and a padded class
+    Returns ``(offset, cls, eta, coupling, weight)``, one entry per group of
+    matching modes (see :func:`class_sums`), problem by problem in mode
+    order: problem b holds entries ``offset[b]:offset[b + 1]``, and entry e
+    stands for ``weight[e]`` modes of class ``cls[e]`` with transmissivity
+    ``eta[e]`` and class-summed couplings ``coupling[e]`` (E, K).  Only the
+    class axis is padded, to the largest class count K, and a padded class
     couples into nothing.
     """
-    sizes = [len(matrix.modes) for matrix, _ in problems]
-    offset = np.concatenate([[0], np.cumsum(sizes)])
-    coupling = np.zeros((offset[-1], max(len(orbits) for _, orbits in problems)))
-    cls = np.empty(offset[-1], dtype=int)
-    eta = np.empty(offset[-1])
-    for b, (matrix, orbits) in enumerate(problems):
-        own = slice(offset[b], offset[b + 1])
-        off = matrix.eta.copy()
-        np.fill_diagonal(off, 0.0)
-        eta[own] = np.diag(matrix.eta)
-        cls[own][np.concatenate(orbits)] = np.repeat(np.arange(len(orbits)), list(map(len, orbits)))
-        # Row i' of off adds into its class's column in mode order, as a sum would.
-        np.add.at(coupling[own].T, cls[own], off)
-    return offset, cls, eta, coupling
+    cls, eta, parts, weight = zip(*(class_sums(matrix, orbits) for matrix, orbits in problems))
+    offset = np.cumsum([0, *map(len, cls)])
+    coupling = np.zeros((offset[-1], max(part.shape[1] for part in parts)))
+    for b, part in enumerate(parts):
+        coupling[offset[b] : offset[b + 1], : part.shape[1]] = part
+    return offset, np.concatenate(cls), np.concatenate(eta), coupling, np.concatenate(weight)
 
 
 # Elements per rate-kernel call: near 4k the cost per element is least
@@ -229,20 +229,22 @@ def _line(
     (R, K), row r on problem ``of[r]`` (see :func:`_class_space`), for
     :func:`_line_max`; the one evaluator of the objective.
 
-    The real modes of every row are laid out once, in mode order, as one
+    The entries of every row are laid out once, in mode order, as one
     element each: its row, transmissivity, base mu, whether it is in class
-    k, its coupling from class k and its cross-talk from the other classes,
-    added class by class in order (class k's an exact zero; a NumPy sum may
-    pair terms by K), so no term depends on another row or the padding.
+    k, its coupling from class k, its weight and its cross-talk from the
+    other classes, added class by class in order (class k's an exact zero;
+    a NumPy sum may pair terms by K), so no term depends on another row or
+    the padding.
     ``f(rows, x)`` maps the (r, m) values x of class k on the rows ``rows``
     (ascending) to their totals, and ``f(rows, x, True)`` returns
     ``(totals, slopes)``, the slopes d total/d v[k] = pulse_rate * (sum
     over the modes of class k of d rate/d mu + sum over all modes of
     coupling[k] d rate/d mu_c).  A probe costs one multiply-add for the
     cross-talk and the rate kernel on the elements of its rows.  Values and
-    slopes are summed per row in mode order by a ``bincount``.
+    slopes, each times its element's weight, are summed per row in mode
+    order by a ``bincount``; a weight of 1 multiplies exactly.
     """
-    offset, cls, eta_all, coupling = problem
+    offset, cls, eta_all, coupling, weight = problem
     size = offset[of + 1] - offset[of]
     row = np.repeat(np.arange(len(of)), size)
     entry = np.arange(row.size) + (offset[of] - np.cumsum(size) + size)[row]
@@ -250,19 +252,19 @@ def _line(
     rest[:, k] = 0.0
     other = sum(vj[row] * cj[entry] for vj, cj in zip(rest.T, coupling.T))
     in_k = cls[entry] == k
-    # The per-element quantities, kept apart: stacking them would copy all four
+    # The per-element quantities, kept apart: stacking them would copy all five
     # at once, the largest allocation of a total over many rows.
-    table = (eta_all[entry], base[row, cls[entry]], other, coupling[entry, k])
+    table = (eta_all[entry], base[row, cls[entry]], other, coupling[entry, k], weight[entry])
 
     def f(rows: np.ndarray, x: np.ndarray, slopes: bool = False):
         if rows.size == len(of):
-            own, lit, (eta, base_mu, other, from_k) = row, in_k, table
+            own, lit, (eta, base_mu, other, from_k, w) = row, in_k, table
         else:
             keep = np.zeros(len(of), dtype=bool)
             keep[rows] = True
             at = np.flatnonzero(keep[row])
             own = (np.cumsum(keep) - 1)[row[at]]
-            lit, (eta, base_mu, other, from_k) = in_k[at], (a[at] for a in table)
+            lit, (eta, base_mu, other, from_k, w) = in_k[at], (a[at] for a in table)
         m = x.shape[1]
         xe = x[own]
         mu = np.where(lit[:, None], xe, base_mu[:, None])
@@ -270,7 +272,7 @@ def _line(
         bins = own if m == 1 else (own[:, None] * m + np.arange(m)).ravel()
 
         def total(per_mode: np.ndarray) -> np.ndarray:
-            sums = np.bincount(bins, params.pulse_rate * per_mode.ravel(), x.size)
+            sums = np.bincount(bins, params.pulse_rate * (w[:, None] * per_mode).ravel(), x.size)
             return sums.reshape(x.shape)
 
         if not slopes:
@@ -304,7 +306,8 @@ def _totals(
 def total_rate(
     alloc: PowerAllocation, matrix: CouplingMatrix, params: QkdSystemParams
 ) -> float:
-    """Total key rate of an allocation over all modes, bits/s."""
+    """Total key rate of an allocation over all modes, bits/s, on one
+    weighted entry per group of matching modes, as the optimizer sees it."""
     if alloc.modes != matrix.modes:
         raise ValueError("allocation and matrix cover different mode lists")
     v = alloc.mu[[orbit[0] for orbit in alloc.orbits]]
@@ -352,15 +355,17 @@ def _optimize(
     class values, padded to the largest class count, and each row takes
     exactly the steps it would take alone: the line search of class k runs
     on the live rows of candidates with more than k classes, and every
-    total and probe evaluates only the real modes of its rows.  Every
+    total and probe evaluates only the entries of its rows, one weighted
+    entry per group of matching modes (:func:`_class_space`).  Every
     value comes from one evaluator, :func:`_line`: the totals
     (:func:`_totals`), the line searches, and the single-mode search of
     each class lead, a one-mode problem without cross-talk.  That is the
-    class line of a one-mode candidate, whose last two starts thus hold
-    the lead's optimum and total: its rows leave before the first sweep.
+    class line of a one-mode candidate (one mode, not one entry: FB N = 2
+    is one entry of four modes), whose last two starts thus hold the lead's
+    optimum and total: its rows leave before the first sweep.
 
-    Each candidate's total is bounded by U = pulse_rate * sum of
-    :func:`rate_bound` over its diagonal transmissivities, whatever its
+    Each candidate's total is bounded by U = pulse_rate * sum of weight x
+    :func:`rate_bound` over its entries' transmissivities, whatever its
     allocation and cross-talk; a total above U (1 + ``_BOUND_REL_TOL``)
     raises :class:`RuntimeError`.  ``groups`` labels each candidate's
     group.  A cut (branch and bound, Land & Doig 1960) stops the rows of a
@@ -387,10 +392,11 @@ def _optimize(
     problem = _class_space([(matrix, orb) for (_, _, matrix), orb in zip(candidates, orbits)])
     counts = np.array([len(orb) for orb in orbits])
     n_cand, n_cls, n_starts = len(candidates), counts.max(), len(_START_NAMES)
-    offset, cls, eta, _ = problem
-    per_mode = rate_bound(eta, params, opts.mu_min, opts.mu_max)
-    of_mode = np.repeat(np.arange(n_cand), np.diff(offset))
-    bound = params.pulse_rate * np.bincount(of_mode, per_mode)
+    offset, cls, eta, _, weight = problem
+    of_entry = np.repeat(np.arange(n_cand), np.diff(offset))
+    bound = params.pulse_rate * np.bincount(
+        of_entry, weight * rate_bound(eta, params, opts.mu_min, opts.mu_max)
+    )
     ceiling = bound * (1.0 + _BOUND_REL_TOL)
 
     def bracket(rows: int) -> Tuple[np.ndarray, np.ndarray]:
@@ -427,12 +433,15 @@ def _optimize(
     uniform = np.flatnonzero(np.arange(len(v)) % n_starts < 2)
     current[uniform] = _totals(problem, cand[uniform], v[uniform], params)
     cut(0)
-    # Each class lead left, alone: one mode, class 0, no coupling.
-    lead_cand, lead_k = np.nonzero(~pruned[:, None] & (np.arange(n_cls) < counts[:, None]))
-    n_lead = len(lead_cand)
-    lead_eta = eta[[offset[b] + orbits[b][k][0] for b, k in zip(lead_cand, lead_k)]]
+    # Each class lead left, alone: one mode, class 0, no coupling.  Classes
+    # are listed by first mode, so a class's first entry, its lead's, has a
+    # key above every key before it.
+    key = of_entry * n_cls + cls
+    lead_at = np.flatnonzero(key > np.maximum.accumulate(np.append(-1, key))[:-1])
+    lead_at = lead_at[~pruned[of_entry[lead_at]]]
+    lead_cand, lead_k, n_lead = of_entry[lead_at], cls[lead_at], len(lead_at)
     zero = np.zeros((n_lead, 1))
-    lead = (np.arange(n_lead + 1), np.zeros(n_lead, dtype=int), lead_eta, zero)
+    lead = (np.arange(n_lead + 1), np.zeros(n_lead, dtype=int), eta[lead_at], zero, np.ones(n_lead))
     f = _line(lead, np.arange(n_lead), zero, 0, params)
     single = np.full((n_cand, n_cls), opts.mu_min)
     single[lead_cand, lead_k] = _line_max(f, *bracket(n_lead), _LINE_TOL)[0]
@@ -445,9 +454,10 @@ def _optimize(
     rest = np.flatnonzero(~pruned[cand] & (np.arange(len(v)) % n_starts >= 2))
     current[rest] = _totals(problem, cand[rest], v[rest], params)
     cut(0)
-    # A one-mode candidate's class line is its lead's: its last two starts
-    # hold that search's optimum and total, and no sweep can change them.
-    active[(np.diff(offset) == 1)[cand]] = False
+    # A one-mode candidate (its weights sum to 1) has its lead's class line:
+    # its last two starts hold that search's optimum and total, and no
+    # sweep can change them.
+    active[(np.bincount(of_entry, weight) == 1)[cand]] = False
 
     before = current.copy()
     for sweep in range(1, opts.max_sweeps + 1):
@@ -495,7 +505,7 @@ def _optimize(
             continue
         alloc = PowerAllocation(
             modes=matrix.modes,
-            mu=v[best[b]][cls[offset[b] : offset[b + 1]]],
+            mu=v[best[b]][class_index(orb)],
             orbits=orb,
             pulse_rate=params.pulse_rate,
         )
@@ -611,9 +621,11 @@ def _candidates(
 
     Bound first, build second: the LG matrices come from the two steps of
     :func:`lg_turb_matrix`.  Between them each cap is bounded on its
-    diagonal, as :func:`_optimize` bounds it.  Where even the largest cap's
-    bound is below the better of the fallback's two uniform-start totals,
-    the first cut of :func:`_optimize` would prune every cap: the link's
+    diagonal, as :func:`_optimize` bounds it up to the roundoff of the sum
+    (there a class lead counts once per mode it stands for).  Where even
+    the largest cap's bound is below the better of the fallback's two
+    uniform-start totals, the first cut of :func:`_optimize` would prune
+    every cap: the link's
     caps Q >= 2 are dropped, logged as that cut logs them, and its
     cross-order blocks are never built.  LG Q = 1's own totals are left out
     of that best: they are at most its bound, the smallest cap's, so they

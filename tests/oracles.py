@@ -388,6 +388,26 @@ def mode_space_total(matrix, mu, params) -> float:
     return math.fsum(params.pulse_rate * rate_per_pulse(np.diag(eta), mu, cross, params))
 
 
+def mode_space_slope(matrix, mu, members, params) -> float:
+    """d total/d v, bits/s per photon, of the per-mode allocation ``mu`` as
+    the shared value v of the modes ``members`` moves: ``pulse_rate`` times
+    the sum over those modes of d rate/d mu plus the sum over every mode i
+    of d rate/d cross_i times its coupling from them, each cross-talk and
+    coupling summed in mode space by ``math.fsum``, and the terms too."""
+    from fsoqkd.qkd import rate_and_slopes
+
+    eta = matrix.eta
+    n = len(mu)
+    cross = np.array(
+        [math.fsum(mu[j] * eta[j, i] for j in range(n) if j != i) for i in range(n)]
+    )
+    _, d_mu, d_cross = rate_and_slopes(np.diag(eta), mu, cross, params)
+    terms = [d_mu[i] for i in members] + [
+        d_cross[i] * math.fsum(eta[j, i] for j in members if j != i) for i in range(n)
+    ]
+    return params.pulse_rate * math.fsum(terms)
+
+
 def scalar_coordinate_ascent(matrix, params, opts):
     """The power optimizer run one start after another with scalar searches.
 

@@ -11,6 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import fsoqkd.planner as planner
+import fsoqkd.vacuum as vacuum
 from fsoqkd.channel import derive
 from fsoqkd.numerics import QuadratureError
 from fsoqkd.planner import (
@@ -31,6 +32,8 @@ from fsoqkd.vacuum import (
     CouplingMatrix,
     FBPixel,
     LGMode,
+    class_index,
+    class_sums,
     fb_axis,
     fb_pixel_grid,
     fb_vacuum_matrix,
@@ -405,11 +408,12 @@ def test_class_slopes_match_mode_space_differences(matrix, seed):
         return rate_per_pulse(np.diag(matrix.eta), mu, mu @ off, params) > 0.0
 
     def line_order_total(k):
-        # The total with class k's cross-talk added last, as the line adds it.
-        _, cls, eta, coupling = problem
+        # The total with class k's cross-talk added last, as the line adds it,
+        # each entry's rate counted once per mode it stands for.
+        _, cls, eta, coupling, weight = problem
         others = sum(values[j] * coupling[:, j] for j in range(len(orbits)) if j != k)
         rates = rate_per_pulse(eta, values[cls], others + values[k] * coupling[:, k], params)
-        return math.fsum(params.pulse_rate * rates)
+        return math.fsum(params.pulse_rate * weight * rates)
 
     for k in range(len(orbits)):
         f = planner._line(problem, np.array([0]), values[None], k, params)
@@ -470,17 +474,18 @@ def test_class_space_rows_equal_their_problem_alone():
 
 
 def _mode_sum_totals(problem, of, v, params):
-    """Each row's total written out: every real mode of its problem in mode
+    """Each row's total written out: every entry of its problem in mode
     order, its cross-talk added class by class in order, one
-    ``rate_per_pulse`` call and a per-row ``bincount``."""
-    offset, cls, eta, coupling = problem
+    ``rate_per_pulse`` call, and a per-row ``bincount`` of each entry's
+    rate times the number of modes it stands for."""
+    offset, cls, eta, coupling, weight = problem
     row = np.concatenate([np.full(offset[b + 1] - offset[b], r) for r, b in enumerate(of)])
     entry = np.concatenate([np.arange(offset[b], offset[b + 1]) for b in of])
     cross = v[row, 0] * coupling[entry, 0]
     for j in range(1, v.shape[1]):
         cross = cross + v[row, j] * coupling[entry, j]
     rates = rate_per_pulse(eta[entry], v[row, cls[entry]], cross, params)
-    return np.bincount(row, params.pulse_rate * rates, len(of))
+    return np.bincount(row, params.pulse_rate * (weight[entry] * rates), len(of))
 
 
 def test_totals_are_the_written_out_mode_sum():
@@ -509,6 +514,154 @@ def test_totals_are_the_written_out_mode_sum():
         np.testing.assert_array_equal(
             planner._totals(alone, at, own, params), _mode_sum_totals(alone, at, own, params)
         )
+
+
+# ------------------------------------------------------------------
+# One weighted entry per group of matching modes
+# ------------------------------------------------------------------
+
+@functools.cache
+def _builder_matrices(cn2):
+    """FB N = 1..8 and LG Q = 1..8 at ``cn2``, each for one 2 km channel
+    and for a batch of 1, 10 and 50 km links."""
+    matrices = []
+    for size in range(1, 9):
+        for build, channel in ((fb_turb_matrix, square_channel), (lg_turb_matrix, gauss_channel)):
+            matrices.append(build(size, channel(2e3, cn2)))
+            matrices.extend(build(size, [channel(L, cn2) for L in (1e3, 10e3, 50e3)]))
+    return matrices
+
+
+@pytest.mark.parametrize("cn2", [0.0, 1e-15, 1e-13])
+def test_builder_matrices_collapse_every_class_to_one_entry(cn2):
+    # Each class of a builder's matrix is one entry, its lead, weighted by
+    # the class size; a builder that broke its symmetry would fall back to
+    # one entry per mode without failing anything else.
+    matrices = _builder_matrices(cn2)
+    problems = [(m, orbit_classes(m.modes)) for m in matrices]
+    for matrix, orbits in problems:
+        cls, eta, coupling, weight = class_sums(matrix, orbits)
+        np.testing.assert_array_equal(cls, np.arange(len(orbits)))
+        np.testing.assert_array_equal(weight, [len(orbit) for orbit in orbits])
+        leads = [orbit[0] for orbit in orbits]
+        np.testing.assert_array_equal(eta, np.diag(matrix.eta)[leads])
+        assert coupling.shape == (len(orbits), len(orbits))
+    offset = planner._class_space(problems)[0]
+    np.testing.assert_array_equal(np.diff(offset), [len(orbits) for _, orbits in problems])
+
+
+@pytest.mark.parametrize("cn2", [0.0, 1e-15, 1e-13])
+def test_collapsed_totals_and_slopes_match_the_mode_space_oracle(cn2):
+    # On the collapsed layout every total, line value and line slope is the
+    # mode-space one, every mode's term summed by math.fsum, within 1e-13
+    # relative: the modes a weight stands for differ only by roundoff.
+    params = QkdSystemParams()
+    rng = np.random.default_rng(17)
+    # Each size's FB and LG matrices of the 10 km link of the batch.
+    for matrix in _builder_matrices(cn2)[2::4]:
+        orbits = orbit_classes(matrix.modes)
+        problem = planner._class_space([(matrix, orbits)])
+        values = 10.0 ** rng.uniform(-3.0, math.log10(1.4), (1, len(orbits)))
+        mu = values[0][class_index(orbits)]
+        exact = oracles.mode_space_total(matrix, mu, params)
+        total = planner._totals(problem, np.array([0]), values, params)[0]
+        assert total == pytest.approx(exact, rel=1e-13, abs=0.0)
+        for k, members in enumerate(orbits):
+            f = planner._line(problem, np.array([0]), values, k, params)
+            value, slope = (out[0, 0] for out in f(np.array([0]), values[:, k : k + 1], True))
+            assert value == pytest.approx(exact, rel=1e-13, abs=0.0)
+            oracle = oracles.mode_space_slope(matrix, mu, members, params)
+            assert slope == pytest.approx(oracle, rel=1e-13, abs=1e-13 * exact)
+
+
+def _per_mode_totals(matrix, orbits, v, params):
+    """Each row's total on one entry per mode, written out: mode i's
+    coupling from class j adds eta[i', i] over the modes i' != i of class j
+    in mode order, its cross-talk adds the classes in order, and the rates
+    of one ``rate_per_pulse`` call are summed per row by a ``bincount``."""
+    n = len(matrix.modes)
+    cls = class_index(orbits)
+    coupling = np.zeros((n, len(orbits)))
+    for i in range(n):
+        for j, members in enumerate(orbits):
+            for source in members:
+                if source != i:
+                    coupling[i, j] += matrix.eta[source, i]
+    row = np.repeat(np.arange(len(v)), n)
+    cross = v[row, 0] * np.tile(coupling[:, 0], len(v))
+    for j in range(1, len(orbits)):
+        cross = cross + v[row, j] * np.tile(coupling[:, j], len(v))
+    eta = np.tile(np.diag(matrix.eta), len(v))
+    rates = rate_per_pulse(eta, v[row, np.tile(cls, len(v))], cross, params)
+    return np.bincount(row, params.pulse_rate * rates, len(v))
+
+
+def test_random_matrices_merge_nothing_and_keep_every_bit():
+    # A matrix that is not invariant under its classes keeps one entry of
+    # weight 1 per mode, and its totals are the written-out per-mode sum
+    # bit for bit: a weight of 1 multiplies exactly.
+    params = QkdSystemParams()
+    rng = np.random.default_rng(23)
+    for seed, modes in enumerate(_MODE_LISTS):
+        matrix = random_matrix(modes, seed, -3.0, -2.0)
+        orbits = orbit_classes(modes)
+        cls, _, _, weight = class_sums(matrix, orbits)
+        np.testing.assert_array_equal(cls, class_index(orbits))
+        np.testing.assert_array_equal(weight, np.ones(len(modes)))
+        problem = planner._class_space([(matrix, orbits)])
+        v = 10.0 ** rng.uniform(-3.0, 0.0, (3, len(orbits)))
+        np.testing.assert_array_equal(
+            planner._totals(problem, np.zeros(3, dtype=int), v, params),
+            _per_mode_totals(matrix, orbits, v, params),
+        )
+
+
+@pytest.mark.parametrize("family", ["fb", "lg"])
+@pytest.mark.parametrize("where", ["diagonal", "coupling"])
+def test_a_perturbed_mode_stays_apart(family, where):
+    # One non-lead mode of one class, its transmissivity or one coupling
+    # into it moved by 1e-9 relative: that mode alone becomes an entry of
+    # its own, weight 1, and its class lead stands for the others.
+    if family == "fb":
+        matrix = fb_turb_matrix(4, square_channel(2e3, 1e-14))
+    else:
+        matrix = lg_turb_matrix(4, gauss_channel(2e3, 1e-14))
+    orbits = orbit_classes(matrix.modes)
+    k = next(j for j, orbit in enumerate(orbits) if len(orbit) > 1)
+    mode = orbits[k][-1]
+    source = orbits[0][0] if where == "coupling" else mode
+    eta = matrix.eta.copy()
+    eta[source, mode] *= 1.0 + 1e-9
+    cls, _, _, weight = class_sums(CouplingMatrix(modes=matrix.modes, eta=eta), orbits)
+    expected = np.ones(len(orbits) + 1, dtype=int)
+    expected[: len(orbits)] = [len(orbit) for orbit in orbits]
+    expected[k] -= 1
+    # Entries are in mode order, so the mode apart follows every lead
+    # before it.
+    apart = sum(orbit[0] < mode for orbit in orbits)
+    np.testing.assert_array_equal(np.delete(weight, apart), np.delete(expected, -1))
+    assert weight[apart] == 1 and cls[apart] == k
+    np.testing.assert_array_equal(np.delete(cls, apart), np.arange(len(orbits)))
+
+
+def test_fb_two_by_two_collapses_yet_sweeps(monkeypatch, caplog):
+    # FB N = 2 is one class of four modes: one entry of weight 4, yet not a
+    # one-mode candidate, since each mode takes cross-talk from the other
+    # three.  Every start sweeps its class line after the lead search.
+    matrix = fb_turb_matrix(2, square_channel(1.75e3, 1e-14))
+    cls, _, _, weight = class_sums(matrix, orbit_classes(matrix.modes))
+    assert cls.tolist() == [0] and weight.tolist() == [4.0]
+    searched = []
+    line_max = planner._line_max
+    monkeypatch.setattr(planner, "_line_max", lambda *args: searched.append(1) or line_max(*args))
+    with caplog.at_level(logging.DEBUG, logger="fsoqkd.planner"):
+        ((alloc, total),) = planner._optimize([("fb", 2, matrix)], QkdSystemParams(), None, [0])
+    (message,) = [r.getMessage() for r in caplog.records if "sweeps per start" in r.getMessage()]
+    sweeps = [int(s) for s in re.search(r"sweeps per start \[([^]]*)\]", message)[1].split(",")]
+    assert min(sweeps) > 0, message
+    assert len(searched) > 1
+    exact = oracles.mode_space_total(matrix, alloc.mu, QkdSystemParams())
+    assert total == pytest.approx(exact, rel=1e-13)
 
 
 def _lg_cap(full, q):
@@ -627,7 +780,9 @@ def test_kernel_chunks_change_no_bit(monkeypatch, kernel_work, chunk):
     problem = planner._class_space([(m, orbit_classes(m.modes)) for m in matrices])
     params = QkdSystemParams()
     rng = np.random.default_rng(21)
-    of = rng.integers(0, 3, 12)
+    # Enough rows that a probe spans more than twice the largest chunk: the
+    # problems collapse to 1, 3 and 6 entries.
+    of = rng.integers(0, 3, 48)
     v = 10.0 ** rng.uniform(-3.0, 0.0, (len(of), 6))
     x = 10.0 ** rng.uniform(-3.0, 0.0, (len(of), 2))
     rows = np.flatnonzero(of != 0)
@@ -1123,6 +1278,31 @@ def test_lg_turb_rate_kernel_call_budget(monkeypatch, kernel_work):
     monkeypatch.setattr(planner, "rate_bound", _no_bound)
     scan(_LG_TURB_LINKS, QkdSystemParams(), n_max=1, q_max=8)
     assert len(calls) > 4 * budget
+
+
+def test_fb_scan_rate_kernel_budget(monkeypatch, kernel_work):
+    # The benchmark's flat-top scan at its reference seed: 1751.67, 5340.27
+    # and 21614.07 m in vacuum and at cn2 1e-14, n_max = 8 with q_max = 1.
+    # Every class of every grid is one weighted entry, so the 71 line
+    # searches evaluate 165,080 kernel elements, against 832,048 with one
+    # entry per mode (the budget is the count plus 10%, floored).
+    searches = []
+    line_max = planner._line_max
+    monkeypatch.setattr(planner, "_line_max", lambda *args: searches.append(1) or line_max(*args))
+    links = [
+        family(length, cn2).config
+        for length in (1751.67, 5340.27, 21614.07)
+        for cn2 in (0.0, 1e-14)
+        for family in (gauss_channel, square_channel)
+    ]
+    scan(links, QkdSystemParams(), n_max=8, q_max=1)
+    assert len(searches) == 71
+    budget = 181_588
+    assert kernel_work.elements <= budget
+    kernel_work.elements = 0
+    monkeypatch.setattr(vacuum, "_MATCH_TOL", -1.0)
+    scan(links, QkdSystemParams(), n_max=8, q_max=1)
+    assert kernel_work.elements > 4 * budget
 
 
 def _spy_cross_order(monkeypatch):
