@@ -499,7 +499,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             file=sys.stderr,
         )
         return 2
-    logging.basicConfig(level=level.upper(), format="%(levelname)s %(name)s: %(message)s")
+    # basicConfig does nothing once the root logger has a handler, so the
+    # package logger takes the level, on every call.
+    logging.basicConfig(format="%(levelname)s %(name)s: %(message)s")
+    log.setLevel(level.upper())
     args = _build_parser().parse_args(argv)
     if args.jobs < 1:
         print("fsoqkd: --jobs must be >= 1", file=sys.stderr)

@@ -26,20 +26,19 @@ fallback, the last LG candidate, wins only when better by more than
 ``_TIE_REL_TOL`` relative.  The ascent drops a configuration as soon as
 its closed-form rate bound (:func:`fsoqkd.qkd.rate_bound`, free of
 cross-talk) is below the best total its link has reached, first on the
-uniform starts alone, before any single-mode search; the cut changes no
-winner.  An LG order cap is bounded before it is built: its bound needs
-only its diagonal, which the same-order blocks of the first step of
+four start totals, before the first sweep; the cut changes no winner.
+An LG order cap is bounded before it is built: its bound needs only its
+diagonal, which the same-order blocks of the first step of
 :func:`fsoqkd.turbulence.lg_turb_matrix` hold, so the cross-order blocks
 are built only on the links where a cap beats the fallback's uniform
 starts, and the other links' caps Q >= 2 never reach the ascent.
 :func:`scan` runs all its links, of both families, in one such ascent.
-Only :func:`_kernel` names the rate kernels, and it and :func:`_totals`
-work on row slices of at most ``_KERNEL_CHUNK`` elements.
+Only :func:`_kernel` names the rate kernels, and only it splits work, into
+calls of at most ``_KERNEL_CHUNK`` elements.
 """
 
 from __future__ import annotations
 
-import bisect
 import logging
 import math
 from dataclasses import dataclass
@@ -289,18 +288,9 @@ def _totals(
     """Total key rates, bits/s, of the class values ``v`` (R, K), row r on
     problem ``of[r]``: every start, corner and reported total.  Each is the
     line of the last class through ``v`` at its own value, whose cross-talk
-    still adds the classes in order, the last class's term last, laid out
-    on consecutive row slices of at most ``_KERNEL_CHUNK`` elements (a
-    row's sum is its own).  ``bisect`` finds each slice's end, since
-    ``np.searchsorted`` would page in numpy code no other step uses."""
-    k, a, parts = v.shape[1] - 1, 0, []
-    ends = np.cumsum(np.append(0, np.diff(problem[0])[of]))
-    while a < len(of):
-        b = max(a + 1, bisect.bisect_right(ends, ends[a] + _KERNEL_CHUNK) - 1)
-        f = _line(problem, of[a:b], v[a:b], k, params)
-        parts.append(f(np.arange(b - a), v[a:b, k:])[:, 0])
-        a = b
-    return np.concatenate(parts)
+    still adds the classes in order, the last class's term last."""
+    k = v.shape[1] - 1
+    return _line(problem, of, v, k, params)(np.arange(len(of)), v[:, k:])[:, 0]
 
 
 def total_rate(
@@ -370,16 +360,14 @@ def _optimize(
     raises :class:`RuntimeError`.  ``groups`` labels each candidate's
     group.  A cut (branch and bound, Land & Doig 1960) stops the rows of a
     candidate whose U (1 + ``_BOUND_REL_TOL``) is below the best total of
-    its group.  It runs on the two uniform start totals; again once the
-    single-mode search, the corners and the last two starts have run on
-    the candidates left; and after every line search.  The skipped totals
-    of a pruned candidate are at most its U, below its group's best, so
-    the first two cuts prune what one cut on all four starts would, and
-    the other rows keep their steps and their results.  A candidate alone
-    in its group is never pruned.  The LG caps that this first cut would
-    prune on their fallback's uniform starts alone never get here:
-    :func:`_candidates` bounds them on their diagonals and builds the
-    cross-order blocks only for the links where a cap survives.
+    its group.  It runs once on all four start totals, taken in one
+    :func:`_totals` call after the single-mode search and the corners, and
+    after every line search; the other rows keep their steps and their
+    results.  A candidate alone in its group is never pruned.  Some LG
+    caps that the first cut would prune never get here: :func:`_candidates`
+    bounds them on their diagonals against their fallback's uniform starts
+    and builds the cross-order blocks only for the links where a cap
+    survives.
     """
     opts = opts or OptimizerOptions()
     # One classification per distinct mode tuple, keyed by identity: hashing
@@ -405,7 +393,6 @@ def _optimize(
     cand = np.repeat(np.arange(n_cand), n_starts)
     v = np.full((len(cand), n_cls), opts.mu_min)
     v[0::n_starts], v[1::n_starts] = np.clip([0.05, 0.5], opts.mu_min, opts.mu_max)
-    current = np.full(len(v), -np.inf)
     sweeps = np.zeros(len(v), dtype=int)
     active = np.ones(len(v), dtype=bool)
     pruned = np.zeros(n_cand, dtype=bool)
@@ -430,15 +417,11 @@ def _optimize(
         pruned[doomed] = True
         active[pruned[cand]] = False
 
-    uniform = np.flatnonzero(np.arange(len(v)) % n_starts < 2)
-    current[uniform] = _totals(problem, cand[uniform], v[uniform], params)
-    cut(0)
-    # Each class lead left, alone: one mode, class 0, no coupling.  Classes
-    # are listed by first mode, so a class's first entry, its lead's, has a
-    # key above every key before it.
+    # Each class lead, alone: one mode, class 0, no coupling.  Classes are
+    # listed by first mode, so a class's first entry, its lead's, has a key
+    # above every key before it.
     key = of_entry * n_cls + cls
     lead_at = np.flatnonzero(key > np.maximum.accumulate(np.append(-1, key))[:-1])
-    lead_at = lead_at[~pruned[of_entry[lead_at]]]
     lead_cand, lead_k, n_lead = of_entry[lead_at], cls[lead_at], len(lead_at)
     zero = np.zeros((n_lead, 1))
     lead = (np.arange(n_lead + 1), np.zeros(n_lead, dtype=int), eta[lead_at], zero, np.ones(n_lead))
@@ -451,8 +434,7 @@ def _optimize(
     corner_val[lead_cand, lead_k] = _totals(problem, lead_cand, corners, params)
     lit = np.arange(n_cls) == np.argmax(corner_val, axis=1)[:, None]
     v[2::n_starts], v[3::n_starts] = single, np.where(lit, single, opts.mu_min)
-    rest = np.flatnonzero(~pruned[cand] & (np.arange(len(v)) % n_starts >= 2))
-    current[rest] = _totals(problem, cand[rest], v[rest], params)
+    current = _totals(problem, cand, v, params)
     cut(0)
     # A one-mode candidate (its weights sum to 1) has its lead's class line:
     # its last two starts hold that search's optimum and total, and no
@@ -533,9 +515,9 @@ def optimize_allocation(
     reachable.  Ties go to the earliest start in that order.  The starts
     run in lockstep as the rows of one array, each taking the steps it
     would take alone; the envelopes run every configuration's starts in
-    the same array and stop those of a configuration that cannot win.  The
-    problem is nonconvex, so this is a heuristic; it is validated against
-    small brute-force grids.
+    the same array and stop those of a configuration that cannot win,
+    first on its four start totals.  The problem is nonconvex, so this is
+    a heuristic; it is validated against small brute-force grids.
 
     A start that uses all ``max_sweeps`` without meeting ``rel_tol`` is
     logged as a warning on the ``fsoqkd.planner`` logger.
@@ -624,16 +606,17 @@ def _candidates(
     diagonal, as :func:`_optimize` bounds it up to the roundoff of the sum
     (there a class lead counts once per mode it stands for).  Where even
     the largest cap's bound is below the better of the fallback's two
-    uniform-start totals, the first cut of :func:`_optimize` would prune
-    every cap: the link's
-    caps Q >= 2 are dropped, logged as that cut logs them, and its
-    cross-order blocks are never built.  LG Q = 1's own totals are left out
-    of that best: they are at most its bound, the smallest cap's, so they
-    prune no cap.  The one-mode candidates need no cross-order block and
-    always reach :func:`_optimize`, whose first cut checks their totals
-    against their bounds, so a broken bound still raises.  A dropped cap's
-    totals are at most its bound, so its group's best, and every other
-    candidate's steps, are unchanged."""
+    uniform-start totals, the link's caps Q >= 2 are dropped, logged as
+    the first cut of :func:`_optimize` logs them, and its cross-order
+    blocks are never built.  That cut, on the best of all four starts,
+    prunes a superset of the caps dropped here, and a cap kept here is
+    still pruned, or wins, in the ascent.  LG Q = 1's own totals are left
+    out of that best: they are at most its bound, the smallest cap's, so
+    they prune no cap.  The one-mode candidates need no cross-order block
+    and always reach :func:`_optimize`, whose first cut checks their
+    totals against their bounds, so a broken bound still raises.  A
+    dropped cap's totals are at most its bound, so its group's best, and
+    every other candidate's steps, are unchanged."""
     if size < 1:
         raise ValueError(f"{'n_max' if flat else 'q_max'} must be >= 1, got {size}")
     if flat:

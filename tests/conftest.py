@@ -1,5 +1,6 @@
 """Shared fixtures and channel builders for the test suite."""
 
+import logging
 import math
 from dataclasses import dataclass, field
 from typing import List
@@ -51,6 +52,16 @@ def gauss_channel_for_df(df: float):
     ch = gauss_channel(path_length)
     assert abs(ch.fresnel_product - df) < 1e-9 * df
     return ch
+
+
+@pytest.fixture(autouse=True)
+def _package_log_level():
+    """Restore the ``fsoqkd`` logger's level, which ``cli.main`` sets from
+    ``FSO_QKD_LOG`` on every call, so no test leaks it to the next."""
+    logger = logging.getLogger("fsoqkd")
+    level = logger.level
+    yield
+    logger.setLevel(level)
 
 
 @pytest.fixture(scope="session")

@@ -1,6 +1,7 @@
 """Config parsing, CSV emission, determinism, and exit codes."""
 
 import concurrent.futures
+import logging
 import os
 import re
 import subprocess
@@ -358,6 +359,20 @@ def test_bad_log_level_exits_2(tmp_path, capsys, monkeypatch):
     assert err.startswith("fsoqkd: FSO_QKD_LOG='verbose'")
     assert "debug, info, warning, error or critical" in err
     assert not out.exists()
+
+
+def test_log_level_applies_to_every_main_call(tmp_path, monkeypatch, caplog):
+    # FSO_QKD_LOG sets the package logger's level on each call, under any
+    # root handler (here pytest's), not only on a process's first call.
+    ini = tmp_path / "run.ini"
+    ini.write_text("[channel]\npath_lengths = 1 km\n[turbulence]\ncn2_values = 0\n")
+    argv = ["--jobs", "1", "--config", str(ini), "--out", str(tmp_path / "t.csv"), "transmissivity"]
+    for level, shown in (("ERROR", False), ("debug", True), ("warning", False)):
+        caplog.clear()
+        monkeypatch.setenv("FSO_QKD_LOG", level)
+        assert main(argv) == 0
+        assert logging.getLogger("fsoqkd").level == getattr(logging, level.upper())
+        assert ("(L, cn2) points in 1 tasks" in caplog.text) == shown, level
 
 
 # One valid non-default value per config key.

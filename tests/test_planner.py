@@ -721,11 +721,11 @@ def test_one_class_candidate_runs_four_starts(monkeypatch, caplog, family):
     sweeps = [int(s) for s in re.search(r"sweeps per start \[([^]]*)\]", message)[1].split(",")]
     assert sweeps == [0, 0, 0, 0]
     assert "winning start 'best corner'" not in message
-    # _line calls: the uniform start totals, the single-mode search, the
-    # corner total, the last two start totals, the reported total.
-    assert [len(base) for base in bases] == [2, 1, 1, 2, 1]
+    # _line calls: the single-mode search, the corner total, the four
+    # start totals, the reported total.
+    assert [len(base) for base in bases] == [1, 1, 4, 1]
     ((x, value),) = searches
-    np.testing.assert_array_equal(bases[3], np.full((2, 1), x[0]))
+    np.testing.assert_array_equal(bases[2][2:], np.full((2, 1), x[0]))
     assert result[0].mu[0] == x[0] and result[1] == value[0]
 
 
@@ -1041,11 +1041,10 @@ def _start_totals(matrix, params, opts=OptimizerOptions()):
 
 def test_mixed_batch_prunes_on_start_totals_and_keeps_solo_bits(caplog):
     # Flat-top and LG links, vacuum and cn2 1e-13, 1 to 40 km, in one
-    # ascent.  The uniform starts cut first, so the single-mode search,
-    # the corners and the other starts run only on the candidates left; the
-    # configurations dropped before the first sweep are still those whose
-    # bound is below their group's best start total, and every survivor
-    # ends on the bits of its own one-candidate ascent.
+    # ascent.  The configurations dropped before the first sweep are those
+    # whose bound is below their group's best total over all four starts,
+    # cut once, and every survivor ends on the bits of its own
+    # one-candidate ascent.
     params = QkdSystemParams()
     links = [(L, cn2) for L in (1e3, 10e3, 40e3) for cn2 in (0.0, 1e-13)]
     groups = _built_candidates([square_channel(*link) for link in links], True, 4)
@@ -1259,11 +1258,11 @@ def test_lg_turb_rate_kernel_call_budget(monkeypatch, kernel_work):
     # wins both LG envelopes, and every order cap is dropped on its
     # diagonal's bound before its cross-order blocks are built: the cut
     # before the build totals the fallbacks' uniform starts in one kernel
-    # call, and LG Q = 1 is pruned on its uniform starts, before the
-    # single-mode search.  Every survivor has one mode, so the
-    # single-mode search is the only line search: 18 kernel calls on 92
-    # elements, against 17 on 564 when every cap reached the optimizer and
-    # 366 calls without pruning.
+    # call.  Every candidate left has one mode, so the single-mode search
+    # is the only line search, and LG Q = 1 is pruned on its four start
+    # totals: 17 kernel calls on 123 elements (the element budget is the
+    # count plus 10%, floored), against 17 on 564 when every cap reached
+    # the optimizer and 366 calls without pruning.
     calls = kernel_work.calls
     searches = []
     line_max = planner._line_max
@@ -1273,7 +1272,7 @@ def test_lg_turb_rate_kernel_call_budget(monkeypatch, kernel_work):
     assert len(searches) == 1
     budget = 18
     assert len(calls) <= budget
-    assert kernel_work.elements <= 101
+    assert kernel_work.elements <= 135
     calls.clear()
     monkeypatch.setattr(planner, "rate_bound", _no_bound)
     scan(_LG_TURB_LINKS, QkdSystemParams(), n_max=1, q_max=8)
@@ -1353,6 +1352,30 @@ def test_only_surviving_links_get_cross_order_blocks(monkeypatch):
     for link, row in zip(links, rows):
         (solo,) = scan([link], params, q_max=4)
         _same_row(row, solo)
+
+
+def test_caps_dropped_before_the_build_are_pruned_by_the_first_cut(caplog):
+    # LG links in vacuum and at cn2 1e-15 and 1e-13, 1 to 40 km.  Every cap
+    # that _candidates drops before its cross-order blocks is also pruned
+    # at sweep 0 when every cap is built and optimized, and every link's
+    # envelope point is the same either way.
+    params = QkdSystemParams()
+    chans = [gauss_channel(L, cn2) for L in (1e3, 3e3, 10e3, 40e3) for cn2 in (0.0, 1e-15, 1e-13)]
+    kept = planner._candidates(chans, False, 8, params, None)
+    built = _built_candidates(chans, False, 8)
+    dropped = [p for p, group in enumerate(kept) if len(group) == 2]
+    assert 0 < len(dropped) < len(chans)
+    for p, winner in enumerate(planner._envelopes(kept, params, None)):
+        caplog.clear()
+        with caplog.at_level(logging.DEBUG, logger="fsoqkd.planner"):
+            (full,) = planner._envelopes([built[p]], params, None)
+        assert winner[:3] == full[:3] and winner[3].mu.tobytes() == full[3].mu.tobytes()
+        first_cut = {
+            int(m.group(1))
+            for m in re.finditer(r"mode set 'lg', config (\d+) pruned at sweep 0:", caplog.text)
+        }
+        if p in dropped:
+            assert first_cut >= set(range(2, 9)), (p, first_cut)
 
 
 def test_unbounded_caps_all_get_cross_order_blocks(monkeypatch):
